@@ -2,11 +2,13 @@
 # Bench-regression gate: measure the simulators, replay, wdl, serve, and
 # cluster suites fresh and compare them against the committed
 # BENCH_simulators.json / BENCH_replay.json / BENCH_wdl.json /
-# BENCH_serve.json / BENCH_cluster.json baselines. Two suites additionally
-# carry absolute, machine-independent claims checked within the fresh
-# report: one fused cross-policy replay must stay >= 2x faster than six
-# scratch replays, and restart-warm serving (cache prewarmed from the
-# durable store) must stay within 10x of steady-warm serving.
+# BENCH_serve.json / BENCH_cluster.json baselines. Three suites
+# additionally carry absolute, machine-independent claims checked within
+# the fresh report: one fused cross-policy replay must stay >= 2x faster
+# than six scratch replays, restart-warm serving (cache prewarmed from
+# the durable store) must stay within 10x of steady-warm serving, and a
+# repeated gateway grid (answered from per-cell result caches) must stay
+# >= 3x faster than the cold grid.
 #
 # The comparison (see crates/bench/src/bin/bench_gate.rs) normalizes by
 # the suite's median fresh/baseline ratio, so a uniformly slower CI
@@ -85,6 +87,14 @@ MDS_CLUSTER_BENCH_SECONDS="${MDS_CLUSTER_BENCH_SECONDS:-0.5}" \
 echo "==> comparing the cluster suite against its committed baseline"
 MDS_BENCH_TOLERANCE="${MDS_CLUSTER_BENCH_TOLERANCE:-4.0}" \
   target/release/bench_gate BENCH_cluster.json "$fresh_dir/BENCH_cluster.json"
+
+# The per-cell cache claim: a repeat of the fig5 grid through a gateway
+# over 2 backends is answered from the backends' cell caches, one batch
+# per trace key, and must be >= 3x faster than the cold grid. Both series
+# come from the same run on the same host, so the check holds anywhere.
+echo "==> checking the warm-grid claim (repeated grid >= 3x faster than cold)"
+target/release/bench_gate --min-speedup "$fresh_dir/BENCH_cluster.json" \
+  gateway/grid_cold/2b gateway/grid_warm/2b 3.0
 
 # The scatter-gather claim — one cold fig5 grid at 4 backends is >= 1.7x
 # faster than at 1 backend — is a parallel-speedup claim: each backend

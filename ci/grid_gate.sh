@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Grid gate: scatter-gather `POST /v1/grids` over real processes.
 #
-# Two claims, both against release binaries on real sockets:
+# Three claims, all against release binaries on real sockets:
 #
 # 1. Byte identity. The gateway's grid response — cells scattered across
 #    both backends and merged from out-of-order partials — must be
@@ -9,7 +9,11 @@
 #    the concatenation of the repro CLI's per-experiment RESULTS
 #    documents. One merge contract, three independent producers.
 #
-# 2. Loss tolerance. `kill -9` of a backend in the middle of a sequence
+# 2. Warm repeats. The same grid sent again answers from the backends'
+#    per-cell result caches (one cell batch per trace key), with the
+#    same bytes.
+#
+# 3. Loss tolerance. `kill -9` of a backend in the middle of a sequence
 #    of fresh (recomputing) grid requests must be invisible to clients:
 #    every request answers 200 with byte-identical output, zero errors —
 #    in-flight cells fail over to the surviving backend or are computed
@@ -60,6 +64,26 @@ echo "==> gateway grid vs lone backend vs repro CLI (byte identity)"
 cmp "$work/expected_grid.json" "$work/gateway_grid.json"
 cmp "$work/gateway_grid.json" "$work/backend_grid.json"
 echo "  identical: gateway == lone backend == repro CLI concatenation"
+
+cache_hits() {
+  local total=0 n
+  for b in "$b1" "$b2"; do
+    n=$(curl -fsS "http://$b/metrics" | awk '$1 == "mds_result_cache_hits_total" {print $2}')
+    total=$((total + n))
+  done
+  echo "$total"
+}
+
+echo "==> the same grid again: identical bytes, served from the backends' cell caches"
+hits_before=$(cache_hits)
+curl -fsS -X POST --data "$body" -o "$work/gateway_grid_again.json" "http://$gw/v1/grids"
+cmp "$work/expected_grid.json" "$work/gateway_grid_again.json"
+hits_after=$(cache_hits)
+if [ "$hits_after" -le "$hits_before" ]; then
+  echo "  result-cache hits did not rise on the repeat ($hits_before -> $hits_after)" >&2
+  exit 1
+fi
+echo "  identical; backend result-cache hits $hits_before -> $hits_after"
 
 echo "==> grid metrics counted the scatter"
 curl -fsS "http://$gw/metrics" >"$work/metrics.txt"

@@ -24,7 +24,7 @@
 use crate::{demands, experiment, experiment_title, results_doc, scale_by_name, scale_name};
 use crate::{Demand, Harness};
 use mds_harness::json::Json;
-use mds_runner::{Job, JobKind};
+use mds_runner::Job;
 use mds_workloads::Scale;
 
 /// A parsed `POST /v1/grids` descriptor.
@@ -42,8 +42,9 @@ pub struct GridRequest {
     pub experiments: Vec<String>,
     /// Workload scale shared by every cell.
     pub scale: Scale,
-    /// Bypass any result cache and recompute (lone-backend serving
-    /// honours this; scatter-gather always computes).
+    /// Bypass result-cache reads and recompute every experiment, or,
+    /// through a gateway, every cell: the gateway forwards the flag on
+    /// each cell batch it scatters. Fills still refresh the caches.
     pub fresh: bool,
 }
 
@@ -162,28 +163,6 @@ pub fn cells(experiments: &[String], scale: Scale) -> Vec<Cell> {
     out
 }
 
-/// One summary job per distinct route key, for a cache-warming pass:
-/// dispatching each to its placement owner triggers exactly the trace
-/// emulations that owner will need, before the real cells arrive.
-pub fn warm_jobs(cells: &[Cell]) -> Vec<(String, Job)> {
-    let mut out: Vec<(String, Job)> = Vec::new();
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for cell in cells {
-        let key = cell.route_key();
-        if !seen.insert(key.clone()) {
-            continue;
-        }
-        let job = Job {
-            id: format!("warm/{}", cell.job.workload.name),
-            workload: cell.job.workload,
-            scale: cell.job.scale,
-            kind: JobKind::Summary,
-        };
-        out.push((key, job));
-    }
-    out
-}
-
 /// Renders the grid response: each experiment's result document (the
 /// exact [`results_doc`] bytes `repro` writes and `/v1/experiments`
 /// serves), concatenated in request order.
@@ -292,19 +271,6 @@ mod tests {
             .map(|c| c.id().to_string())
             .collect();
         assert_eq!(fig5_ids, prefix);
-    }
-
-    #[test]
-    fn warm_jobs_cover_each_route_key_once() {
-        let ids = vec!["fig5".to_string(), "table1".to_string()];
-        let cs = cells(&ids, Scale::Tiny);
-        let warm = warm_jobs(&cs);
-        let distinct: std::collections::HashSet<_> = cs.iter().map(|c| c.route_key()).collect();
-        assert_eq!(warm.len(), distinct.len());
-        for (key, job) in &warm {
-            assert!(matches!(job.kind, JobKind::Summary));
-            assert_eq!(*key, route_key(job.workload.name, job.scale));
-        }
     }
 
     /// The merge contract end to end: computing cells remotely (here:

@@ -18,7 +18,10 @@
 //! against a fresh fleet per sample, one simulation thread per backend:
 //! the scatter-gather cold-grid wall time whose 4-backend point the
 //! bench gate requires to beat the 1-backend point by 1.7x on hosts
-//! with at least four cores (see `ci/bench_gate.sh`).
+//! with at least four cores. The `grid_warm` series times the same grid
+//! sent again to the same fleet, answered from the backends' per-cell
+//! result caches; the gate requires it to be at least 3x faster than
+//! `grid_cold` at 2 backends (see `ci/bench_gate.sh`).
 
 use mds_cluster::fleet::{Fleet, FleetConfig};
 use mds_cluster::gateway::{Gateway, GatewayConfig};
@@ -101,15 +104,17 @@ fn gate_result(mode: &str, backends: usize, report: &LoadReport) -> BenchResult 
     }
 }
 
-/// One cold `POST /v1/grids` wall-time sample at `backends` backends: a
-/// fresh fleet every sample (empty trace and result caches) with one
-/// simulation thread per backend, i.e. fixed per-node capacity. What
-/// the series isolates is scale-out of the cold emulation phase: the
-/// gateway's balanced placement caps each backend at its fair share of
-/// the grid's distinct workloads and the warm pass emulates those
-/// shards concurrently, so wall-time shrinks with backend count on any
-/// host with at least as many cores as backends.
-fn grid_cold_sample(backends: usize) -> Duration {
+/// One `(cold, warm)` pair of `POST /v1/grids` wall times at `backends`
+/// backends. The cold grid runs on a fresh fleet (empty trace and result
+/// caches) with one simulation thread per backend, i.e. fixed per-node
+/// capacity; what it isolates is scale-out of the cold emulation phase:
+/// the gateway's balanced placement caps each backend at its fair share
+/// of the grid's distinct workloads, and each backend emulates its
+/// shards as their cell batches arrive, concurrently, so wall time
+/// shrinks with backend count on any host with at least as many cores
+/// as backends. The warm grid is the same request again, answered from
+/// the backends' per-cell result caches.
+fn grid_sample(backends: usize) -> (Duration, Duration) {
     let fleet = Fleet::spawn(&FleetConfig {
         backends,
         workers: 4,
@@ -126,28 +131,29 @@ fn grid_cold_sample(backends: usize) -> Duration {
     })
     .expect("start gateway");
     let body = format!(r#"{{"experiments":["{EXPERIMENT}"],"scale":"{SCALE}"}}"#);
-    let started = Instant::now();
-    let response = request_once(
-        &gateway.local_addr().to_string(),
-        "POST",
-        "/v1/grids",
-        body.as_bytes(),
-        Duration::from_secs(300),
-    )
-    .expect("grid request");
-    let elapsed = started.elapsed();
-    assert_eq!(
-        response.status, 200,
-        "cold grid over {backends} backends failed"
-    );
+    let grid = || {
+        let started = Instant::now();
+        let response = request_once(
+            &gateway.local_addr().to_string(),
+            "POST",
+            "/v1/grids",
+            body.as_bytes(),
+            Duration::from_secs(300),
+        )
+        .expect("grid request");
+        let elapsed = started.elapsed();
+        assert_eq!(response.status, 200, "grid over {backends} backends failed");
+        elapsed
+    };
+    let samples = (grid(), grid());
     gateway.shutdown();
     fleet.shutdown();
-    elapsed
+    samples
 }
 
-/// Folds the cold-grid samples into the gate-comparable shape: one
-/// "iteration" is one whole cold grid, `median_ns` its median wall time.
-fn grid_cold_result(backends: usize, samples_ns: &mut [u64]) -> BenchResult {
+/// Folds whole-grid samples into the gate-comparable shape: one
+/// "iteration" is one whole grid, `median_ns` its median wall time.
+fn grid_result(mode: &str, backends: usize, samples_ns: &mut [u64]) -> BenchResult {
     samples_ns.sort_unstable();
     let median = samples_ns[samples_ns.len() / 2] as f64;
     let mut deviations: Vec<f64> = samples_ns
@@ -156,7 +162,7 @@ fn grid_cold_result(backends: usize, samples_ns: &mut [u64]) -> BenchResult {
         .collect();
     deviations.sort_by(|a, b| a.total_cmp(b));
     BenchResult {
-        name: format!("gateway/grid_cold/{backends}b"),
+        name: format!("gateway/{mode}/{backends}b"),
         iters_per_batch: samples_ns.len() as u64,
         batches: 1,
         median_ns: median,
@@ -181,28 +187,33 @@ fn main() {
 
     let mut runs = Vec::new();
     let mut results = Vec::new();
-    // Whole cold grids are one request each, so the time budget buys
+    // Whole grids are one request each, so the time budget buys
     // fresh-fleet samples rather than load seconds.
     let grid_samples = ((seconds / 0.5).round() as usize).clamp(1, 8);
     for backends in BACKEND_COUNTS {
-        let mut grid_ns: Vec<u64> = (0..grid_samples)
-            .map(|_| grid_cold_sample(backends).as_nanos() as u64)
-            .collect();
-        let grid = grid_cold_result(backends, &mut grid_ns);
-        eprintln!(
-            "  grid_cold/{backends}b: median {:.1}ms over {grid_samples} fresh-fleet sample(s)",
-            grid.median_ns / 1e6
-        );
-        results.push(grid);
-        runs.push(
-            Json::object()
-                .field("mode", "grid_cold")
-                .field("backends", backends)
-                .field(
-                    "samples_ns",
-                    Json::Array(grid_ns.iter().map(|&ns| Json::from(ns)).collect()),
-                ),
-        );
+        let (mut cold_ns, mut warm_ns): (Vec<u64>, Vec<u64>) = (0..grid_samples)
+            .map(|_| {
+                let (cold, warm) = grid_sample(backends);
+                (cold.as_nanos() as u64, warm.as_nanos() as u64)
+            })
+            .unzip();
+        for (mode, samples) in [("grid_cold", &mut cold_ns), ("grid_warm", &mut warm_ns)] {
+            let result = grid_result(mode, backends, samples);
+            eprintln!(
+                "  {mode}/{backends}b: median {:.1}ms over {grid_samples} fresh-fleet sample(s)",
+                result.median_ns / 1e6
+            );
+            results.push(result);
+            runs.push(
+                Json::object()
+                    .field("mode", mode)
+                    .field("backends", backends)
+                    .field(
+                        "samples_ns",
+                        Json::Array(samples.iter().map(|&ns| Json::from(ns)).collect()),
+                    ),
+            );
+        }
 
         let fleet = Fleet::spawn(&FleetConfig {
             backends,

@@ -120,17 +120,11 @@ pub struct GatewayConfig {
     pub io: IoModel,
     /// Concurrent client-connection cap under `--io epoll`.
     pub max_connections: usize,
-    /// Per-backend in-flight window for grid-cell dispatch: how many
-    /// cells one `POST /v1/grids` keeps outstanding against each
+    /// Per-backend in-flight window for grid dispatch: how many cell
+    /// batches one `POST /v1/grids` keeps outstanding against each
     /// backend. Sized to fill a backend's worker pool without tripping
     /// its admission shedding.
     pub grid_window: usize,
-    /// Cluster-wide cache warming for grids: before scattering cells,
-    /// pre-dispatch each distinct workload's emulation (a summary cell)
-    /// to its ring owner, so the cold-grid emulation phase runs fleet-
-    /// parallel instead of trickling in with the first cell per
-    /// workload.
-    pub grid_warm: bool,
 }
 
 impl Default for GatewayConfig {
@@ -160,7 +154,6 @@ impl Default for GatewayConfig {
             io: IoModel::default(),
             max_connections: 10_000,
             grid_window: 8,
-            grid_warm: true,
         }
     }
 }
@@ -1010,7 +1003,7 @@ fn forward_serial(
     }
 }
 
-/// A synthesized `POST /v1/cells` upstream request for one cell body.
+/// A synthesized `POST /v1/cells` upstream request for one batch body.
 fn cell_request(body: String) -> Request {
     Request {
         method: "POST".to_string(),
@@ -1021,25 +1014,25 @@ fn cell_request(body: String) -> Request {
     }
 }
 
-/// Dispatches one grid cell along its route key's replica order, with
+/// Dispatches one grid batch along its route key's replica order, with
 /// the same breaker/retry failover as the experiment proxy path and the
 /// hedging path handling stragglers when configured. The window bounds
-/// this grid's in-flight cells per backend. `owner` is the grid's
+/// this grid's in-flight batches per backend. `owner` is the grid's
 /// balanced assignment for this key: when it is still in rotation it is
 /// tried first, and the rest of the replica order backs it up.
-fn dispatch_cell(
+fn dispatch_batch(
     shared: &Shared,
     conns: &mut ConnCache,
-    route_key: &str,
-    request: &Request,
+    batch: &grid::BatchPlan,
     windows: &grid::Windows,
     owner: Option<usize>,
 ) -> Result<ClientResponse, Option<ClientResponse>> {
     shared
         .metrics
         .grid_cells_total
-        .fetch_add(1, Ordering::Relaxed);
-    let mut rotation = rotation_order(shared, Some(route_key));
+        .fetch_add(batch.cells.len() as u64, Ordering::Relaxed);
+    let request = cell_request(batch.body.clone());
+    let mut rotation = rotation_order(shared, Some(&batch.route_key));
     if let Some(owner) = owner {
         if let Some(pos) = rotation.iter().position(|&idx| idx == owner) {
             rotation.remove(pos);
@@ -1050,72 +1043,42 @@ fn dispatch_cell(
         Some(hedge_after) => {
             // The hedged path spawns its own attempt threads; hold the
             // primary's window slot for the duration so a grid's hedged
-            // cells still respect the per-backend bound.
+            // batches still respect the per-backend bound.
             let _slot = windows.acquire(rotation[0]);
-            failover_hedged(shared, &rotation, request, hedge_after)
+            failover_hedged(shared, &rotation, &request, hedge_after)
         }
-        None => failover_serial(shared, conns, &rotation, request, Some(windows)),
+        None => failover_serial(shared, conns, &rotation, &request, Some(windows)),
     }
 }
 
-/// The cluster-wide cache-warming pass: each distinct workload's
-/// emulation (a summary cell), dispatched concurrently to the backend
-/// the grid's balanced assignment chose for it — the same backend its
-/// cells will land on. Best-effort — a dead owner's traces are simply
-/// emulated by whichever replica its cells fail over to.
-fn scatter_warm(
-    shared: &Shared,
-    warm: &[(String, String)],
-    windows: &grid::Windows,
-    owners: &HashMap<String, usize>,
-) {
-    std::thread::scope(|scope| {
-        for (route_key, body) in warm {
-            scope.spawn(move || {
-                let assigned = owners
-                    .get(route_key)
-                    .copied()
-                    .or_else(|| rotation_order(shared, Some(route_key)).first().copied());
-                let Some(owner) = assigned else {
-                    return;
-                };
-                shared
-                    .metrics
-                    .grid_warms_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let request = cell_request(body.clone());
-                let mut conns: ConnCache = HashMap::new();
-                let _slot = windows.acquire(owner);
-                let _ = attempt(shared, &mut conns, owner, &request);
-            });
-        }
-    });
-}
-
-/// The grid's balanced key→backend assignment: distinct route keys in
-/// first-appearance order, each with its live replica order, handed to
+/// The grid's balanced key→backend assignment: the batches' route keys
+/// in plan order, each with its live replica order, handed to
 /// [`grid::balanced_assignments`] so no backend owns more than its fair
 /// share of this grid's trace emulations.
 fn grid_owners(shared: &Shared, plan: &grid::GridPlan) -> HashMap<String, usize> {
-    let mut candidates: Vec<(String, Vec<usize>)> = Vec::new();
-    for cell in &plan.cells {
-        if !candidates.iter().any(|(key, _)| key == &cell.route_key) {
-            let rotation = rotation_order(shared, Some(&cell.route_key));
-            candidates.push((cell.route_key.clone(), rotation));
-        }
-    }
+    let candidates: Vec<(String, Vec<usize>)> = plan
+        .batches
+        .iter()
+        .map(|b| {
+            (
+                b.route_key.clone(),
+                rotation_order(shared, Some(&b.route_key)),
+            )
+        })
+        .collect();
     grid::balanced_assignments(&candidates, shared.backends.len())
 }
 
 /// `POST /v1/grids`: scatter-gather grid execution.
 ///
 /// Decomposes the request into cells (one per distinct simulation
-/// demand), places each on the ring by its `workload@scale` trace key,
-/// fans them out over dispatcher lanes with bounded per-backend windows,
-/// merges partial results as they stream back, and renders the response
-/// in request order — byte-identical to a lone backend serving the same
-/// grid. A cell whose every candidate fails is computed locally by the
-/// merger, so backend loss degrades latency, never the answer.
+/// demand), groups them into one batch per `workload@scale` trace key,
+/// sends each batch to its key's owner over dispatcher lanes with bounded
+/// per-backend windows, merges partial results as they stream back, and
+/// renders the response in request order — byte-identical to a lone
+/// backend serving the same grid. The cells of a batch that every
+/// candidate fails, or that comes back malformed, are computed locally
+/// by the merger, so backend loss degrades latency, never the answer.
 fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
     let bad = |message: String| Routed {
         response: Response::json(400, Json::object().field("error", message).to_string()),
@@ -1134,16 +1097,13 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
     let owners = grid_owners(shared, &plan);
     let mut merger = grid::Merger::new(&grid_request, Runner::new(1));
     let windows = grid::Windows::new(shared.backends.len(), shared.config.grid_window);
-    if shared.config.grid_warm && shared.backends.len() > 1 {
-        scatter_warm(shared, &plan.warm, &windows, &owners);
-    }
 
-    let cells = &plan.cells;
+    let batches = &plan.batches;
     let mut failed_cells = 0usize;
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(usize, Result<ClientResponse, Option<ClientResponse>>)>();
-        let lanes = cells
+        let lanes = batches
             .len()
             .min(shared.backends.len() * shared.config.grid_window)
             .max(1);
@@ -1156,20 +1116,11 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
                 let mut conns: ConnCache = HashMap::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
+                    let Some(batch) = batches.get(i) else {
                         break;
-                    }
-                    let cell = &cells[i];
-                    let request = cell_request(cell.body.clone());
-                    let owner = owners.get(&cell.route_key).copied();
-                    let result = dispatch_cell(
-                        shared,
-                        &mut conns,
-                        &cell.route_key,
-                        &request,
-                        windows,
-                        owner,
-                    );
+                    };
+                    let owner = owners.get(&batch.route_key).copied();
+                    let result = dispatch_batch(shared, &mut conns, batch, windows, owner);
                     if tx.send((i, result)).is_err() {
                         break;
                     }
@@ -1180,18 +1131,22 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
         // Gather on this thread: partial results merge in arrival order,
         // which the merge contract guarantees cannot change the bytes.
         for (i, result) in rx {
-            let cell = &cells[i];
+            let batch = &batches[i];
+            let before = merger.accepted();
             let failure = match result {
-                Ok(upstream) if upstream.status == 200 => merger.accept(cell, &upstream.body).err(),
+                Ok(upstream) if upstream.status == 200 => {
+                    merger.accept_batch(batch, &upstream.body).err()
+                }
                 Ok(upstream) => Some(format!("upstream status {}", upstream.status)),
                 Err(_) => Some("no backend available".to_string()),
             };
             if let Some(error) = failure {
-                failed_cells += 1;
+                failed_cells += batch.cells.len() - (merger.accepted() - before);
                 shared.log.event(
                     Json::object()
-                        .field("evt", "grid_cell_failed")
-                        .field("cell", cell.route_key.as_str())
+                        .field("evt", "grid_batch_failed")
+                        .field("key", batch.route_key.as_str())
+                        .field("cells", batch.cells.len() as u64)
                         .field("error", error),
                 );
             }
@@ -1212,7 +1167,7 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
         Json::object()
             .field("evt", "grid")
             .field("experiments", grid_request.experiments.len() as u64)
-            .field("cells", cells.len() as u64)
+            .field("batches", batches.len() as u64)
             .field("accepted", accepted as u64)
             .field("failed", failed_cells as u64)
             .field("us", started.elapsed().as_micros() as u64),

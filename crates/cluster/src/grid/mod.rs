@@ -3,18 +3,19 @@
 //!
 //! A `POST /v1/grids` request names a set of experiments at one scale.
 //! The gateway decomposes it with [`plan`] into per-cell jobs (one per
-//! distinct simulation demand, via `mds_bench::grid`), places each cell
-//! on the consistent-hash ring by its `workload@scale` trace key — so
-//! every backend emulates only its own shard of the workload set and its
-//! trace cache stays hot — rebalances the per-grid key assignment with
-//! [`balanced_assignments`] so no backend serializes on more than its
-//! fair share of cold emulations, and dispatches the cells as `POST /v1/cells`
-//! requests through the same breaker/retry/hedging machinery the
-//! experiment proxy path uses. Outputs stream back in completion order
-//! and a [`Merger`] folds them into a harness; the final response is
-//! rendered in request order, so the bytes are independent of placement,
-//! concurrency, and arrival order — byte-identical to a lone `mds-serve`
-//! answering the whole grid, and to `repro <id> --json` per experiment.
+//! distinct simulation demand, via `mds_bench::grid`) and groups them by
+//! their `workload@scale` trace key into one batch per key. Each batch
+//! goes to its key's owner on the consistent-hash ring — so every backend
+//! emulates only its own shard of the workload set, its trace cache stays
+//! hot, and it runs the key's cells as one grid — after
+//! [`balanced_assignments`] caps each backend at its fair share of the
+//! grid's keys. Batches travel as `POST /v1/cells` requests through the
+//! same breaker/retry/hedging machinery the experiment proxy path uses.
+//! Outputs stream back in completion order and a [`Merger`] folds them
+//! into a harness; the final response is rendered in request order, so
+//! the bytes are independent of placement, concurrency, and arrival
+//! order — byte-identical to a lone `mds-serve` answering the whole grid,
+//! and to `repro <id> --json` per experiment.
 //!
 //! The submodule split mirrors the pipeline: this module plans and
 //! merges (pure, property-testable); [`windows`] bounds per-backend
@@ -25,24 +26,33 @@ pub mod windows;
 
 pub use windows::{WindowGuard, Windows};
 
-use mds_bench::grid::{cells, warm_jobs, GridRequest};
+use mds_bench::grid::{cells, GridRequest};
 use mds_bench::{Demand, Harness};
 use mds_harness::json::Json;
 use mds_runner::wire;
-use mds_runner::Runner;
+use mds_runner::{JobOutput, Runner};
 use std::collections::HashMap;
 
-/// One placed unit of grid work: a cell job ready to ship upstream.
+/// One cell of a placed grid: the demand its output satisfies.
 #[derive(Debug, Clone)]
 pub struct CellPlan {
-    /// Position in the plan (stable identity for arrival bookkeeping).
-    pub index: usize,
+    /// The demand id, which is also the wire job id the backend echoes.
+    pub id: String,
     /// The demand this cell satisfies, for merging its output.
     pub demand: Demand,
-    /// The placement key (`workload@scale`): cells sharing a trace share
-    /// a key, and the ring maps each key to its owning backend.
+}
+
+/// One upstream call: every cell of the grid that shares a route key,
+/// shipped to the key's owner as a single `POST /v1/cells` batch.
+#[derive(Debug, Clone)]
+pub struct BatchPlan {
+    /// The placement key (`workload@scale`) all of the batch's cells
+    /// share: they replay one trace, and the ring maps the key to its
+    /// owning backend.
     pub route_key: String,
-    /// The `POST /v1/cells` request body (wire-encoded job).
+    /// The cells, in the order the batch response answers them.
+    pub cells: Vec<CellPlan>,
+    /// The request body: `{"fresh": bool, "jobs": [wire job, ...]}`.
     pub body: String,
 }
 
@@ -51,37 +61,47 @@ pub struct CellPlan {
 pub struct GridPlan {
     /// The validated request this plan answers.
     pub request: GridRequest,
-    /// Every cell to dispatch, in deterministic plan order.
-    pub cells: Vec<CellPlan>,
-    /// One `(route key, request body)` warm-up job per distinct route
-    /// key: dispatching each to its ring owner triggers exactly the
-    /// trace emulations that owner's cells will need.
-    pub warm: Vec<(String, String)>,
+    /// One batch per distinct route key, in first-appearance order.
+    pub batches: Vec<BatchPlan>,
 }
 
-/// Decomposes a validated grid request into placed cells: the union of
-/// every requested experiment's demands, deduplicated, in submission
-/// order — the same decomposition a lone harness performs internally.
+/// Decomposes a validated grid request into cells — the union of every
+/// requested experiment's demands, deduplicated, in submission order,
+/// the same decomposition a lone harness performs internally — grouped
+/// into one batch per route key. Each batch carries the request's
+/// `fresh` flag.
 pub fn plan(request: &GridRequest) -> GridPlan {
-    let cs = cells(&request.experiments, request.scale);
-    let warm = warm_jobs(&cs)
-        .into_iter()
-        .map(|(key, job)| (key, wire::encode_job(&job).pretty()))
-        .collect();
-    let cells = cs
-        .into_iter()
-        .enumerate()
-        .map(|(index, cell)| CellPlan {
-            index,
-            route_key: cell.route_key(),
-            body: wire::encode_job(&cell.job).pretty(),
+    let mut groups: Vec<(String, Vec<CellPlan>, Vec<Json>)> = Vec::new();
+    for cell in cells(&request.experiments, request.scale) {
+        let key = cell.route_key();
+        let at = match groups.iter().position(|group| group.0 == key) {
+            Some(at) => at,
+            None => {
+                groups.push((key, Vec::new(), Vec::new()));
+                groups.len() - 1
+            }
+        };
+        let (_, plans, jobs) = &mut groups[at];
+        jobs.push(wire::encode_job(&cell.job));
+        plans.push(CellPlan {
+            id: cell.job.id,
             demand: cell.demand,
+        });
+    }
+    let batches = groups
+        .into_iter()
+        .map(|(route_key, cells, jobs)| BatchPlan {
+            route_key,
+            cells,
+            body: Json::object()
+                .field("fresh", request.fresh)
+                .field("jobs", Json::Array(jobs))
+                .to_string(),
         })
         .collect();
     GridPlan {
         request: request.clone(),
-        cells,
-        warm,
+        batches,
     }
 }
 
@@ -145,36 +165,44 @@ impl Merger {
         }
     }
 
-    /// Accepts one cell's `POST /v1/cells` response body.
+    /// Accepts one batch's `POST /v1/cells` response body.
     ///
-    /// Decodes `{"id", "output"}`, checks the id echoes the cell's, and
-    /// installs the output against the cell's demand. Errors describe
-    /// what a misbehaving backend sent.
-    pub fn accept(&mut self, cell: &CellPlan, response_body: &[u8]) -> Result<(), String> {
+    /// The body must answer every cell of `batch`, in order, with an
+    /// `{"id", "output"}` element whose id echoes the cell's. Every
+    /// element is decoded before any is installed, so a batch that fails
+    /// to decode installs nothing and all of its cells fall to the local
+    /// fallback at [`Merger::finish`]. Errors describe what a misbehaving
+    /// backend sent.
+    pub fn accept_batch(&mut self, batch: &BatchPlan, response_body: &[u8]) -> Result<(), String> {
         let text = std::str::from_utf8(response_body)
-            .map_err(|_| "cell response is not UTF-8".to_string())?;
-        let doc = Json::parse(text).map_err(|e| format!("cell response: {e}"))?;
-        let id = doc
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "cell response lacks an id".to_string())?;
-        if id != self.demand_id(cell) {
+            .map_err(|_| "batch response is not UTF-8".to_string())?;
+        let doc = Json::parse(text).map_err(|e| format!("batch response: {e}"))?;
+        let answers = doc
+            .get("cells")
+            .and_then(Json::as_array)
+            .ok_or_else(|| "batch response lacks a cells array".to_string())?;
+        if answers.len() != batch.cells.len() {
             return Err(format!(
-                "cell response id {id:?} does not echo {:?}",
-                self.demand_id(cell)
+                "batch response answers {} of {} cells",
+                answers.len(),
+                batch.cells.len()
             ));
         }
-        let output = doc
-            .get("output")
-            .ok_or_else(|| "cell response lacks an output".to_string())?;
-        let output = wire::decode_output(output).map_err(|e| format!("cell output: {e}"))?;
-        if !self.harness.insert(&cell.demand, output) {
-            return Err(format!(
-                "cell {:?} output kind mismatches its demand",
-                self.demand_id(cell)
-            ));
+        let outputs = batch
+            .cells
+            .iter()
+            .zip(answers)
+            .map(|(cell, answer)| decode_answer(cell, answer))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (cell, output) in batch.cells.iter().zip(outputs) {
+            if !self.harness.insert(&cell.demand, output) {
+                return Err(format!(
+                    "cell {:?} output kind mismatches its demand",
+                    cell.id
+                ));
+            }
+            self.accepted += 1;
         }
-        self.accepted += 1;
         Ok(())
     }
 
@@ -196,15 +224,22 @@ impl Merger {
     pub fn finish(mut self) -> Result<String, String> {
         mds_bench::grid::merged_doc(&mut self.harness, &self.experiments)
     }
+}
 
-    fn demand_id(&self, cell: &CellPlan) -> String {
-        // The wire job id is the demand id; reparse it from the body the
-        // plan shipped rather than caching a copy per cell.
-        Json::parse(&cell.body)
-            .ok()
-            .and_then(|j| j.get("id").and_then(Json::as_str).map(str::to_string))
-            .unwrap_or_default()
+/// Decodes one `{"id", "output"}` batch element, checking that the id
+/// echoes the cell's.
+fn decode_answer(cell: &CellPlan, answer: &Json) -> Result<JobOutput, String> {
+    let id = answer
+        .get("id")
+        .and_then(Json::as_str)
+        .ok_or_else(|| "cell answer lacks an id".to_string())?;
+    if id != cell.id {
+        return Err(format!("cell answer id {id:?} does not echo {:?}", cell.id));
     }
+    let output = answer
+        .get("output")
+        .ok_or_else(|| "cell answer lacks an output".to_string())?;
+    wire::decode_output(output).map_err(|e| format!("cell output: {e}"))
 }
 
 #[cfg(test)]
@@ -217,22 +252,6 @@ mod tests {
             experiments: ids.iter().map(|s| s.to_string()).collect(),
             scale: Scale::Tiny,
             fresh: false,
-        }
-    }
-
-    #[test]
-    fn plan_places_same_workload_cells_on_one_route_key() {
-        let plan = plan(&request(&["fig5"]));
-        assert!(!plan.cells.is_empty());
-        // Every cell of one workload shares a route key, and the warm
-        // list has exactly one entry per distinct key.
-        let mut keys: Vec<&str> = plan.cells.iter().map(|c| c.route_key.as_str()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), plan.warm.len());
-        for (i, cell) in plan.cells.iter().enumerate() {
-            assert_eq!(cell.index, i);
-            assert!(cell.route_key.ends_with("@tiny"), "{}", cell.route_key);
         }
     }
 
@@ -284,23 +303,6 @@ mod tests {
         assert_eq!(owners.get("b@tiny"), Some(&1));
         assert_eq!(owners.get("c@tiny"), Some(&1));
         assert_eq!(owners.get("d@tiny"), None);
-    }
-
-    #[test]
-    fn merger_rejects_wrong_ids_and_garbage() {
-        let req = request(&["table1"]);
-        let p = plan(&req);
-        let mut merger = Merger::new(&req, Runner::from_env(Some(1)));
-        let cell = &p.cells[0];
-        assert!(merger.accept(cell, b"not json").is_err());
-        assert!(merger.accept(cell, b"{\"output\":{}}").is_err());
-        let wrong = Json::object()
-            .field("id", "someone-else")
-            .field("output", Json::object())
-            .to_string();
-        let err = merger.accept(cell, wrong.as_bytes()).unwrap_err();
-        assert!(err.contains("does not echo"), "{err}");
-        assert_eq!(merger.accepted(), 0);
     }
 
     #[test]

@@ -38,10 +38,9 @@ pub struct GatewayMetrics {
     pub unavailable_total: AtomicU64,
     /// `POST /v1/grids` requests entering the scatter-gather path.
     pub grids_total: AtomicU64,
-    /// Grid cells dispatched upstream (across all grids).
+    /// Grid cells dispatched upstream (across all grids; a batch counts
+    /// each of its cells).
     pub grid_cells_total: AtomicU64,
-    /// Grid warm-up cells pre-dispatched to ring owners.
-    pub grid_warms_total: AtomicU64,
     /// Grid cells whose outputs never arrived (exhausted failover or a
     /// malformed backend response) and were recomputed locally instead.
     pub grid_cell_failures_total: AtomicU64,
@@ -239,12 +238,6 @@ pub fn render(
         "mds_gateway_grid_cells_total",
         "Grid cells dispatched upstream.",
         c(&m.grid_cells_total),
-    );
-    counter(
-        &mut out,
-        "mds_gateway_grid_warms_total",
-        "Grid warm-up cells pre-dispatched to ring owners.",
-        c(&m.grid_warms_total),
     );
     counter(
         &mut out,

@@ -426,6 +426,55 @@ fn gateway_grid_matches_lone_backend_and_cli_byte_for_byte() {
 }
 
 #[test]
+fn repeated_gateway_grid_ships_one_batch_per_key_and_hits_cell_caches() {
+    let fleet = fleet(2);
+    let gateway = gateway_over(fleet.addrs());
+    let body = br#"{"experiments":["fig5","fig6"],"scale":"tiny"}"#;
+    let expected = cli_doc("fig5") + &cli_doc("fig6");
+    let ids = ["fig5".to_string(), "fig6".to_string()];
+    let cells = mds_bench::grid::cells(&ids, Scale::Tiny);
+    let mut keys: Vec<String> = cells.iter().map(|c| c.route_key()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+
+    let calls = || gateway.metrics().upstream_latency.count();
+    let hits = || -> u64 {
+        (0..2)
+            .filter_map(|i| fleet.server(i))
+            .map(|s| s.metrics().result_cache_hits.load(Ordering::Relaxed))
+            .sum()
+    };
+    let misses = || -> u64 {
+        (0..2)
+            .filter_map(|i| fleet.server(i))
+            .map(|s| s.trace_cache().misses())
+            .sum()
+    };
+    let cold = request(&gateway, "POST", "/v1/grids", body);
+    assert_eq!(cold.body, expected.as_bytes());
+    assert_eq!(misses(), keys.len() as u64, "each trace emulated once");
+
+    // The repeat: one upstream call per distinct trace key, every cell
+    // answered from its backend's result cache, nothing emulated.
+    let (calls_before, hits_before) = (calls(), hits());
+    let repeat = request(&gateway, "POST", "/v1/grids", body);
+    assert_eq!(repeat.body, expected.as_bytes());
+    assert_eq!(calls() - calls_before, keys.len() as u64);
+    assert_eq!(hits() - hits_before, cells.len() as u64);
+    assert_eq!(misses(), keys.len() as u64);
+    assert_eq!(
+        gateway
+            .metrics()
+            .grid_cell_failures_total
+            .load(Ordering::Relaxed),
+        0
+    );
+
+    gateway.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
 fn grid_survives_losing_a_backend_mid_flight() {
     let mut fleet = fleet(2);
     let gateway = gateway_over(fleet.addrs());

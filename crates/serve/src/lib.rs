@@ -103,4 +103,4 @@ pub use metrics::{Gauges, Histogram, Metrics};
 pub use queue::Bounded;
 pub use result_cache::ResultCache;
 pub use server::{LogTarget, Server, ServerConfig};
-pub use service::{ExperimentRequest, Service};
+pub use service::{cell_key, CellBatch, ExperimentRequest, Service};

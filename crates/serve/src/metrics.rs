@@ -27,9 +27,9 @@ pub struct Metrics {
     pub responses_4xx: AtomicU64,
     /// Responses with 5xx status.
     pub responses_5xx: AtomicU64,
-    /// Experiment requests answered from the result cache.
+    /// Experiments and grid cells answered from the result cache.
     pub result_cache_hits: AtomicU64,
-    /// Experiment requests that had to compute.
+    /// Experiments and grid cells that had to compute.
     pub result_cache_misses: AtomicU64,
     /// Time connections spent in the admission queue.
     pub queue_wait: Histogram,
@@ -148,13 +148,13 @@ pub fn render(m: &Metrics, g: Gauges) -> String {
     counter(
         &mut out,
         "mds_result_cache_hits_total",
-        "Experiment requests answered from the result cache.",
+        "Experiments and grid cells answered from the result cache.",
         c(&m.result_cache_hits),
     );
     counter(
         &mut out,
         "mds_result_cache_misses_total",
-        "Experiment requests that computed.",
+        "Experiments and grid cells that computed.",
         c(&m.result_cache_misses),
     );
     counter(

@@ -22,7 +22,7 @@ use crate::metrics::{self, Gauges, Metrics};
 use crate::persist;
 use crate::queue::Bounded;
 use crate::result_cache::ResultCache;
-use crate::service::{ExperimentRequest, Service};
+use crate::service::{cell_key, CellBatch, ExperimentRequest, Service};
 use mds_harness::json::Json;
 use mds_runner::TraceCache;
 use mds_store::{Store, StoreConfig};
@@ -825,7 +825,7 @@ fn route(shared: &Shared, request: &Request) -> Routed {
         ("GET", "/v1/experiments") => pass(Response::json(200, Service::experiments_json())),
         ("POST", "/v1/experiments") => serve_experiment(shared, &request.body),
         ("POST", "/v1/grids") => serve_grid(shared, &request.body),
-        ("POST", "/v1/cells") => serve_cell(shared, &request.body),
+        ("POST", "/v1/cells") => serve_cells(shared, &request.body),
         // Warm-state transfer: export (GET) / bulk-import (POST) of the
         // result cache, epoch-tagged. Intra-cluster plumbing — the
         // gateway's ring-neighbor handoff — not a public surface.
@@ -918,7 +918,7 @@ fn experiment_body(
     match shared.service.execute(request) {
         Ok(body) => {
             shared.results.put(&key, Arc::from(body.as_str()));
-            persist(shared, &key, &body);
+            persist_all(shared, [(key.as_str(), body.as_str())]);
             Ok((body, "miss"))
         }
         Err(message) => Err((500, message)),
@@ -984,42 +984,105 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
     }
 }
 
-/// `POST /v1/cells`: one wire-encoded grid job, executed on the shared
-/// runner. Intra-cluster plumbing for scatter-gather grid execution —
-/// not a public surface.
-fn serve_cell(shared: &Shared, body: &[u8]) -> Routed {
-    match shared.service.execute_cell(body) {
-        Ok(body) => Routed {
-            response: Response::json(200, body),
-            cache: "-",
-            close: false,
-        },
-        Err((status, message)) => Routed {
-            response: Response::json(status, Json::object().field("error", message).to_string()),
-            cache: "-",
-            close: false,
-        },
+/// `POST /v1/cells`: a batch of wire-encoded grid jobs — in practice one
+/// trace key's cells of a gateway grid. Intra-cluster plumbing for
+/// scatter-gather grid execution, not a public surface.
+///
+/// Each job is looked up in the result cache under [`cell_key`] (unless
+/// the batch is `fresh`); the misses run as one grid on the shared
+/// runner, and their outputs are cached and persisted (one store write
+/// for the whole batch). The response is `{"cells": [{"id", "output"},
+/// ...]}` in job order.
+fn serve_cells(shared: &Shared, body: &[u8]) -> Routed {
+    let reply = |status: u16, body: String, cache: &'static str| Routed {
+        response: Response::json(status, body),
+        cache,
+        close: false,
+    };
+    let batch = match CellBatch::from_body(body) {
+        Ok(batch) => batch,
+        Err(message) => {
+            return reply(400, Json::object().field("error", message).to_string(), "-");
+        }
+    };
+    let keys: Vec<String> = batch.jobs.iter().map(cell_key).collect();
+    let mut outputs: Vec<Option<Arc<str>>> = keys
+        .iter()
+        .map(|key| (!batch.fresh).then(|| shared.results.get(key)).flatten())
+        .collect();
+    let hits = outputs.iter().flatten().count();
+    let m = &shared.metrics;
+    m.result_cache_hits
+        .fetch_add(hits as u64, Ordering::Relaxed);
+    m.result_cache_misses
+        .fetch_add((keys.len() - hits) as u64, Ordering::Relaxed);
+
+    // The misses run as one grid; a job repeated in the batch simply
+    // runs twice, to the same bytes.
+    let missing: Vec<usize> = (0..keys.len()).filter(|&i| outputs[i].is_none()).collect();
+    if !missing.is_empty() {
+        let jobs = missing.iter().map(|&i| batch.jobs[i].clone()).collect();
+        let fills = match shared.service.execute_jobs(jobs) {
+            Ok(fills) => fills,
+            Err(message) => {
+                return reply(
+                    500,
+                    Json::object().field("error", message).to_string(),
+                    "miss",
+                );
+            }
+        };
+        for (&i, output) in missing.iter().zip(fills) {
+            let output: Arc<str> = Arc::from(output);
+            shared.results.put(&keys[i], Arc::clone(&output));
+            outputs[i] = Some(output);
+        }
+        persist_all(
+            shared,
+            missing
+                .iter()
+                .map(|&i| (keys[i].as_str(), outputs[i].as_deref().expect("filled"))),
+        );
     }
+
+    let mut out = String::from(r#"{"cells":["#);
+    for (i, (job, output)) in batch.jobs.iter().zip(&outputs).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let output = output.as_deref().expect("every job answered");
+        out.push_str(&format!(
+            r#"{{"id":{},"output":{output}}}"#,
+            Json::from(job.id.as_str())
+        ));
+    }
+    out.push_str("]}");
+    reply(200, out, if missing.is_empty() { "hit" } else { "miss" })
 }
 
-/// Appends a freshly computed (or imported) body to the durable store,
-/// if one is attached. Deduplicated against the stored value: recomputes
-/// of an already-persisted key (`fresh:true` benchmarking, handoff
-/// replays) must not grow the log or pay an fsync per request. Append
-/// failures are logged and counted but never fail the response — losing
+/// Appends freshly computed (or imported) bodies to the durable store,
+/// if one is attached, with one write and one fsync for the lot.
+/// Deduplicated against the stored values: recomputes of an
+/// already-persisted key (`fresh:true` benchmarking, handoff replays)
+/// must not grow the log or pay an fsync per request. Append failures
+/// are logged and counted but never fail the response — losing
 /// durability is strictly better than losing the request.
-fn persist(shared: &Shared, key: &str, body: &str) {
+fn persist_all<'a>(shared: &Shared, entries: impl IntoIterator<Item = (&'a str, &'a str)>) {
     let Some(store) = &shared.store else {
         return;
     };
-    if store.get(key).as_deref() == Some(body) {
+    let changed: Vec<(&str, &str)> = entries
+        .into_iter()
+        .filter(|(key, body)| store.get(key).as_deref() != Some(*body))
+        .collect();
+    if changed.is_empty() {
         return;
     }
-    if let Err(e) = store.append(key, body) {
+    if let Err(e) = store.append_all(&changed) {
         shared.log.event(
             Json::object()
                 .field("evt", "store_append_error")
-                .field("key", key)
+                .field("keys", changed.len() as u64)
                 .field("error", e.to_string()),
         );
     }
@@ -1046,10 +1109,13 @@ fn fill_cache(shared: &Shared, body: &[u8]) -> Response {
         return Response::json(409, body);
     }
     let accepted = entries.len();
-    for (key, value) in entries {
-        shared.results.put(&key, Arc::from(value.as_str()));
-        persist(shared, &key, &value);
+    for (key, value) in &entries {
+        shared.results.put(key, Arc::from(value.as_str()));
     }
+    persist_all(
+        shared,
+        entries.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+    );
     Response::json(
         200,
         Json::object()

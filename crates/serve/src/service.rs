@@ -10,7 +10,7 @@
 //! lifetime of the server.
 
 use mds_harness::json::Json;
-use mds_runner::{Runner, TraceCache};
+use mds_runner::{wire, Grid, Job, Runner, TraceCache};
 use mds_workloads::Scale;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -80,6 +80,63 @@ impl ExperimentRequest {
     }
 }
 
+/// A validated `POST /v1/cells` body: the grid jobs a gateway ships one
+/// backend for one trace key.
+///
+/// The body is a strict JSON object, `{"fresh": bool, "jobs": [wire
+/// job, ...]}` (`fresh` defaults to false); unknown fields, an empty job
+/// list, and undecodable jobs are rejected with positioned messages.
+#[derive(Debug, Clone)]
+pub struct CellBatch {
+    /// Skip the result-cache read and recompute every job (the fills
+    /// still refresh the cache).
+    pub fresh: bool,
+    /// The jobs, in the order the response answers them.
+    pub jobs: Vec<Job>,
+}
+
+impl CellBatch {
+    /// Parses and validates a request body.
+    pub fn from_body(body: &[u8]) -> Result<CellBatch, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let Json::Object(pairs) = &doc else {
+            return Err("request body must be a JSON object".to_string());
+        };
+        for (key, _) in pairs {
+            if !matches!(key.as_str(), "fresh" | "jobs") {
+                return Err(format!("unknown field '{key}' (expected fresh, jobs)"));
+            }
+        }
+        let fresh = match doc.get("fresh") {
+            None => false,
+            Some(v) => v.decode().map_err(|e| e.in_field("fresh").to_string())?,
+        };
+        let items = doc
+            .required("jobs")
+            .map_err(|e| e.to_string())?
+            .as_array()
+            .ok_or_else(|| "$.jobs: expected an array of wire jobs".to_string())?;
+        if items.is_empty() {
+            return Err("$.jobs: a batch needs at least one job".to_string());
+        }
+        let jobs = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| wire::decode_job(item).map_err(|e| e.in_index(i).in_field("jobs")))
+            .collect::<Result<Vec<Job>, _>>()
+            .map_err(|e| e.to_string())?;
+        Ok(CellBatch { fresh, jobs })
+    }
+}
+
+/// The result-cache key of one grid job: `cell:` + its compact canonical
+/// wire encoding (the codec round-trips byte-stably, so equal jobs share
+/// one key however their request bodies were spelled).
+pub fn cell_key(job: &Job) -> String {
+    format!("cell:{}", wire::encode_job(job))
+}
+
 /// The long-lived execution engine behind the HTTP surface.
 pub struct Service {
     runner: Runner,
@@ -123,34 +180,30 @@ impl Service {
         .map_err(|payload| format!("experiment '{id}' failed: {}", panic_message(payload)))
     }
 
-    /// Executes one wire-encoded grid cell (`POST /v1/cells`): decodes
-    /// the job, runs it on the shared runner (sharing the persistent
-    /// trace cache with every other cell and experiment), and returns
-    /// the `{"id", "output"}` response body.
+    /// Runs grid-cell jobs (`POST /v1/cells`) as **one** grid on the
+    /// shared runner, so jobs replaying the same trace share its
+    /// persistent cache entry and fuse into one replay group where the
+    /// runner's planner allows. Returns each job's compact wire-encoded
+    /// output, in job order.
     ///
-    /// Errors carry the HTTP status the server should answer with: 400
-    /// for undecodable jobs, 500 for a simulation panic.
-    pub fn execute_cell(&self, body: &[u8]) -> Result<String, (u16, String)> {
-        let text = std::str::from_utf8(body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
-        let doc = Json::parse(text).map_err(|e| (400, e.to_string()))?;
-        let job = mds_runner::wire::decode_job(&doc).map_err(|e| (400, e.to_string()))?;
-        let runner = self.runner.clone();
-        catch_unwind(AssertUnwindSafe(move || {
-            let id = job.id.clone();
-            let mut grid = mds_runner::Grid::new(job.scale);
+    /// A simulation panic is caught and mapped to an error string (the
+    /// server turns it into a 500).
+    pub fn execute_jobs(&self, jobs: Vec<Job>) -> Result<Vec<String>, String> {
+        // Pushed jobs keep their own scales; the grid's default scale
+        // only names jobs built through its derived-job helpers.
+        let mut grid = Grid::new(Scale::Tiny);
+        for job in jobs {
             grid.push(job);
-            let outcome = runner.run(&grid);
-            let result = outcome
-                .results
-                .into_iter()
-                .next()
-                .expect("one job in, one result out");
-            Json::object()
-                .field("id", id)
-                .field("output", mds_runner::wire::encode_output(&result.output))
-                .pretty()
-        }))
-        .map_err(|payload| (500, format!("cell failed: {}", panic_message(payload))))
+        }
+        let outcome = self
+            .runner
+            .try_run(&grid)
+            .map_err(|e| format!("cells failed: {e}"))?;
+        Ok(outcome
+            .results
+            .iter()
+            .map(|result| wire::encode_output(&result.output).to_string())
+            .collect())
     }
 
     /// The `GET /v1/experiments` body: every registered id with its

@@ -649,22 +649,36 @@ fn grid_route_serves_concatenated_cli_documents_and_shares_the_cache() {
 }
 
 #[test]
-fn cell_route_executes_wire_jobs_whose_outputs_rebuild_the_document() {
+fn cell_batches_rebuild_the_document_and_hit_the_cell_cache() {
     let server = start(2, 8);
-    // Ship every fig5 cell through POST /v1/cells, merge the decoded
-    // outputs into a local harness, and require the merged document to
-    // match the repro CLI bytes without any local simulation.
+    // Ship every fig5 cell through one POST /v1/cells batch, merge the
+    // decoded outputs into a local harness, and require the merged
+    // document to match the repro CLI bytes without local simulation.
     let ids = vec!["fig5".to_string()];
     let cells = mds_bench::grid::cells(&ids, Scale::Tiny);
-    let mut h = mds_bench::Harness::with_runner(Scale::Tiny, mds_runner::Runner::new(1));
-    for cell in &cells {
-        let body = mds_runner::wire::encode_job(&cell.job).pretty();
+    let batch = |fresh: bool| {
+        let jobs = cells
+            .iter()
+            .map(|c| mds_runner::wire::encode_job(&c.job))
+            .collect();
+        mds_harness::json::Json::object()
+            .field("fresh", fresh)
+            .field("jobs", mds_harness::json::Json::Array(jobs))
+            .to_string()
+    };
+    let send = |body: &str| {
         let response = request(&server, "POST", "/v1/cells", body.as_bytes());
         assert_eq!(response.status, 200, "{response:?}");
-        let doc =
-            mds_harness::json::Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
-        assert_eq!(doc.get("id").unwrap().as_str().unwrap(), cell.id());
-        let output = mds_runner::wire::decode_output(doc.get("output").unwrap()).unwrap();
+        response.body
+    };
+    let first = send(&batch(false));
+    let doc = mds_harness::json::Json::parse(std::str::from_utf8(&first).unwrap()).unwrap();
+    let answers = doc.get("cells").unwrap().as_array().unwrap();
+    assert_eq!(answers.len(), cells.len());
+    let mut h = mds_bench::Harness::with_runner(Scale::Tiny, mds_runner::Runner::new(1));
+    for (cell, answer) in cells.iter().zip(answers) {
+        assert_eq!(answer.get("id").unwrap().as_str().unwrap(), cell.id());
+        let output = mds_runner::wire::decode_output(answer.get("output").unwrap()).unwrap();
         assert!(h.insert(&cell.demand, output));
     }
     let runs_before = h.run_stats().len();
@@ -675,12 +689,42 @@ fn cell_route_executes_wire_jobs_whose_outputs_rebuild_the_document() {
         runs_before,
         "nothing recomputed locally"
     );
-    // The backend emulated each fig5 workload exactly once across all
-    // cells (the persistent trace cache is shared between cell requests).
+    // The batch emulated each fig5 workload exactly once.
     assert_eq!(server.trace_cache().misses(), FIG5_TINY_WORKLOADS);
 
-    // Undecodable cells are a 400, not a crash.
-    let bad = request(&server, "POST", "/v1/cells", br#"{"id":"x"}"#);
-    assert_eq!(bad.status, 400);
+    // The same batch again is answered from the per-cell result cache:
+    // one hit per cell, identical bytes, no new emulation.
+    let hits = server.result_cache().hits();
+    let metric_hits = || {
+        server
+            .metrics()
+            .result_cache_hits
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let metric_before = metric_hits();
+    assert_eq!(send(&batch(false)), first);
+    assert_eq!(server.result_cache().hits() - hits, cells.len() as u64);
+    assert_eq!(metric_hits() - metric_before, cells.len() as u64);
+    assert_eq!(server.trace_cache().misses(), FIG5_TINY_WORKLOADS);
+
+    // `fresh` skips the cache read and recomputes, with the same bytes.
+    let trace_hits = server.trace_cache().hits();
+    assert_eq!(send(&batch(true)), first);
+    assert_eq!(server.result_cache().hits() - hits, cells.len() as u64);
+    assert!(server.trace_cache().hits() > trace_hits, "fresh recomputed");
+
+    // Malformed batches are a 400, not a crash: the one-job form, an
+    // empty batch, unknown fields, and undecodable jobs.
+    let job = mds_runner::wire::encode_job(&cells[0].job).to_string();
+    for bad in [
+        job.clone(),
+        r#"{"jobs":[]}"#.to_string(),
+        format!(r#"{{"jobs":[{job}],"shard":1}}"#),
+        r#"{"jobs":[{"id":"x"}]}"#.to_string(),
+        r#"{"fresh":"yes","jobs":[]}"#.to_string(),
+    ] {
+        let response = request(&server, "POST", "/v1/cells", bad.as_bytes());
+        assert_eq!(response.status, 400, "{bad}: {response:?}");
+    }
     server.shutdown();
 }

@@ -108,6 +108,50 @@ fn restart_over_the_same_store_is_warm_from_the_first_request() {
 }
 
 #[test]
+fn cell_batches_persist_per_cell_and_restart_warm() {
+    let tmp = TempDir::new("mds-serve-cells").unwrap();
+    let cells = mds_bench::grid::cells(&["fig5".to_string()], Scale::Tiny);
+    let jobs: Vec<_> = cells
+        .iter()
+        .map(|c| mds_runner::wire::encode_job(&c.job))
+        .collect();
+    let body = mds_harness::json::Json::object()
+        .field("fresh", false)
+        .field("jobs", mds_harness::json::Json::Array(jobs))
+        .to_string();
+
+    // First lifetime: one batch fills one store record per cell, keyed
+    // by the cell's canonical wire encoding.
+    let first = {
+        let server = start_with_store(tmp.path());
+        let response = request(&server, "POST", "/v1/cells", body.as_bytes());
+        assert_eq!(response.status, 200);
+        let store = server.store().expect("store attached");
+        assert_eq!(store.appends(), cells.len() as u64);
+        assert!(store
+            .get(&mds_serve::cell_key(&cells[0].job))
+            .is_some_and(|v| v.starts_with(r#"{"kind":"ms""#)));
+        server.shutdown();
+        response.body
+    };
+
+    // Second lifetime: the store prewarms every cell, so the same batch
+    // is all hits, byte-identical, with zero emulations.
+    let server = start_with_store(tmp.path());
+    assert_eq!(server.prewarmed(), cells.len());
+    let response = request(&server, "POST", "/v1/cells", body.as_bytes());
+    assert_eq!(response.status, 200);
+    assert_eq!(response.body, first);
+    assert_eq!(server.result_cache().hits(), cells.len() as u64);
+    assert_eq!(
+        server.trace_cache().misses(),
+        0,
+        "no emulation after restart"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn fresh_recomputes_do_not_regrow_the_log() {
     let tmp = TempDir::new("mds-serve-fresh").unwrap();
     let server = start_with_store(tmp.path());

@@ -14,7 +14,8 @@
 //! A store directory holds two files, both in the same record format:
 //!
 //! - `log.mds` — the append-only live tail; every cache fill appends one
-//!   record (`write` + `fsync`).
+//!   record, and a batch of fills appends its records with one `write`
+//!   and one `fsync`.
 //! - `snapshot.mds` — the compacted prefix: one record per live key,
 //!   rewritten atomically (`write tmp`, `fsync`, `rename`) when the log
 //!   outgrows its threshold, after which the log is truncated.
@@ -332,7 +333,22 @@ impl Store {
     }
 
     /// Appends one entry (`write` + `fsync`) and folds it into the live
-    /// map.
+    /// map: [`Store::append_all`] with a one-record batch.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Store::append_all`].
+    pub fn append(&self, key: &str, value: &str) -> io::Result<()> {
+        self.append_all(&[(key, value)])
+    }
+
+    /// Appends a batch of entries with one `write_all` and one `fsync`,
+    /// then folds them into the live map in order (so a key repeated in
+    /// the batch ends at its last value).
+    ///
+    /// A crash mid-write leaves a torn tail inside the batch; recovery
+    /// keeps the longest valid record prefix, exactly as for single
+    /// appends. Each record counts as one append.
     ///
     /// Appends never compact inline: a compaction rewrites the whole
     /// snapshot under the store lock, which would turn the unlucky
@@ -344,30 +360,37 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` for an empty or oversized key/value; otherwise any
-    /// I/O error from the write or fsync. On an I/O error the in-memory
-    /// map is left untouched, so the store never claims durability it
-    /// does not have.
-    pub fn append(&self, key: &str, value: &str) -> io::Result<()> {
-        if key.is_empty() || key.len() > MAX_KEY_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("store key must be 1..={MAX_KEY_BYTES} bytes"),
-            ));
+    /// `InvalidInput` (before anything is written) for an empty or
+    /// oversized key or value anywhere in the batch; otherwise any I/O
+    /// error from the write or fsync. On an I/O error the log is cut
+    /// back to its last good length and the in-memory map is left
+    /// untouched, so the store never claims durability it does not have.
+    pub fn append_all<K: AsRef<str>, V: AsRef<str>>(&self, entries: &[(K, V)]) -> io::Result<()> {
+        let mut records = Vec::new();
+        for (key, value) in entries {
+            let (key, value) = (key.as_ref(), value.as_ref());
+            if key.is_empty() || key.len() > MAX_KEY_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("store key must be 1..={MAX_KEY_BYTES} bytes"),
+                ));
+            }
+            if value.len() > MAX_VALUE_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("store value exceeds {MAX_VALUE_BYTES} bytes"),
+                ));
+            }
+            encode_record(&mut records, self.config.epoch, key, value);
         }
-        if value.len() > MAX_VALUE_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("store value exceeds {MAX_VALUE_BYTES} bytes"),
-            ));
+        if entries.is_empty() {
+            return Ok(());
         }
-        let mut record = Vec::with_capacity(RECORD_HEAD + key.len() + value.len());
-        encode_record(&mut record, self.config.epoch, key, value);
 
         let mut inner = lock(&self.inner);
         let result = inner
             .log
-            .write_all(&record)
+            .write_all(&records)
             .and_then(|()| inner.log.sync_data());
         if let Err(e) = result {
             self.append_errors.fetch_add(1, Ordering::Relaxed);
@@ -379,9 +402,14 @@ impl Store {
             let _ = inner.log.seek(SeekFrom::End(0));
             return Err(e);
         }
-        inner.log_bytes += record.len() as u64;
-        inner.live.insert(key.to_string(), Arc::from(value));
-        self.appends.fetch_add(1, Ordering::Relaxed);
+        inner.log_bytes += records.len() as u64;
+        for (key, value) in entries {
+            inner
+                .live
+                .insert(key.as_ref().to_string(), Arc::from(value.as_ref()));
+        }
+        self.appends
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -441,12 +469,12 @@ impl Store {
         lock(&self.inner).snapshot_bytes
     }
 
-    /// Successful appends since open.
+    /// Records appended since open (a batch counts each of its records).
     pub fn appends(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
     }
 
-    /// Failed appends since open.
+    /// Failed appends (single or batch) since open.
     pub fn append_errors(&self) -> u64 {
         self.append_errors.load(Ordering::Relaxed)
     }
