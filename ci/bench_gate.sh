@@ -103,11 +103,12 @@ target/release/bench_gate --min-speedup "$fresh_dir/BENCH_cluster.json" \
 # the fleet's emulation phase needs real cores to spread onto (the
 # structural bound is 5/2 = 2.5x). On hosts with fewer than 4 cores the
 # backends timeshare and the ratio is ~1.0 by construction, so the check
-# only runs where the claim is measurable.
+# only runs where the claim is measurable; elsewhere it is reported as
+# unmeasured, not as passed.
 if [ "$(nproc)" -ge 4 ]; then
   echo "==> checking the cold-grid scale-out claim (4 backends >= 1.7x 1 backend)"
   target/release/bench_gate --min-speedup "$fresh_dir/BENCH_cluster.json" \
     gateway/grid_cold/1b gateway/grid_cold/4b 1.7
 else
-  echo "==> skipping the cold-grid scale-out claim ($(nproc) core(s) < 4)"
+  echo "==> cold-grid scale-out claim: UNMEASURED ($(nproc) cores < 4): not enforced on this host"
 fi

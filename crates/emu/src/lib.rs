@@ -7,12 +7,15 @@
 //! access size for loads/stores, branch outcomes, and Multiscalar
 //! task-boundary markers.
 //!
-//! Both simulators in the workspace are fed from here:
+//! A [`Trace`] lowers the stream into a [`ReplayPlan`] while the emulator
+//! runs and keeps the plan, not the records. Both simulators in the
+//! workspace are fed from here:
 //!
-//! - `mds-ooo` consumes the stream directly (the paper's "unrealistic OOO"
-//!   model is defined over the committed sequential order), and
-//! - `mds-multiscalar` partitions the stream into tasks and replays them on
-//!   its cycle-level timing model.
+//! - `mds-ooo` consumes the stream in committed order, as records or as
+//!   plan [`Row`]s (the paper's "unrealistic OOO" model is defined over
+//!   the committed sequential order), and
+//! - `mds-multiscalar` replays the plan's tasks on its cycle-level timing
+//!   model.
 //!
 //! # Examples
 //!
@@ -46,5 +49,5 @@ pub mod trace;
 pub use dyninst::{BranchOutcome, DynInst, MemAccess};
 pub use machine::{EmuError, Emulator, MachineState, TraceSummary};
 pub use memory::Memory;
-pub use plan::ReplayPlan;
+pub use plan::{PlanBuilder, ReplayPlan, Row};
 pub use trace::{format_dyninst, format_trace, Trace};

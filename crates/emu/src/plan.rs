@@ -9,9 +9,11 @@
 //! timing: operands, task boundaries, and which earlier store a load
 //! overlaps are pure functions of the committed stream.
 //!
-//! [`ReplayPlan`] hoists all of it out of the replay loop. It is built
-//! once per trace (cached on the `Trace` behind a `OnceLock`) and shared
-//! read-only by every simulator configuration replaying that trace:
+//! [`ReplayPlan`] hoists all of it out of the replay loop. A
+//! [`PlanBuilder`] lowers the committed stream one record at a time, so
+//! [`crate::Trace::capture`] builds the plan while the emulator runs and
+//! never stores the records; the plan is then shared read-only by every
+//! simulator configuration replaying that trace:
 //!
 //! - per-record arrays: PC, opcode, dense operand indices, flags,
 //!   effective address, and memory ordinal;
@@ -38,8 +40,16 @@
 //!   left the window, *no* overlapping store is in the window, so the one
 //!   pre-resolved ordinal answers the producer query for every window
 //!   size.
+//!
+//! # Reading records back
+//!
+//! [`ReplayPlan::rows`] yields one [`Row`] per record — sequence number,
+//! PC, opcode, dense operands and the memory access — which is everything
+//! the sliding-window analyzer and the superscalar model read. A
+//! [`DynInst`] converts into the same view, so those consumers run one
+//! algorithm whichever form the stream arrives in.
 
-use crate::dyninst::DynInst;
+use crate::dyninst::{DynInst, MemAccess};
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, FuClass, Opcode, Pc};
 
@@ -55,6 +65,9 @@ pub const F_MEM: u8 = 1 << 0;
 pub const F_STORE: u8 = 1 << 1;
 /// Record flag: the instruction is a control transfer.
 pub const F_CONTROL: u8 = 1 << 2;
+/// Record flag: the memory operation accesses one byte (otherwise it
+/// accesses an 8-byte word — the only two sizes the ISA has).
+pub const F_BYTE: u8 = 1 << 3;
 
 /// Functional-unit class codes for [`ReplayPlan::fu`] (memory operations
 /// are dispatched via [`F_MEM`] instead).
@@ -87,7 +100,8 @@ pub struct ReplayPlan {
     pub pc: Vec<Pc>,
     /// Per record: the opcode (for latency lookup).
     pub op: Vec<Opcode>,
-    /// Per record: [`F_MEM`] / [`F_STORE`] / [`F_CONTROL`] bits.
+    /// Per record: [`F_MEM`] / [`F_STORE`] / [`F_CONTROL`] / [`F_BYTE`]
+    /// bits.
     pub flags: Vec<u8>,
     /// Per record: functional-unit class code ([`FU_SIMPLE`]…).
     pub fu: Vec<u8>,
@@ -125,140 +139,302 @@ pub struct ReplayPlan {
     pub load_inter: Vec<u32>,
 }
 
-impl ReplayPlan {
-    /// Builds the plan in one pass over the committed stream.
-    ///
-    /// Task boundaries follow the task splitter's semantics: record 0
-    /// always begins task 0, and a later record begins a new task exactly
-    /// when its `new_task` marker is set.
-    pub fn build(records: &[DynInst]) -> ReplayPlan {
-        let n = records.len();
-        let mut plan = ReplayPlan {
-            pc: Vec::with_capacity(n),
-            op: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            fu: Vec::with_capacity(n),
-            src1: Vec::with_capacity(n),
-            src2: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            mem_ord: Vec::with_capacity(n),
-            task_start: Vec::new(),
-            task_start_pc: Vec::new(),
-            task_store_start: Vec::new(),
-            task_load_start: Vec::new(),
-            store_rec: Vec::new(),
-            store_task: Vec::new(),
-            load_rec: Vec::new(),
-            load_intra: Vec::new(),
-            load_inter: Vec::new(),
-        };
-        let mut word: FxHashMap<Addr, KeyState> = FxHashMap::default();
-        let mut byte: FxHashMap<Addr, KeyState> = FxHashMap::default();
-        let mut task: u32 = 0;
+/// One committed instruction as the stream consumers read it: a plan row
+/// ([`ReplayPlan::rows`]) or a converted [`DynInst`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// Position in the committed order (the record index for plan rows).
+    pub seq: u64,
+    /// The instruction's PC.
+    pub pc: Pc,
+    /// The opcode.
+    pub op: Opcode,
+    /// Dense indices of the two read slots, or [`NO_REG`].
+    pub src: [u8; 2],
+    /// Dense index of the written register, or [`NO_REG`].
+    pub dst: u8,
+    /// The memory access, for loads and stores.
+    pub mem: Option<MemAccess>,
+}
 
-        for (i, d) in records.iter().enumerate() {
-            if i == 0 || d.new_task {
-                if i != 0 {
-                    task += 1;
-                }
-                plan.task_start.push(i as u32);
-                plan.task_start_pc.push(d.pc);
-                plan.task_store_start.push(plan.store_rec.len() as u32);
-                plan.task_load_start.push(plan.load_rec.len() as u32);
+fn dense(r: Option<mds_isa::RegRef>) -> u8 {
+    r.map_or(NO_REG, |r| r.dense_index() as u8)
+}
+
+impl From<&DynInst> for Row {
+    #[inline]
+    fn from(d: &DynInst) -> Row {
+        let [r1, r2] = d.inst.reads();
+        Row {
+            seq: d.seq,
+            pc: d.pc,
+            op: d.inst.op,
+            src: [dense(r1), dense(r2)],
+            dst: dense(d.inst.writes()),
+            mem: d.mem,
+        }
+    }
+}
+
+/// Lowers a committed stream into a [`ReplayPlan`] one record at a time
+/// (see module docs). Feed records in committed order with
+/// [`PlanBuilder::push`], then call [`PlanBuilder::finish`].
+///
+/// Task boundaries follow the task splitter's semantics: record 0 always
+/// begins task 0, and a later record begins a new task exactly when its
+/// `new_task` marker is set.
+///
+/// # Examples
+///
+/// ```
+/// use mds_isa::{ProgramBuilder, Reg};
+/// use mds_emu::{plan::PlanBuilder, Emulator, ReplayPlan};
+///
+/// let mut b = ProgramBuilder::new();
+/// b.alloc("x", 1);
+/// b.la(Reg::S0, "x");
+/// b.sd(Reg::S0, Reg::S0, 0);
+/// b.ld(Reg::T0, Reg::S0, 0);
+/// b.halt();
+/// let p = b.build()?;
+///
+/// let mut builder = PlanBuilder::new();
+/// Emulator::new(&p).run_with(|d| builder.push(d))?;
+/// let plan = builder.finish();
+/// assert_eq!(plan, ReplayPlan::build(&Emulator::new(&p).run()?));
+/// assert_eq!(plan.load_intra, vec![0]); // the load reads the store
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct PlanBuilder {
+    plan: ReplayPlan,
+    word: FxHashMap<Addr, KeyState>,
+    byte: FxHashMap<Addr, KeyState>,
+    task: u32,
+}
+
+impl Default for PlanBuilder {
+    fn default() -> Self {
+        PlanBuilder::new()
+    }
+}
+
+impl PlanBuilder {
+    /// An empty builder.
+    pub fn new() -> PlanBuilder {
+        PlanBuilder::with_capacity(0)
+    }
+
+    /// An empty builder with room for `records` records: a stream of known
+    /// length spares the per-record arrays their growth copies.
+    fn with_capacity(records: usize) -> PlanBuilder {
+        PlanBuilder {
+            plan: ReplayPlan {
+                pc: Vec::with_capacity(records),
+                op: Vec::with_capacity(records),
+                flags: Vec::with_capacity(records),
+                fu: Vec::with_capacity(records),
+                src1: Vec::with_capacity(records),
+                src2: Vec::with_capacity(records),
+                dst: Vec::with_capacity(records),
+                addr: Vec::with_capacity(records),
+                mem_ord: Vec::with_capacity(records),
+                task_start: Vec::new(),
+                task_start_pc: Vec::new(),
+                task_store_start: Vec::new(),
+                task_load_start: Vec::new(),
+                store_rec: Vec::new(),
+                store_task: Vec::new(),
+                load_rec: Vec::new(),
+                load_intra: Vec::new(),
+                load_inter: Vec::new(),
+            },
+            word: FxHashMap::default(),
+            byte: FxHashMap::default(),
+            task: 0,
+        }
+    }
+
+    /// Lowers the next committed record.
+    #[inline]
+    pub fn push(&mut self, d: &DynInst) {
+        let plan = &mut self.plan;
+        let i = plan.pc.len();
+        if i == 0 || d.new_task {
+            if i != 0 {
+                self.task += 1;
             }
-            plan.pc.push(d.pc);
-            plan.op.push(d.inst.op);
-            let [r1, r2] = d.inst.reads();
-            plan.src1.push(r1.map_or(NO_REG, |r| r.dense_index() as u8));
-            plan.src2.push(r2.map_or(NO_REG, |r| r.dense_index() as u8));
-            plan.dst
-                .push(d.inst.writes().map_or(NO_REG, |r| r.dense_index() as u8));
-            plan.fu.push(match d.inst.op.fu_class() {
-                FuClass::ComplexInt => FU_COMPLEX,
-                FuClass::Fp => FU_FP,
-                FuClass::Branch => FU_BRANCH,
-                FuClass::SimpleInt | FuClass::Mem => FU_SIMPLE,
-            });
-            let mut flags = 0u8;
-            if d.inst.op.is_control() {
-                flags |= F_CONTROL;
-            }
-            match d.mem {
-                Some(mem) if mem.is_store => {
-                    flags |= F_MEM | F_STORE;
-                    plan.addr.push(mem.addr);
-                    let ord = plan.store_rec.len() as u32;
-                    plan.mem_ord.push(ord);
-                    plan.store_rec.push(i as u32);
-                    plan.store_task.push(task);
-                    let (map, key) = if mem.size == 1 {
-                        (&mut byte, mem.addr)
-                    } else {
-                        (&mut word, mem.addr & !7)
-                    };
-                    map.entry(key)
-                        .and_modify(|st| {
-                            if st.youngest_task < task {
-                                st.prev_ord = st.youngest_ord;
-                            }
-                            st.youngest_task = task;
-                            st.youngest_ord = ord;
-                        })
-                        .or_insert(KeyState {
-                            youngest_task: task,
-                            youngest_ord: ord,
-                            prev_ord: NONE,
-                        });
-                }
-                Some(mem) => {
-                    flags |= F_MEM;
-                    plan.addr.push(mem.addr);
-                    plan.mem_ord.push(plan.load_rec.len() as u32);
-                    plan.load_rec.push(i as u32);
-                    // Store ordinals grow with stream position, so "the
-                    // youngest candidate" is simply the largest ordinal —
-                    // both within the task and across earlier tasks.
-                    let mut intra = NONE;
-                    let mut inter = NONE;
-                    let mut consider = |st: Option<&KeyState>| {
-                        if let Some(st) = st {
-                            if st.youngest_task == task {
-                                if intra == NONE || st.youngest_ord > intra {
-                                    intra = st.youngest_ord;
-                                }
-                                if st.prev_ord != NONE && (inter == NONE || st.prev_ord > inter) {
-                                    inter = st.prev_ord;
-                                }
-                            } else if inter == NONE || st.youngest_ord > inter {
-                                inter = st.youngest_ord;
-                            }
+            plan.task_start.push(i as u32);
+            plan.task_start_pc.push(d.pc);
+            plan.task_store_start.push(plan.store_rec.len() as u32);
+            plan.task_load_start.push(plan.load_rec.len() as u32);
+        }
+        let task = self.task;
+        plan.pc.push(d.pc);
+        plan.op.push(d.inst.op);
+        let [r1, r2] = d.inst.reads();
+        plan.src1.push(dense(r1));
+        plan.src2.push(dense(r2));
+        plan.dst.push(dense(d.inst.writes()));
+        plan.fu.push(match d.inst.op.fu_class() {
+            FuClass::ComplexInt => FU_COMPLEX,
+            FuClass::Fp => FU_FP,
+            FuClass::Branch => FU_BRANCH,
+            FuClass::SimpleInt | FuClass::Mem => FU_SIMPLE,
+        });
+        let mut flags = 0u8;
+        if d.inst.op.is_control() {
+            flags |= F_CONTROL;
+        }
+        if d.mem.is_some_and(|m| m.size == 1) {
+            flags |= F_BYTE;
+        }
+        match d.mem {
+            Some(mem) if mem.is_store => {
+                flags |= F_MEM | F_STORE;
+                plan.addr.push(mem.addr);
+                let ord = plan.store_rec.len() as u32;
+                plan.mem_ord.push(ord);
+                plan.store_rec.push(i as u32);
+                plan.store_task.push(task);
+                let (map, key) = if mem.size == 1 {
+                    (&mut self.byte, mem.addr)
+                } else {
+                    (&mut self.word, mem.addr & !7)
+                };
+                map.entry(key)
+                    .and_modify(|st| {
+                        if st.youngest_task < task {
+                            st.prev_ord = st.youngest_ord;
                         }
-                    };
-                    if mem.size == 1 {
-                        consider(byte.get(&mem.addr));
-                        consider(word.get(&(mem.addr & !7)));
-                    } else {
-                        consider(word.get(&(mem.addr & !7)));
-                        for b in 0..8 {
-                            consider(byte.get(&(mem.addr + b)));
+                        st.youngest_task = task;
+                        st.youngest_ord = ord;
+                    })
+                    .or_insert(KeyState {
+                        youngest_task: task,
+                        youngest_ord: ord,
+                        prev_ord: NONE,
+                    });
+            }
+            Some(mem) => {
+                flags |= F_MEM;
+                plan.addr.push(mem.addr);
+                plan.mem_ord.push(plan.load_rec.len() as u32);
+                plan.load_rec.push(i as u32);
+                // Store ordinals grow with stream position, so "the
+                // youngest candidate" is simply the largest ordinal —
+                // both within the task and across earlier tasks.
+                let mut intra = NONE;
+                let mut inter = NONE;
+                let mut consider = |st: Option<&KeyState>| {
+                    if let Some(st) = st {
+                        if st.youngest_task == task {
+                            if intra == NONE || st.youngest_ord > intra {
+                                intra = st.youngest_ord;
+                            }
+                            if st.prev_ord != NONE && (inter == NONE || st.prev_ord > inter) {
+                                inter = st.prev_ord;
+                            }
+                        } else if inter == NONE || st.youngest_ord > inter {
+                            inter = st.youngest_ord;
                         }
                     }
-                    plan.load_intra.push(intra);
-                    plan.load_inter.push(inter);
+                };
+                if mem.size == 1 {
+                    consider(self.byte.get(&mem.addr));
+                    consider(self.word.get(&(mem.addr & !7)));
+                } else {
+                    consider(self.word.get(&(mem.addr & !7)));
+                    // Byte stores only exist in programs that use `sb`;
+                    // skip the 8-probe scan for the common all-word case.
+                    if !self.byte.is_empty() {
+                        for b in 0..8 {
+                            consider(self.byte.get(&(mem.addr + b)));
+                        }
+                    }
                 }
-                None => {
-                    plan.addr.push(0);
-                    plan.mem_ord.push(NONE);
-                }
+                plan.load_intra.push(intra);
+                plan.load_inter.push(inter);
             }
-            plan.flags.push(flags);
+            None => {
+                plan.addr.push(0);
+                plan.mem_ord.push(NONE);
+            }
         }
+        plan.flags.push(flags);
+    }
 
-        plan.task_start.push(n as u32);
+    /// Closes the task arrays with their sentinels and trims every array
+    /// to its length, so the finished plan holds no growth slack.
+    pub fn finish(self) -> ReplayPlan {
+        let mut plan = self.plan;
+        plan.task_start.push(plan.pc.len() as u32);
         plan.task_store_start.push(plan.store_rec.len() as u32);
         plan.task_load_start.push(plan.load_rec.len() as u32);
+        macro_rules! trim {
+            ($($field:ident),*) => { $(plan.$field.shrink_to_fit();)* };
+        }
+        trim!(
+            pc,
+            op,
+            flags,
+            fu,
+            src1,
+            src2,
+            dst,
+            addr,
+            mem_ord,
+            task_start,
+            task_start_pc,
+            task_store_start,
+            task_load_start,
+            store_rec,
+            store_task,
+            load_rec,
+            load_intra,
+            load_inter
+        );
         plan
+    }
+}
+
+impl ReplayPlan {
+    /// Builds the plan in one pass over an already-collected committed
+    /// stream: a fold over [`PlanBuilder`].
+    pub fn build(records: &[DynInst]) -> ReplayPlan {
+        let mut builder = PlanBuilder::with_capacity(records.len());
+        for d in records {
+            builder.push(d);
+        }
+        builder.finish()
+    }
+
+    /// Number of records in the plan.
+    pub fn len(&self) -> usize {
+        self.pc.len()
+    }
+
+    /// `true` when the plan holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.pc.is_empty()
+    }
+
+    /// Every record in committed order, read back as [`Row`]s.
+    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.len()).map(|i| {
+            let flags = self.flags[i];
+            Row {
+                seq: i as u64,
+                pc: self.pc[i],
+                op: self.op[i],
+                src: [self.src1[i], self.src2[i]],
+                dst: self.dst[i],
+                mem: (flags & F_MEM != 0).then(|| MemAccess {
+                    addr: self.addr[i],
+                    size: if flags & F_BYTE != 0 { 1 } else { 8 },
+                    is_store: flags & F_STORE != 0,
+                }),
+            }
+        })
     }
 
     /// Number of dynamic tasks in the plan.

@@ -1,11 +1,11 @@
 //! Captured committed instruction streams, and their human-readable
 //! rendering.
 //!
-//! [`Trace`] is the machine-facing half: a fully-materialized committed
-//! stream that downstream simulators replay read-only. It is `Send + Sync`
-//! by construction, so one emulation can be shared across threads behind
-//! an `Arc` — the substrate of `mds-runner`'s shared trace cache, where
-//! every (workload × policy × config) grid cell replays the same stream.
+//! [`Trace`] is the machine-facing half: a captured committed stream that
+//! downstream simulators replay read-only. It is `Send + Sync` by
+//! construction, so one emulation can be shared across threads behind an
+//! `Arc` — the substrate of `mds-runner`'s shared trace cache, where every
+//! (workload × policy × config) grid cell replays the same stream.
 //!
 //! The rendering half is for humans: debugging a dependence-speculation
 //! study means staring at traces, so [`format_dyninst`] renders records
@@ -14,19 +14,24 @@
 
 use crate::dyninst::DynInst;
 use crate::machine::{EmuError, Emulator, TraceSummary};
-use crate::plan::ReplayPlan;
+use crate::plan::{PlanBuilder, ReplayPlan};
 use mds_isa::Program;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
-/// A fully-captured committed instruction stream plus its aggregate
-/// counts.
+/// A captured committed instruction stream: its aggregate counts, its
+/// [`ReplayPlan`], and the program it came from.
 ///
-/// Unlike [`Emulator::run`], which hands back a bare `Vec<DynInst>`, a
-/// `Trace` keeps the [`TraceSummary`] alongside the records, so consumers
-/// that only need counts (e.g. table 1 of the paper) never re-walk the
-/// stream. The type is immutable after capture and `Send + Sync`, so it
-/// can be shared across worker threads behind an `Arc`.
+/// Capture lowers the stream into the plan while the emulator runs, so a
+/// trace keeps about 25 bytes per instruction instead of a 48-byte
+/// [`DynInst`] record beside the plan. Everything the simulators and
+/// analyzers replay reads the plan. [`Trace::records`] re-emulates the
+/// stored program on first use, for the consumers that want records
+/// (debug rendering, the scratch Multiscalar engine, tests); the records
+/// then stay resident with the trace.
+///
+/// The type is immutable after capture and `Send + Sync`, so it can be
+/// shared across worker threads behind an `Arc`.
 ///
 /// # Examples
 ///
@@ -45,39 +50,24 @@ use std::sync::{Arc, OnceLock};
 /// let trace = Trace::capture(&p)?;
 /// assert_eq!(trace.len() as u64, trace.summary().instructions);
 /// assert_eq!(trace.summary().taken_branches, 2);
+/// assert_eq!(trace.resident_bytes(), trace.replay_plan().resident_bytes());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Trace {
-    records: Vec<DynInst>,
     summary: TraceSummary,
-    /// Lazily-built structure-of-arrays view of `records` (see
-    /// [`ReplayPlan`]); built at most once per trace and shared by every
-    /// simulator replaying it.
-    plan: OnceLock<Arc<ReplayPlan>>,
-}
-
-impl Clone for Trace {
-    fn clone(&self) -> Trace {
-        // An already-built plan is carried over (it is a pure function of
-        // the records); an unbuilt one stays unbuilt.
-        let plan = OnceLock::new();
-        if let Some(p) = self.plan.get() {
-            let _ = plan.set(Arc::clone(p));
-        }
-        Trace {
-            records: self.records.clone(),
-            summary: self.summary,
-            plan,
-        }
-    }
+    plan: Arc<ReplayPlan>,
+    /// The captured program, re-emulated by [`Trace::records`]; `None`
+    /// for traces wrapped from already-collected records.
+    program: Option<Program>,
+    records: OnceLock<Vec<DynInst>>,
 }
 
 impl PartialEq for Trace {
     fn eq(&self, other: &Trace) -> bool {
-        // The plan is derived state; two traces are equal iff their
-        // captured streams are.
-        self.records == other.records && self.summary == other.summary
+        // The plan is a pure function of the committed stream, so equal
+        // plans mean equal streams.
+        self.summary == other.summary && self.plan == other.plan
     }
 }
 
@@ -89,8 +79,8 @@ const _: fn() = || {
 };
 
 impl Trace {
-    /// Runs `program` to completion on a fresh [`Emulator`] and captures
-    /// the full committed stream.
+    /// Runs `program` to completion on a fresh [`Emulator`], lowering the
+    /// committed stream into its [`ReplayPlan`] as it goes.
     ///
     /// # Errors
     ///
@@ -110,34 +100,53 @@ impl Trace {
         if let Some(limit) = limit {
             emu = emu.with_limit(limit);
         }
-        let records = emu.run()?;
+        let mut builder = PlanBuilder::new();
+        let summary = emu.run_with(|d| builder.push(d))?;
         Ok(Trace {
-            records,
-            summary: emu.summary(),
-            plan: OnceLock::new(),
+            summary,
+            plan: Arc::new(builder.finish()),
+            program: Some(program.clone()),
+            records: OnceLock::new(),
         })
     }
 
-    /// Wraps an already-collected committed stream and its counts.
+    /// Wraps an already-collected committed stream and its counts; the
+    /// records stay resident beside the plan built from them.
     pub fn from_parts(records: Vec<DynInst>, summary: TraceSummary) -> Trace {
         Trace {
-            records,
             summary,
-            plan: OnceLock::new(),
+            plan: Arc::new(ReplayPlan::build(&records)),
+            program: None,
+            records: OnceLock::from(records),
         }
     }
 
-    /// The structure-of-arrays replay plan for this trace, building it on
-    /// first use. Subsequent calls (from any thread) return the same
-    /// shared plan.
+    /// The structure-of-arrays replay plan for this trace, shared by
+    /// every simulator replaying it.
     pub fn replay_plan(&self) -> &Arc<ReplayPlan> {
-        self.plan
-            .get_or_init(|| Arc::new(ReplayPlan::build(&self.records)))
+        &self.plan
     }
 
     /// The committed records, in sequential order.
+    ///
+    /// A captured trace does not keep its records: the first call
+    /// re-emulates the stored program (blocking concurrent callers) and
+    /// the records then stay resident, counted by
+    /// [`Trace::resident_bytes`]. Replay paths read
+    /// [`Trace::replay_plan`] instead.
     pub fn records(&self) -> &[DynInst] {
-        &self.records
+        self.records.get_or_init(|| {
+            let program = self
+                .program
+                .as_ref()
+                .expect("a trace without records keeps its program");
+            // The capture halted after `len` records, so the same budget
+            // replays the same deterministic stream.
+            Emulator::new(program)
+                .with_limit(self.len() as u64)
+                .run()
+                .expect("re-emulating a captured program replays it")
+        })
     }
 
     /// Aggregate counts over the whole stream.
@@ -147,19 +156,23 @@ impl Trace {
 
     /// Number of committed instructions.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.plan.len()
     }
 
     /// `true` when the trace holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.plan.is_empty()
     }
 
-    /// Approximate resident size of the trace in bytes (records plus the
-    /// replay plan, if built) — the number a trace cache budgets against.
+    /// Approximate resident size of the trace in bytes — the replay plan,
+    /// plus the records if they were materialized — the number a trace
+    /// cache budgets against.
     pub fn resident_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<DynInst>()
-            + self.plan.get().map_or(0, |p| p.resident_bytes())
+        self.plan.resident_bytes()
+            + self
+                .records
+                .get()
+                .map_or(0, |r| r.len() * std::mem::size_of::<DynInst>())
     }
 }
 
@@ -300,11 +313,22 @@ mod tests {
         let trace = Trace::capture(&p).unwrap();
         let mut emu = Emulator::new(&p);
         let records = emu.run().unwrap();
-        assert_eq!(trace.records(), &records[..]);
         assert_eq!(trace.summary(), emu.summary());
         assert_eq!(trace.len(), records.len());
         assert!(!trace.is_empty());
-        assert!(trace.resident_bytes() >= records.len());
+        assert_eq!(**trace.replay_plan(), ReplayPlan::build(&records));
+        let plan_bytes = trace.replay_plan().resident_bytes();
+        assert_eq!(
+            trace.resident_bytes(),
+            plan_bytes,
+            "capture keeps no records"
+        );
+        assert_eq!(trace.records(), &records[..]);
+        assert_eq!(
+            trace.resident_bytes(),
+            plan_bytes + records.len() * std::mem::size_of::<DynInst>(),
+            "re-emulated records are counted once materialized"
+        );
     }
 
     #[test]
@@ -345,5 +369,6 @@ mod tests {
         let t = Trace::from_parts(records.clone(), summary);
         assert_eq!(t.records(), &records[..]);
         assert_eq!(t.summary(), summary);
+        assert_eq!(t, Trace::capture(&p).unwrap());
     }
 }

@@ -895,8 +895,8 @@ impl PSim {
 /// Produces a result identical to
 /// [`Multiscalar::run_trace`](crate::Multiscalar::run_trace) over the
 /// same records (enforced by tests and the CI equivalence gate), at a
-/// fraction of the cost: the trace's [`ReplayPlan`] is built once and
-/// cached, and the replay itself is a flat scan over its arrays.
+/// fraction of the cost: the trace's [`ReplayPlan`] is built once, at
+/// capture, and the replay itself is a flat scan over its arrays.
 pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
     let plan = trace.replay_plan().clone();
     let mut sim = PSim::new(config.clone());

@@ -17,9 +17,10 @@
 //! `mds-multiscalar`).
 
 use mds_core::{DepEdge, LoadDecision, Policy, PredictionBreakdown, SyncUnit, SyncUnitConfig};
-use mds_emu::DynInst;
+use mds_emu::plan::NO_REG;
+use mds_emu::{MemAccess, Row};
 use mds_harness::hash::FxHashMap;
-use mds_isa::{Addr, FuClass, Pc};
+use mds_isa::{Addr, FuClass, Opcode, Pc};
 use std::collections::VecDeque;
 
 /// Configuration of the superscalar model.
@@ -56,7 +57,7 @@ impl Default for OooConfig {
 }
 
 /// The result of a superscalar timing run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OooResult {
     /// Total cycles.
     pub cycles: u64,
@@ -92,7 +93,8 @@ struct StoreRecord {
 }
 
 /// The superscalar OOO timing simulator. Feed committed instructions in
-/// order via [`OooSim::observe`], then call [`OooSim::finish`].
+/// order via [`OooSim::observe`] — as [`mds_emu::DynInst`] records or
+/// [`mds_emu::ReplayPlan`] rows — then call [`OooSim::finish`].
 ///
 /// # Examples
 ///
@@ -175,11 +177,11 @@ impl OooSim {
         }
     }
 
-    fn op_latency(&self, d: &DynInst) -> u64 {
-        match d.inst.op.fu_class() {
+    fn op_latency(&self, op: Opcode) -> u64 {
+        match op.fu_class() {
             FuClass::SimpleInt | FuClass::Branch => 1,
             FuClass::ComplexInt => {
-                if d.inst.op == mds_isa::Opcode::Mul {
+                if op == Opcode::Mul {
                     4
                 } else {
                     12
@@ -248,15 +250,18 @@ impl OooSim {
     }
 
     /// Feeds the next committed instruction.
-    pub fn observe(&mut self, d: &DynInst) {
+    pub fn observe(&mut self, d: impl Into<Row>) {
+        let d = d.into();
         self.result.instructions += 1;
         let dispatch = self.dispatch_slot();
         // Operand readiness from register dataflow.
         let mut ready = dispatch;
-        for r in d.reads().into_iter().flatten() {
-            ready = ready.max(self.reg_avail[r.dense_index()]);
+        for r in d.src {
+            if r != NO_REG {
+                ready = ready.max(self.reg_avail[r as usize]);
+            }
         }
-        let latency = self.op_latency(d);
+        let latency = self.op_latency(d.op);
 
         let complete = if let Some(mem) = d.mem {
             let instance = {
@@ -286,21 +291,23 @@ impl OooSim {
                 complete
             } else {
                 self.result.loads += 1;
-                self.observe_load(d, mem, instance, ready, latency)
+                self.observe_load(&d, mem, instance, ready, latency)
             }
         } else {
             ready + latency
         };
 
-        self.reg_avail_update(d, complete);
+        if d.dst != NO_REG {
+            self.reg_avail[d.dst as usize] = complete;
+        }
         self.retire_queue.push_back(complete);
         self.last_complete = self.last_complete.max(complete);
     }
 
     fn observe_load(
         &mut self,
-        d: &DynInst,
-        mem: mds_emu::MemAccess,
+        d: &Row,
+        mem: MemAccess,
         instance: u64,
         mut ready: u64,
         latency: u64,
@@ -403,7 +410,7 @@ impl OooSim {
         start + latency
     }
 
-    fn violate(&mut self, d: &DynInst, p: &StoreRecord) {
+    fn violate(&mut self, d: &Row, p: &StoreRecord) {
         self.result.misspeculations += 1;
         self.restart_after = self
             .restart_after
@@ -422,12 +429,6 @@ impl OooSim {
         }
     }
 
-    fn reg_avail_update(&mut self, d: &DynInst, complete: u64) {
-        if let Some(w) = d.inst.writes() {
-            self.reg_avail[w.dense_index()] = complete;
-        }
-    }
-
     /// Finishes the run and returns the result.
     pub fn finish(mut self) -> OooResult {
         self.result.cycles = self.last_complete.max(self.cur_cycle) + 1;
@@ -435,32 +436,26 @@ impl OooSim {
     }
 }
 
-/// Replays one committed stream under several configurations in a single
-/// trace walk, returning results in input order.
+/// Replays one committed stream — [`mds_emu::DynInst`] records or
+/// [`mds_emu::ReplayPlan`] rows — under several configurations in a
+/// single walk, returning results in input order.
 ///
 /// Each simulator is independent; the fusion saves the repeated record
 /// iteration (and its cache traffic) when a grid cell evaluates many
 /// policies over the same workload. Results are identical to running
 /// each configuration through [`OooSim::observe`] separately.
-pub fn run_fused(records: &[DynInst], configs: &[OooConfig]) -> Vec<OooResult> {
+pub fn run_fused<R: Into<Row>>(
+    records: impl IntoIterator<Item = R>,
+    configs: &[OooConfig],
+) -> Vec<OooResult> {
     let mut sims: Vec<OooSim> = configs.iter().map(|&c| OooSim::new(c)).collect();
     for d in records {
+        let d = d.into();
         for sim in &mut sims {
             sim.observe(d);
         }
     }
     sims.into_iter().map(OooSim::finish).collect()
-}
-
-// Forward `reads` from the record for operand collection.
-trait Reads {
-    fn reads(&self) -> [Option<mds_isa::RegRef>; 2];
-}
-
-impl Reads for DynInst {
-    fn reads(&self) -> [Option<mds_isa::RegRef>; 2] {
-        self.inst.reads()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The sliding-window dependence analyzer (tables 3, 4, and 5).
 
 use mds_core::{Ddc, DepEdge};
-use mds_emu::DynInst;
+use mds_emu::Row;
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, Pc};
 use mds_sim::stats::{Histogram, Percent};
@@ -25,7 +25,7 @@ impl Default for WindowConfig {
 }
 
 /// Per-window-size measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     /// The window size `n` these numbers belong to.
     pub window_size: u32,
@@ -73,7 +73,7 @@ impl WindowStats {
 }
 
 /// The finished analysis over a whole committed stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowReport {
     per_window: Vec<WindowStats>,
     /// Committed instructions observed.
@@ -140,7 +140,8 @@ struct PerWindow {
 /// producing store lies within the window is counted as mis-speculated —
 /// the worst case for blind speculation (§5).
 ///
-/// Feed every committed instruction to [`WindowAnalyzer::observe`], then
+/// Feed every committed instruction to [`WindowAnalyzer::observe`] — as
+/// a [`mds_emu::DynInst`] record or a [`mds_emu::ReplayPlan`] row — then
 /// call [`WindowAnalyzer::finish`]. All configured window sizes and DDC
 /// sizes are measured in a single pass.
 pub struct WindowAnalyzer {
@@ -192,7 +193,8 @@ impl WindowAnalyzer {
     }
 
     /// Feeds one committed instruction.
-    pub fn observe(&mut self, d: &DynInst) {
+    pub fn observe(&mut self, d: impl Into<Row>) {
+        let d = d.into();
         self.instructions += 1;
         let Some(mem) = d.mem else { return };
         if mem.is_store {
@@ -283,7 +285,7 @@ impl WindowAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mds_emu::MemAccess;
+    use mds_emu::{DynInst, MemAccess};
     use mds_isa::Instruction;
 
     fn dyn_mem(seq: u64, pc: Pc, addr: Addr, size: u8, is_store: bool) -> DynInst {

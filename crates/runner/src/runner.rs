@@ -458,7 +458,7 @@ fn execute_group(
                         _ => unreachable!("fused groups are homogeneous"),
                     })
                     .collect();
-                mds_ooo::run_fused(traces[0].records(), &configs)
+                mds_ooo::run_fused(traces[0].replay_plan().rows(), &configs)
                     .into_iter()
                     .map(JobOutput::Superscalar)
                     .collect()
@@ -489,7 +489,9 @@ fn execute_group(
         .collect()
 }
 
-/// Replays one job's computation over a captured trace.
+/// Replays one job's computation over a captured trace. Every arm reads
+/// the trace's replay plan except the scratch Multiscalar engine, which
+/// replays records.
 fn execute(job: &Job, trace: &Trace, engine: ReplayEngine) -> JobOutput {
     match &job.kind {
         JobKind::Multiscalar(config) => JobOutput::Multiscalar(match engine {
@@ -500,15 +502,15 @@ fn execute(job: &Job, trace: &Trace, engine: ReplayEngine) -> JobOutput {
         }),
         JobKind::Window(config) => {
             let mut analyzer = WindowAnalyzer::new(config.clone());
-            for d in trace.records() {
-                analyzer.observe(d);
+            for row in trace.replay_plan().rows() {
+                analyzer.observe(row);
             }
             JobOutput::Window(analyzer.finish())
         }
         JobKind::Superscalar(config) => {
             let mut sim = OooSim::new(*config);
-            for d in trace.records() {
-                sim.observe(d);
+            for row in trace.replay_plan().rows() {
+                sim.observe(row);
             }
             JobOutput::Superscalar(sim.finish())
         }
