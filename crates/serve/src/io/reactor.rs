@@ -649,6 +649,12 @@ impl<P: Poller, S: Stream> Core<P, S> {
         &mut self.poller
     }
 
+    /// Deadlines still held by the timer wheel, lazily cancelled ones
+    /// included (tests: every entry is swept once its due time passes).
+    pub fn timers_armed(&self) -> usize {
+        self.wheel.armed()
+    }
+
     /// The token for a live slot index (tests).
     pub fn token_for(&self, index: usize) -> Option<u64> {
         self.slots
@@ -895,16 +901,31 @@ mod tests {
     use super::*;
     use crate::io::conn::FakeStream;
     use crate::io::poller::FakePoller;
+    use mds_harness::prelude::*;
     use std::sync::atomic::AtomicBool;
 
-    /// A scripted [`App`]: `/defer` goes to the queue, everything else is
-    /// answered inline with a body echoing the target.
+    /// How [`TestApp`] answered one dispatched request.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Answer {
+        Inline,
+        Executed,
+        Shed,
+    }
+
+    /// A scripted [`App`]: targets under `/defer` go to the queue,
+    /// everything else is answered inline with a body echoing the target.
+    /// Every dispatch is recorded with how it was answered, so a schedule
+    /// test can rebuild each connection's expected response stream.
     struct TestApp {
         connections: AtomicU64,
         deferred_responses: AtomicU64,
         sheds: AtomicU64,
         request_errors: Mutex<Vec<u16>>,
         draining: AtomicBool,
+        dispatched: Mutex<Vec<(String, Answer)>>,
+        /// Set by a deferring dispatch until the next accept: a shed in
+        /// that window is the deferred request's, not a connection's.
+        admitting: AtomicBool,
     }
 
     impl TestApp {
@@ -915,17 +936,38 @@ mod tests {
                 sheds: AtomicU64::new(0),
                 request_errors: Mutex::new(Vec::new()),
                 draining: AtomicBool::new(false),
+                dispatched: Mutex::new(Vec::new()),
+                admitting: AtomicBool::new(false),
             })
+        }
+
+        /// The direct answer to `target` under `answer`.
+        fn answer(target: &str, answer: Answer) -> Response {
+            match answer {
+                Answer::Inline => Response::json(200, format!("{{\"target\":\"{target}\"}}")),
+                Answer::Executed => Response::json(200, format!("{{\"executed\":\"{target}\"}}")),
+                Answer::Shed => {
+                    Response::json(503, r#"{"error":"full"}"#).header("retry-after", "1")
+                }
+            }
         }
     }
 
     impl App for TestApp {
         fn dispatch(&self, request: &Request) -> Dispatch {
-            if request.target == "/defer" {
+            let defer = request.target.starts_with("/defer");
+            let answer = if defer {
+                Answer::Executed
+            } else {
+                Answer::Inline
+            };
+            lock(&self.dispatched).push((request.target.clone(), answer));
+            self.admitting.store(defer, Ordering::Relaxed);
+            if defer {
                 return Dispatch::Defer;
             }
             Dispatch::Inline(Outcome {
-                response: Response::json(200, format!("{{\"target\":\"{}\"}}", request.target)),
+                response: TestApp::answer(&request.target, Answer::Inline),
                 cache: "hit",
                 close: false,
             })
@@ -933,7 +975,7 @@ mod tests {
 
         fn execute(&self, request: &Request) -> Outcome {
             Outcome {
-                response: Response::json(200, format!("{{\"executed\":\"{}\"}}", request.target)),
+                response: TestApp::answer(&request.target, Answer::Executed),
                 cache: "miss",
                 close: false,
             }
@@ -941,6 +983,7 @@ mod tests {
 
         fn on_connection(&self) {
             self.connections.fetch_add(1, Ordering::Relaxed);
+            self.admitting.store(false, Ordering::Relaxed);
         }
 
         fn on_response(&self, _: &Request, _: &Outcome, _: u64, _: u64) {
@@ -949,7 +992,15 @@ mod tests {
 
         fn shed(&self, _queue_len: usize) -> Response {
             self.sheds.fetch_add(1, Ordering::Relaxed);
-            Response::json(503, r#"{"error":"full"}"#).header("retry-after", "1")
+            // A request-level shed follows the dispatch that deferred it
+            // on the same thread: re-label that record. An accept-time
+            // shed follows `on_connection`, which cleared the flag.
+            if self.admitting.swap(false, Ordering::Relaxed) {
+                if let Some(last) = lock(&self.dispatched).last_mut() {
+                    last.1 = Answer::Shed;
+                }
+            }
+            TestApp::answer("", Answer::Shed)
         }
 
         fn on_request_error(&self, status: u16) {
@@ -1386,5 +1437,319 @@ mod tests {
         );
         rig.feed_and_drive(index, 41, &POST[10..], 5_300);
         assert_eq!(count_status(&rig.written(41), "HTTP/1.1 200"), 2);
+    }
+
+    /// One step of an adversarial schedule. Peer selectors index the
+    /// connections the step can apply to, modulo their count.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Accept a connection that will send these requests, each
+        /// `(deferred, with a body)`; past the connection cap the accept
+        /// is shed at the door.
+        Accept(Vec<(bool, bool)>),
+        /// Deliver the next `len` scripted bytes, split wherever that
+        /// lands.
+        Feed(u8, u8),
+        /// Set the peer's send budget and report it writable (a zero
+        /// budget throttles without an event).
+        Writable(u8, u8),
+        /// Run one queued job, as a pool worker would.
+        Work,
+        /// Jump the clock: past the header deadline, past the idle and
+        /// body window, or a little.
+        Jump(u8),
+        /// The peer shuts down its send side.
+        HalfClose(u8),
+    }
+
+    /// Steps weighted toward traffic: most schedules should carry
+    /// requests through every phase before a deadline or a half-close
+    /// ends their connection.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let feed = || (any::<u8>(), 1u8..96).prop_map(|(p, n)| Op::Feed(p, n));
+        prop_oneof![
+            vec_of((any::<bool>(), any::<bool>()), 1..4).prop_map(Op::Accept),
+            feed(),
+            feed(),
+            feed(),
+            feed(),
+            feed(),
+            (any::<u8>(), 0u8..40).prop_map(|(p, n)| Op::Writable(p, n)),
+            (any::<u8>(), 0u8..40).prop_map(|(p, n)| Op::Writable(p, n)),
+            Just(Op::Work),
+            (0u8..3).prop_map(Op::Jump),
+            any::<u8>().prop_map(Op::HalfClose),
+        ]
+    }
+
+    /// The client side of one connection in a schedule.
+    struct Peer {
+        fd: i32,
+        script: Vec<u8>,
+        fed: usize,
+        half_closed: bool,
+        /// A deadline closed it mid-flush: its response stream may end
+        /// early, but never diverge.
+        cut: bool,
+        /// Shed at accept time beyond the connection cap.
+        at_door: bool,
+    }
+
+    /// The wire bytes of `requests` for connection `fd`; each target
+    /// names its connection and position so answers are attributable.
+    fn script(fd: i32, requests: &[(bool, bool)]) -> Vec<u8> {
+        let mut out = String::new();
+        for (n, &(defer, body)) in requests.iter().enumerate() {
+            let target = format!("{}/c{fd}/r{n}", if defer { "/defer" } else { "" });
+            if body {
+                out.push_str(&format!(
+                    "POST {target} HTTP/1.1\r\nhost: t\r\ncontent-length: 5\r\n\r\nhello"
+                ));
+            } else {
+                out.push_str(&format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n"));
+            }
+        }
+        out.into_bytes()
+    }
+
+    fn wire(response: &Response, keep_alive: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        response.write_to(&mut out, keep_alive).unwrap();
+        out
+    }
+
+    impl Rig {
+        /// The slot index of the live connection on `fd`.
+        fn live_index(&mut self, fd: i32) -> Option<usize> {
+            (0..16).find(|&i| {
+                self.core
+                    .conn_stream_mut(i)
+                    .is_some_and(|s| s.raw_fd() == fd)
+            })
+        }
+    }
+
+    /// Checks one connection's written bytes against the direct answers
+    /// to the requests dispatched on it, in order.
+    fn check_peer(peer: &Peer, written: &[u8], expected: &[Response]) -> Result<(), String> {
+        let mut rest = written;
+        let mut closed = false;
+        for (i, response) in expected.iter().enumerate() {
+            if closed {
+                return Err(format!("fd {}: response {i} follows a close", peer.fd));
+            }
+            let (kept, shut) = (wire(response, true), wire(response, false));
+            if rest.starts_with(&kept) {
+                rest = &rest[kept.len()..];
+            } else if rest.starts_with(&shut) {
+                rest = &rest[shut.len()..];
+                closed = true;
+            } else if peer.cut && (kept.starts_with(rest) || shut.starts_with(rest)) {
+                return Ok(());
+            } else {
+                return Err(format!(
+                    "fd {}: response {i} of {} diverges at {:?}",
+                    peer.fd,
+                    expected.len(),
+                    String::from_utf8_lossy(&rest[..rest.len().min(80)])
+                ));
+            }
+        }
+        if rest.is_empty() {
+            return Ok(());
+        }
+        // The only other bytes allowed: one terminal 400/408 for a
+        // request that never completed (cut short, if the peer was cut).
+        if closed {
+            return Err(format!("fd {}: bytes after a close", peer.fd));
+        }
+        if peer.cut && rest.len() < 12 && b"HTTP/1.1 4".starts_with(&rest[..rest.len().min(10)]) {
+            return Ok(());
+        }
+        let mut cursor = io::Cursor::new(rest.to_vec());
+        match crate::http::read_response(&mut cursor) {
+            Ok(error)
+                if matches!(error.status, 400 | 408)
+                    && error.header("connection") == Some("close")
+                    && cursor.position() as usize == rest.len() =>
+            {
+                Ok(())
+            }
+            _ if peer.cut && rest.starts_with(b"HTTP/1.1 4") => Ok(()),
+            other => Err(format!(
+                "fd {}: unexpected trailing bytes {other:?}: {:?}",
+                peer.fd,
+                String::from_utf8_lossy(rest)
+            )),
+        }
+    }
+
+    properties! {
+        /// Random readiness, partial reads, short writes, worker steps,
+        /// deadline jumps, half-closes and drains: every dispatched
+        /// request is answered exactly once with its direct answer (or
+        /// the stream is cut by a write deadline, never diverging), every
+        /// slot, timer and fd is released, and drain terminates.
+        #[test]
+        fn adversarial_schedules_answer_every_request_once_and_release_everything(
+            ops in vec_of(arb_op(), 0..120),
+            drain_at in 0usize..160,
+        ) {
+            let mut rig = rig(1);
+            let mut peers: Vec<Peer> = Vec::new();
+            let mut now = 0u64;
+            let mut draining = false;
+            for (step, op) in ops.into_iter().enumerate() {
+                now += 1;
+                if step == drain_at {
+                    draining = true;
+                    rig.core.begin_drain(now);
+                }
+                match op {
+                    Op::Accept(requests) => {
+                        if draining {
+                            continue;
+                        }
+                        let fd = 1000 + peers.len() as i32;
+                        let at_door = rig.core.conns() >= 8;
+                        let sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+                        let mut stream = FakeStream::new(fd);
+                        stream.mirror_writes(Arc::clone(&sink));
+                        rig.sinks.insert(fd, sink);
+                        rig.core.accept(stream, now);
+                        peers.push(Peer {
+                            fd,
+                            script: script(fd, &requests),
+                            fed: 0,
+                            half_closed: false,
+                            cut: false,
+                            at_door,
+                        });
+                    }
+                    Op::Feed(pick, len) => {
+                        let open: Vec<usize> = (0..peers.len())
+                            .filter(|&i| {
+                                let p = &peers[i];
+                                !p.at_door && !p.half_closed && p.fed < p.script.len()
+                            })
+                            .collect();
+                        if open.is_empty() {
+                            continue;
+                        }
+                        let peer = &mut peers[open[pick as usize % open.len()]];
+                        let Some(index) = rig.live_index(peer.fd) else {
+                            continue;
+                        };
+                        let end = (peer.fed + len as usize).min(peer.script.len());
+                        let chunk = peer.script[peer.fed..end].to_vec();
+                        peer.fed = end;
+                        rig.feed_and_drive(index, peer.fd, &chunk, now);
+                    }
+                    Op::Writable(pick, budget) => {
+                        let live: Vec<(i32, usize)> = peers
+                            .iter()
+                            .filter_map(|p| rig.live_index(p.fd).map(|i| (p.fd, i)))
+                            .collect();
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let (fd, index) = live[pick as usize % live.len()];
+                        rig.core.conn_stream_mut(index).unwrap().write_cap = budget as usize;
+                        if budget > 0 {
+                            rig.core.poller_mut().make_ready(fd, false, true, false);
+                        }
+                        rig.drive(now);
+                    }
+                    Op::Work => {
+                        if !rig.jobs.is_empty() {
+                            rig.work_one();
+                        }
+                        rig.drive(now);
+                    }
+                    Op::Jump(size) => {
+                        now += [2_100, 5_100, 700][size as usize];
+                        let flushing: Vec<usize> = (0..peers.len())
+                            .filter(|&i| {
+                                let fd = peers[i].fd;
+                                rig.live_index(fd)
+                                    .is_some_and(|x| rig.core.conn_state(x) == Some(ConnState::Writing))
+                            })
+                            .collect();
+                        rig.drive(now);
+                        for i in flushing {
+                            if rig.live_index(peers[i].fd).is_none() {
+                                peers[i].cut = true;
+                            }
+                        }
+                    }
+                    Op::HalfClose(pick) => {
+                        let live: Vec<usize> = (0..peers.len())
+                            .filter(|&i| !peers[i].half_closed)
+                            .filter(|&i| rig.live_index(peers[i].fd).is_some())
+                            .collect();
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let peer = &mut peers[live[pick as usize % live.len()]];
+                        peer.half_closed = true;
+                        let index = rig.live_index(peer.fd).unwrap();
+                        rig.core.conn_stream_mut(index).unwrap().half_close();
+                        rig.core.poller_mut().make_half_closed(peer.fd);
+                        rig.drive(now);
+                    }
+                }
+            }
+
+            // Drain must terminate: finish queued work, let every backlog
+            // flush, and let the clock expire whatever is left.
+            rig.core.begin_drain(now);
+            for _ in 0..16 {
+                if rig.core.conns() == 0 {
+                    break;
+                }
+                while !rig.jobs.is_empty() {
+                    rig.work_one();
+                }
+                for peer in &peers {
+                    if let Some(index) = rig.live_index(peer.fd) {
+                        rig.core.conn_stream_mut(index).unwrap().write_cap = usize::MAX;
+                        rig.core.poller_mut().make_ready(peer.fd, false, true, false);
+                    }
+                }
+                now += 1;
+                rig.drive(now);
+                now += 5_100;
+                rig.drive(now);
+            }
+            prop_assert_eq!(rig.core.conns(), 0, "drain did not terminate");
+            prop_assert!((0..16).all(|i| rig.core.conn_state(i).is_none()));
+            prop_assert_eq!(rig.core.poller_mut().registered(), 0);
+            prop_assert_eq!(rig.jobs.len(), 0);
+            now += 10_000;
+            rig.core.on_tick(now);
+            prop_assert_eq!(rig.core.timers_armed(), 0);
+
+            let dispatched = lock(&rig.app.dispatched).clone();
+            let door_sheds = peers.iter().filter(|p| p.at_door).count() as u64;
+            let request_sheds = dispatched.iter().filter(|(_, a)| *a == Answer::Shed).count() as u64;
+            prop_assert_eq!(rig.app.sheds.load(Ordering::Relaxed), door_sheds + request_sheds);
+            prop_assert!(lock(&rig.app.request_errors).iter().all(|s| matches!(s, 400 | 408)));
+            for peer in &peers {
+                let written = rig.written(peer.fd);
+                if peer.at_door {
+                    prop_assert_eq!(written, wire(&TestApp::answer("", Answer::Shed), false));
+                    continue;
+                }
+                let tag = format!("/c{}/", peer.fd);
+                let expected: Vec<Response> = dispatched
+                    .iter()
+                    .filter(|(target, _)| target.contains(&tag))
+                    .map(|(target, answer)| TestApp::answer(target, *answer))
+                    .collect();
+                if let Err(message) = check_peer(peer, &written, &expected) {
+                    panic!("{message}");
+                }
+            }
+        }
     }
 }
