@@ -183,31 +183,51 @@ fn take_body(
     Ok(std::mem::replace(buf, rest))
 }
 
+/// Whether `b` may appear in an HTTP token (RFC 9110 `tchar`): header
+/// names and methods.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+}
+
 /// Parses `name: value` header lines out of a head (everything after the
 /// first line). Names are lowercased.
+///
+/// Framing is strict, because a lenient parser in front of a strict one
+/// is how requests get smuggled: lines end in CRLF only (a bare CR or LF
+/// is rejected, RFC 9112 §2.2), and the name is a token that runs right
+/// up to the colon, so whitespace before the colon is rejected (§5.1).
 fn parse_headers(lines: &str) -> Result<Vec<(String, String)>, ReadError> {
     let mut headers = Vec::new();
     for line in lines.split("\r\n").filter(|l| !l.is_empty()) {
+        if line.contains(['\r', '\n']) {
+            return Err(ReadError::Malformed("bare CR or LF in head"));
+        }
         let (name, value) = line
             .split_once(':')
             .ok_or(ReadError::Malformed("header without ':'"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Err(ReadError::Malformed("invalid header name"));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
     Ok(headers)
 }
 
 /// The declared body length across every `Content-Length` header.
 /// Repeating the same value is tolerated (some proxies do); *differing*
-/// values are the classic request-smuggling shape and are rejected.
+/// values are the classic request-smuggling shape and are rejected. The
+/// value is bare digits (RFC 9110 §8.6): `usize::from_str` alone would
+/// also take a leading `+`.
 fn declared_length(headers: &[(String, String)]) -> Result<usize, ReadError> {
     let mut declared: Option<usize> = None;
     for (name, value) in headers {
         if name != "content-length" {
             continue;
         }
-        let v = value
-            .parse::<usize>()
-            .map_err(|_| ReadError::Malformed("bad content-length"))?;
+        let v = Some(value)
+            .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or(ReadError::Malformed("bad content-length"))?;
         if declared.is_some_and(|prev| prev != v) {
             return Err(ReadError::Malformed("conflicting content-length headers"));
         }
@@ -223,6 +243,10 @@ fn parse_request_head(head: &[u8]) -> Result<Request, ReadError> {
     let (request_line, header_lines) = head
         .split_once("\r\n")
         .ok_or(ReadError::Malformed("missing request line"))?;
+    if request_line.contains(['\r', '\n']) {
+        return Err(ReadError::Malformed("bare CR or LF in head"));
+    }
+    // Exactly `method SP target SP version` (RFC 9112 §3).
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts
@@ -232,11 +256,20 @@ fn parse_request_head(head: &[u8]) -> Result<Request, ReadError> {
     let version = match parts
         .next()
         .ok_or(ReadError::Malformed("missing version"))?
+        .as_bytes()
     {
-        "HTTP/1.0" => Version::Http10,
-        v if v.starts_with("HTTP/1.") => Version::Http11,
+        b"HTTP/1.0" => Version::Http10,
+        [b'H', b'T', b'T', b'P', b'/', b'1', b'.', minor] if minor.is_ascii_digit() => {
+            Version::Http11
+        }
         _ => return Err(ReadError::Malformed("unsupported HTTP version")),
     };
+    if parts.next().is_some() {
+        return Err(ReadError::Malformed("junk after the HTTP version"));
+    }
+    if method.is_empty() || !method.bytes().all(is_tchar) || target.is_empty() {
+        return Err(ReadError::Malformed("malformed request line"));
+    }
     let headers = parse_headers(header_lines)?;
     Ok(Request {
         method,
@@ -723,6 +756,7 @@ pub fn write_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mds_harness::prelude::*;
 
     fn parse(bytes: &[u8]) -> Result<Request, ReadError> {
         read_request(&mut io::Cursor::new(bytes.to_vec()), Limits::default())
@@ -948,5 +982,201 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi";
         let req = parse(raw).unwrap();
         assert_eq!(req.body, b"hi");
+    }
+
+    #[test]
+    fn framing_shapes_a_lenient_parser_accepts_are_malformed() {
+        for raw in [
+            &b"POST /x HTTP/1.1\r\ncontent-length: +2\r\n\r\nhi"[..],
+            b"POST /x HTTP/1.1\r\ncontent-length : 2\r\n\r\nhi",
+            b"GET /x HTTP/1.1\nhost: a\r\n\r\n",
+            b"GET /x HTTP/1.1 junk\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(ReadError::Malformed(_))),
+                "{:?} parsed as {:?}",
+                String::from_utf8_lossy(raw),
+                parse(raw)
+            );
+        }
+    }
+
+    /// One valid request of a generated stream.
+    #[derive(Debug, Clone)]
+    struct Shape {
+        post: bool,
+        target: u8,
+        http10: bool,
+        headers: Vec<(u8, u8)>,
+        body: Vec<u8>,
+    }
+
+    fn arb_shape() -> impl Strategy<Value = Shape> {
+        (
+            any::<bool>(),
+            any::<u8>(),
+            any::<bool>(),
+            vec_of((0u8..26, 0u8..26), 0..4),
+            vec_of(any::<u8>(), 0..40),
+        )
+            .prop_map(|(post, target, http10, headers, body)| Shape {
+                post,
+                target,
+                http10,
+                headers,
+                body,
+            })
+    }
+
+    impl Shape {
+        fn wire(&self) -> Vec<u8> {
+            let method = if self.post { "POST" } else { "GET" };
+            let version = if self.http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+            let mut head = format!("{method} /t{} {version}\r\n", self.target);
+            for &(name, value) in &self.headers {
+                let name = (b'a' + name) as char;
+                let value = (b'a' + value) as char;
+                head.push_str(&format!("X-{name}:  v{value} \r\n"));
+            }
+            if self.post {
+                head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+            }
+            head.push_str("\r\n");
+            let mut wire = head.into_bytes();
+            if self.post {
+                wire.extend_from_slice(&self.body);
+            }
+            wire
+        }
+    }
+
+    /// Every request a reader yields when fed `chunks` in turn, as debug
+    /// strings (the parsed form, compared structurally).
+    fn parse_chunks(chunks: &[&[u8]], limits: Limits) -> Result<Vec<String>, String> {
+        let mut reader = RequestReader::new();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            drain_into(&mut reader, chunk);
+            while let Some(request) = reader.try_parse(limits).map_err(|e| e.to_string())? {
+                out.push(format!("{request:?}"));
+            }
+        }
+        Ok(out)
+    }
+
+    /// A smuggling shape: a request whose framing a lenient peer might
+    /// read differently. `variant` picks the family, `pick` the detail.
+    fn smuggling_shape(variant: u8, pick: u8) -> Vec<u8> {
+        let name = ["content-length", "Content-Length", "CONTENT-LENGTH"][pick as usize % 3];
+        let head = match variant {
+            // Two differing lengths.
+            0 => format!(
+                "POST /x HTTP/1.1\r\n{name}: 2\r\n{name}: {}\r\n\r\n",
+                3 + pick % 7
+            ),
+            // Any transfer coding at all.
+            1 => format!(
+                "POST /x HTTP/1.1\r\n{}: {}\r\n{name}: 2\r\n\r\n",
+                ["transfer-encoding", "Transfer-Encoding"][pick as usize % 2],
+                ["chunked", "identity", "gzip, chunked"][pick as usize % 3]
+            ),
+            // Signed, blank, or non-decimal lengths.
+            2 => format!(
+                "POST /x HTTP/1.1\r\n{name}: {}\r\n\r\n",
+                ["+2", "-2", "", " ", "2a", "0x2", "2 2", "+0"][pick as usize % 8]
+            ),
+            // A bare LF (or CR) where CRLF belongs.
+            3 => [
+                "GET /x HTTP/1.1\nhost: a\r\n\r\n",
+                "GET /x HTTP/1.1\r\nhost: a\nx: b\r\n\r\n",
+                "GET /x HTTP/1.1\r\nhost: a\rx: b\r\n\r\n",
+                "GET /x\n HTTP/1.1\r\n\r\n",
+            ][pick as usize % 4]
+                .to_string(),
+            // Whitespace between the name and the colon, or folded lines.
+            4 => format!(
+                "POST /x HTTP/1.1\r\n{name}{}: 2\r\n\r\n",
+                [" ", "\t", "  "][pick as usize % 3]
+            ),
+            // A request line with extra or missing parts.
+            _ => [
+                "GET /x HTTP/1.1 junk\r\n\r\n",
+                "GET  /x HTTP/1.1\r\n\r\n",
+                "GET /x HTTP/1.1 \r\n\r\n",
+                "GET /x HTTP/1.12\r\n\r\n",
+            ][pick as usize % 4]
+                .to_string(),
+        };
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(b"hi");
+        wire
+    }
+
+    properties! {
+        /// However a valid pipelined stream is cut into reads, the reader
+        /// yields exactly the requests a one-shot parse yields.
+        #[test]
+        fn any_split_of_a_pipelined_stream_parses_like_one_shot(
+            shapes in vec_of(arb_shape(), 1..5),
+            cuts in vec_of(any::<u16>(), 0..8),
+        ) {
+            let stream: Vec<u8> = shapes.iter().flat_map(Shape::wire).collect();
+            let whole = parse_chunks(&[&stream], Limits::default()).unwrap();
+            prop_assert_eq!(whole.len(), shapes.len());
+            let mut points: Vec<usize> =
+                cuts.iter().map(|&c| c as usize % (stream.len() + 1)).collect();
+            points.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut at = 0;
+            for point in points.into_iter().chain([stream.len()]) {
+                chunks.push(&stream[at..point]);
+                at = point;
+            }
+            prop_assert_eq!(parse_chunks(&chunks, Limits::default()).unwrap(), whole);
+        }
+
+        /// A head over the limit is `HeadTooLarge` at every split: never
+        /// a parsed request, never another error.
+        #[test]
+        fn an_oversize_head_is_too_large_at_every_split(
+            pad in 1usize..64,
+            terminated: bool,
+            split in any::<u16>(),
+        ) {
+            let limits = Limits { max_head_bytes: 64, max_body_bytes: 64 };
+            let mut head = format!("GET /x HTTP/1.1\r\nx-pad: {}\r\n", "p".repeat(40 + pad));
+            if terminated {
+                head.push_str("\r\n");
+            }
+            let bytes = head.as_bytes();
+            let split = split as usize % (bytes.len() + 1);
+            let mut reader = RequestReader::new();
+            drain_into(&mut reader, &bytes[..split]);
+            let early = reader.try_parse(limits);
+            prop_assert!(
+                matches!(early, Ok(None) | Err(ReadError::HeadTooLarge)),
+                "split {split}: {early:?}"
+            );
+            if early.is_ok() {
+                drain_into(&mut reader, &bytes[split..]);
+                let late = reader.try_parse(limits);
+                prop_assert!(matches!(late, Err(ReadError::HeadTooLarge)), "{late:?}");
+            }
+        }
+
+        /// Conflicting or signed lengths, transfer codings, bare LFs,
+        /// whitespace before a colon, and malformed request lines are all
+        /// rejected as malformed, whole or split.
+        #[test]
+        fn smuggling_shapes_are_malformed(variant in 0u8..6, pick: u8, split: u16) {
+            let wire = smuggling_shape(variant, pick);
+            let split = split as usize % (wire.len() + 1);
+            let result = parse_chunks(&[&wire[..split], &wire[split..]], Limits::default());
+            prop_assert!(
+                matches!(&result, Err(e) if e.starts_with("malformed request")),
+                "{:?} gave {result:?}",
+                String::from_utf8_lossy(&wire)
+            );
+        }
     }
 }
