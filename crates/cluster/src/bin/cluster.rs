@@ -6,6 +6,7 @@
 //! breakers, and failover. Serves until a client posts `/v1/shutdown`,
 //! then drains and exits 0 (backends given via `--backend` are left
 //! running; a `--spawn`ed fleet is shut down with the gateway).
+//! Linux-only: the gateway runs on an `epoll` event loop.
 
 use mds_cluster::fleet::{Fleet, FleetConfig};
 use mds_cluster::gateway::{Gateway, GatewayConfig};
@@ -23,16 +24,13 @@ options:
   --spawn N            additionally spawn N in-process backends on ephemeral ports
   --store DIR          durable store base for spawned backends (backend i under DIR/backend-i)
   --jobs N             simulation threads per spawned backend (default: MDS_JOBS or all cores)
-  --workers N          gateway connection-serving workers (default 4)
-  --queue-depth N      gateway admission queue capacity (default 64)
+  --workers N          gateway request-executing workers (default 4)
+  --queue-depth N      gateway job queue capacity before 503 shedding (default 64)
   --replicas N         distinct backends tried per keyed request (default 2)
   --vnodes N           virtual nodes per backend on the hash ring (default 64)
   --retry-burst N      retry-budget burst above the 20% steady-state ratio (default 16)
   --hedge-ms MS        hedge a second request after MS of silence (default: off)
   --probe-ms MS        readiness-probe interval in milliseconds (default 250)
-  --io MODEL           client-side connection engine: 'epoll' (default on
-                       Linux) or 'threads' (legacy pool, kept for one release);
-                       also applied to --spawn'ed backends
   --quiet              discard the JSON event log (default: stderr)
   -h, --help           show this help
 
@@ -40,7 +38,7 @@ routes:
   POST /v1/experiments   proxy with consistent-hash routing and failover
   GET  /v1/experiments   proxy (round-robin) listing experiment ids
   GET  /healthz          gateway liveness probe
-  GET  /readyz           gateway readiness (503 while draining or no backend in rotation)
+  GET  /readyz           gateway readiness (503 while draining, saturated, or no backend in rotation)
   GET  /metrics          Prometheus text metrics, per-backend and per-route
   GET  /v1/cluster       JSON cluster status: backends, health, breakers
   POST /v1/shutdown      graceful gateway shutdown
@@ -120,10 +118,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 }
                 gateway.probe_interval = Duration::from_millis(ms as u64);
             }
-            "--io" => {
-                let text = value("--io")?;
-                gateway.io = text.parse().map_err(|e| format!("--io: {e}"))?;
-            }
             "--quiet" => gateway.log = LogTarget::Discard,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -157,7 +151,6 @@ fn main() {
             jobs: options.fleet_jobs,
             store_dir: options.store_dir.clone(),
             log: options.gateway.log,
-            io: options.gateway.io,
             ..FleetConfig::default()
         }) {
             Ok(fleet) => fleet,
@@ -218,8 +211,6 @@ mod tests {
                 "40",
                 "--probe-ms",
                 "100",
-                "--io",
-                "threads",
                 "--quiet",
             ]
             .into_iter()
@@ -241,7 +232,6 @@ mod tests {
         assert_eq!(options.gateway.retry_burst, 9);
         assert_eq!(options.gateway.hedge_after, Some(Duration::from_millis(40)));
         assert_eq!(options.gateway.probe_interval, Duration::from_millis(100));
-        assert_eq!(options.gateway.io, mds_serve::io::IoModel::Threads);
         assert_eq!(options.gateway.log, LogTarget::Discard);
     }
 

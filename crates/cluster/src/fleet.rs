@@ -4,11 +4,10 @@
 //! backends without N terminals: this module starts them in-process on
 //! ephemeral ports, hands their addresses to the gateway, and shuts them
 //! down gracefully with it. Each backend is a full [`mds_serve::Server`]
-//! — own acceptor, worker pool, result cache, and trace cache — so a
+//! — own event loop, worker pool, result cache, and trace cache — so a
 //! spawned fleet exercises exactly the code paths of N separate
 //! processes, minus the process boundary.
 
-use mds_serve::io::IoModel;
 use mds_serve::{LogTarget, Server, ServerConfig};
 use std::path::PathBuf;
 
@@ -17,9 +16,9 @@ use std::path::PathBuf;
 pub struct FleetConfig {
     /// Backends to spawn.
     pub backends: usize,
-    /// Connection-serving workers per backend.
+    /// Request-executing workers per backend.
     pub workers: usize,
-    /// Admission-queue depth per backend.
+    /// Job-queue depth per backend.
     pub queue_depth: usize,
     /// Simulation threads per backend (`None`: `MDS_JOBS` or all cores).
     pub jobs: Option<usize>,
@@ -28,9 +27,6 @@ pub struct FleetConfig {
     pub store_dir: Option<PathBuf>,
     /// Access-log destination for every backend.
     pub log: LogTarget,
-    /// Connection engine for every backend (spawned backends run the
-    /// same engine as the gateway fronting them).
-    pub io: IoModel,
 }
 
 impl Default for FleetConfig {
@@ -42,7 +38,6 @@ impl Default for FleetConfig {
             jobs: None,
             store_dir: None,
             log: LogTarget::Discard,
-            io: IoModel::default(),
         }
     }
 }
@@ -72,7 +67,6 @@ impl Fleet {
                     .as_ref()
                     .map(|dir| dir.join(format!("backend-{i}"))),
                 log: config.log,
-                io: config.io,
                 ..ServerConfig::default()
             })?));
         }

@@ -1,16 +1,18 @@
 //! The failover gateway: an HTTP front door over N `mds-serve` backends.
 //!
-//! The gateway reuses the serving crate's wire layer, admission queue,
-//! and structured log wholesale — it is the same kind of server, just
-//! with a proxy where the simulation engine would be. The request path:
+//! The gateway is the same kind of server as a backend, with a proxy
+//! where the simulation engine would be: it runs on `mds-serve`'s shared
+//! front ([`mds_serve::front`]), which owns connections, probes,
+//! shedding, drain and accounting, and adds only its own routes. The
+//! request path:
 //!
-//! 1. The acceptor admits connections through a bounded queue (full
-//!    queue → `503` + `Retry-After`, exactly like a backend).
-//! 2. A worker parses requests and routes them. Keyed requests
-//!    (`POST /v1/experiments`) hash their canonical `(experiment,
-//!    scale)` cache key onto the consistent-hash [ring](crate::ring) so
-//!    each backend serves a stable shard; unkeyed proxy routes
-//!    round-robin.
+//! 1. The front reads requests on its event loop and queues the ones
+//!    that forward upstream for the worker pool (full job queue → `503`
+//!    + `Retry-After`, exactly like a backend).
+//! 2. A worker routes them. Keyed requests (`POST /v1/experiments`)
+//!    hash their canonical `(experiment, scale)` cache key onto the
+//!    consistent-hash [ring](crate::ring) so each backend serves a
+//!    stable shard; unkeyed proxy routes round-robin.
 //! 3. The failover loop walks the key's replica order (then any other
 //!    backend as a last resort), skipping backends that are probed
 //!    unhealthy or whose [breaker](crate::breaker) is open. Transport
@@ -45,18 +47,17 @@ use mds_harness::backoff::Backoff;
 use mds_harness::json::Json;
 use mds_runner::Runner;
 use mds_serve::client::{self, Connection};
-use mds_serve::http::{self, ClientResponse, Limits, ReadError, Request, Response, Version};
-use mds_serve::io::reactor::{self, Dispatch, Outcome};
-use mds_serve::io::IoModel;
+use mds_serve::front::{Front, Running, Tier};
+use mds_serve::http::{ClientResponse, Limits, Request, Response, Version};
+use mds_serve::io::reactor::{self, Outcome};
 use mds_serve::persist;
-use mds_serve::queue::Bounded;
-use mds_serve::{AccessLog, ExperimentRequest, LogTarget};
+use mds_serve::{ExperimentRequest, LogTarget};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,9 +68,10 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Backend `host:port` addresses fronted by this gateway.
     pub backends: Vec<String>,
-    /// Connection-serving worker threads.
+    /// Request-executing worker threads (upstream forwarding and grid
+    /// scatter-gather).
     pub workers: usize,
-    /// Admission-queue capacity; beyond it, connections get `503`.
+    /// Job-queue capacity; requests deferred beyond it get `503`.
     pub queue_depth: usize,
     /// Distinct backends tried per keyed request before falling back to
     /// the rest of the fleet (primary + failover replicas on the ring).
@@ -92,12 +94,12 @@ pub struct GatewayConfig {
     /// Upstream read/write timeout (cold experiments can compute for a
     /// while, so this is generous).
     pub io_timeout: Duration,
-    /// Per-connection client read timeout (also keep-alive idle).
+    /// Client keep-alive idle window, and the per-request body deadline.
     pub read_timeout: Duration,
     /// Total deadline for one client request head (the slow-loris guard;
     /// the read timeout alone resets on every dripped byte).
     pub header_timeout: Duration,
-    /// Per-connection client write timeout.
+    /// Total flush deadline for one client response backlog.
     pub write_timeout: Duration,
     /// Request head/body size limits.
     pub limits: Limits,
@@ -114,11 +116,8 @@ pub struct GatewayConfig {
     pub log: LogTarget,
     /// Seed for breaker cooldown and probe-backoff jitter.
     pub seed: u64,
-    /// Connection engine for the client-facing side: event-driven
-    /// `epoll` (default on Linux) or the legacy thread-per-connection
-    /// pool. Upstream forwarding always runs on workers.
-    pub io: IoModel,
-    /// Concurrent client-connection cap under `--io epoll`.
+    /// Concurrent client-connection cap; accepts beyond it are shed with
+    /// `503` immediately.
     pub max_connections: usize,
     /// Per-backend in-flight window for grid dispatch: how many cell
     /// batches one `POST /v1/grids` keeps outstanding against each
@@ -151,42 +150,26 @@ impl Default for GatewayConfig {
             breaker: BreakerConfig::default(),
             log: LogTarget::Stderr,
             seed: 0x006d_6473,
-            io: IoModel::default(),
             max_connections: 10_000,
             grid_window: 8,
         }
     }
 }
 
-/// An admitted client connection, stamped for queue-wait accounting.
-struct Inbound {
-    stream: TcpStream,
-    enqueued: Instant,
-}
-
-/// State shared by the acceptor, workers, prober, and handle.
+/// The gateway tier: its state, shared by the front's threads, the
+/// prober, handoffs, and the handle.
 struct Shared {
     config: GatewayConfig,
+    front: Front,
     backends: Vec<Arc<Backend>>,
     ring: HashRing,
     metrics: GatewayMetrics,
-    log: AccessLog,
-    queue: Bounded<Inbound>,
-    /// The request-level work queue under `--io epoll`; `None` under
-    /// `--io threads`.
-    jobs: Option<Arc<Bounded<reactor::Job>>>,
-    /// Reactor gauges (`mds_io_*`); all-zero under `--io threads`.
-    io_stats: Arc<reactor::IoStats>,
     /// Round-robin cursor for unkeyed proxy routes.
     round_robin: AtomicU64,
     /// Denominator of the retry budget (proxied requests so far).
     proxied: AtomicU64,
     /// Numerator of the retry budget (budgeted retries so far).
     retries: AtomicU64,
-    stop: AtomicBool,
-    draining: AtomicBool,
-    shutdown_flag: Mutex<bool>,
-    shutdown_cv: Condvar,
 }
 
 /// A running gateway. Dropping it performs a graceful shutdown (the
@@ -194,18 +177,20 @@ struct Shared {
 pub struct Gateway {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    running: Running,
     prober: Option<JoinHandle<()>>,
-    #[cfg(target_os = "linux")]
-    reactor: Option<reactor::Reactor>,
     /// Guards the final summary so Drop after `shutdown` is a no-op.
     finished: bool,
 }
 
 impl Gateway {
-    /// Binds, spawns the acceptor, workers, and health prober, and
-    /// returns immediately.
+    /// Binds, starts serving and the health prober, and returns
+    /// immediately.
+    ///
+    /// # Errors
+    ///
+    /// No backends, bind and thread-spawn failures, and any platform
+    /// without `epoll` (the serving binaries are Linux-only).
     pub fn start(config: GatewayConfig) -> Result<Gateway, String> {
         if config.backends.is_empty() {
             return Err("a gateway needs at least one backend".to_string());
@@ -215,11 +200,7 @@ impl Gateway {
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("no local addr: {e}"))?;
-        let log = match config.log {
-            LogTarget::Stderr => AccessLog::stderr(),
-            LogTarget::Discard => AccessLog::discard(),
-            LogTarget::Memory => AccessLog::memory(),
-        };
+        let front = Front::new("mds_gateway", config.log, config.queue_depth);
         let backends: Vec<Arc<Backend>> = config
             .backends
             .iter()
@@ -233,7 +214,7 @@ impl Gateway {
             })
             .collect();
         let ring = HashRing::new(&config.backends, config.vnodes);
-        log.event(
+        front.log.event(
             Json::object()
                 .field("evt", "ring")
                 .field("backends", backends.len())
@@ -241,100 +222,45 @@ impl Gateway {
                 .field("points", ring.points())
                 .field("replicas", config.replicas),
         );
-        let io = config.io.effective();
-        let jobs = match io {
-            IoModel::Epoll => Some(Arc::new(Bounded::new(config.queue_depth))),
-            IoModel::Threads => None,
-        };
         let shared = Arc::new(Shared {
-            queue: Bounded::new(config.queue_depth),
+            front,
             backends,
             ring,
             metrics: GatewayMetrics::default(),
-            log,
-            jobs,
-            io_stats: Arc::new(reactor::IoStats::default()),
             round_robin: AtomicU64::new(0),
             proxied: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            shutdown_flag: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
             config,
         });
-        let prober = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mds-cluster-prober".to_string())
-                .spawn(move || probe_loop(&shared))
-                .map_err(|e| format!("cannot spawn prober: {e}"))?
-        };
-        #[cfg(target_os = "linux")]
-        if io == IoModel::Epoll {
-            let app = Arc::new(GatewayApp {
-                shared: Arc::clone(&shared),
-            });
-            let reactor = reactor::Reactor::start(
-                listener,
-                app,
-                reactor::Config {
-                    limits: shared.config.limits,
-                    max_requests: shared.config.max_requests_per_connection,
-                    read_timeout: shared.config.read_timeout,
-                    header_timeout: shared.config.header_timeout,
-                    write_timeout: shared.config.write_timeout,
-                    max_connections: shared.config.max_connections,
-                },
-                shared.config.workers,
-                Arc::clone(shared.jobs.as_ref().expect("epoll mode has a job queue")),
-                Arc::clone(&shared.io_stats),
-            )
-            .map_err(|e| format!("cannot start reactor: {e}"))?;
-            return Ok(Gateway {
-                shared,
-                local_addr,
-                acceptor: None,
-                workers: Vec::new(),
-                prober: Some(prober),
-                reactor: Some(reactor),
-                finished: false,
-            });
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mds-cluster-acceptor".to_string())
-                .spawn(move || accept_loop(&shared, listener))
-                .map_err(|e| format!("cannot spawn acceptor: {e}"))?
-        };
-        let mut workers = Vec::with_capacity(shared.config.workers);
-        for i in 0..shared.config.workers {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("mds-cluster-worker-{i}"))
-                    .spawn(move || {
-                        // Each worker keeps its own keep-alive connection
-                        // per backend; no cross-thread pooling locks.
-                        let mut conns = HashMap::new();
-                        while let Some(inbound) = shared.queue.pop() {
-                            handle_connection(&shared, &mut conns, inbound);
-                        }
-                    })
-                    .map_err(|e| format!("cannot spawn worker: {e}"))?,
-            );
-        }
-        Ok(Gateway {
+        let config = &shared.config;
+        let running = Running::start(
+            &shared,
+            listener,
+            reactor::Config {
+                limits: config.limits,
+                max_requests: config.max_requests_per_connection,
+                read_timeout: config.read_timeout,
+                header_timeout: config.header_timeout,
+                write_timeout: config.write_timeout,
+                max_connections: config.max_connections,
+            },
+            config.workers,
+        )?;
+        let mut gateway = Gateway {
             shared,
             local_addr,
-            acceptor: Some(acceptor),
-            workers,
-            prober: Some(prober),
-            #[cfg(target_os = "linux")]
-            reactor: None,
+            running,
+            prober: None,
             finished: false,
-        })
+        };
+        // A failed spawn drops `gateway`, which stops serving.
+        let shared = Arc::clone(&gateway.shared);
+        let prober = std::thread::Builder::new()
+            .name("mds-cluster-prober".to_string())
+            .spawn(move || probe_loop(&shared))
+            .map_err(|e| format!("cannot spawn prober: {e}"))?;
+        gateway.prober = Some(prober);
+        Ok(gateway)
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -354,28 +280,17 @@ impl Gateway {
 
     /// Buffered log lines (only with [`LogTarget::Memory`]).
     pub fn log_lines(&self) -> Vec<String> {
-        self.shared.log.lines()
+        self.shared.front.log.lines()
     }
 
     /// Blocks until a client posts `/v1/shutdown` (or
     /// [`Gateway::shutdown`] runs from another thread).
     pub fn wait_for_shutdown(&self) {
-        let mut requested = self
-            .shared
-            .shutdown_flag
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while !*requested {
-            requested = self
-                .shared
-                .shutdown_cv
-                .wait(requested)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.shared.front.wait_for_shutdown(None);
     }
 
-    /// Graceful shutdown: stop accepting, drain queued and in-flight
-    /// connections, join every thread, flush a final summary event.
+    /// Graceful shutdown: stop accepting, finish in-flight requests, join
+    /// every thread, flush a final summary event.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -385,32 +300,19 @@ impl Gateway {
             return;
         }
         self.finished = true;
-        self.shared.stop.store(true, Ordering::SeqCst);
-        signal_shutdown(&self.shared);
-        #[cfg(target_os = "linux")]
-        if let Some(mut reactor) = self.reactor.take() {
-            reactor.stop_and_join();
-        }
-        if self.acceptor.is_some() {
-            // Wake the acceptor out of its blocking accept() and the
-            // prober out of its timed wait.
-            let _ = TcpStream::connect(self.local_addr);
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.running.stop(&self.shared.front);
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
         let m = &self.shared.metrics;
         let load = |v: &AtomicU64| v.load(Ordering::Relaxed);
-        self.shared.log.event(
+        self.shared.front.log.event(
             Json::object()
                 .field("evt", "shutdown")
-                .field("requests_total", load(&m.requests_total))
+                .field(
+                    "requests_total",
+                    load(&self.shared.front.metrics.requests_total),
+                )
                 .field("proxied_total", load(&m.proxied_total))
                 .field("failovers_total", load(&m.failovers_total))
                 .field("hedges_total", load(&m.hedges_total))
@@ -425,364 +327,64 @@ impl Drop for Gateway {
     }
 }
 
-fn signal_shutdown(shared: &Shared) {
-    shared.draining.store(true, Ordering::SeqCst);
-    *shared
-        .shutdown_flag
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = true;
-    shared.shutdown_cv.notify_all();
-}
-
-fn accept_loop(shared: &Shared, listener: TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        shared
-            .metrics
-            .connections_total
-            .fetch_add(1, Ordering::Relaxed);
-        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-        // Without a write timeout, a client that stops draining its
-        // receive window pins a worker in write() for good.
-        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-        let _ = stream.set_nodelay(true);
-        let inbound = Inbound {
-            stream,
-            enqueued: Instant::now(),
-        };
-        if let Err(rejected) = shared.queue.push(inbound) {
-            shed(shared, rejected.stream);
-        }
-    }
-    shared.queue.close();
-}
-
-/// Counts one shed and returns the backpressure response (written to the
-/// whole connection by the threaded acceptor, to the individual request
-/// by the event-driven engine).
-fn shed_response(shared: &Shared) -> Response {
-    shared
-        .metrics
-        .rejected_total
-        .fetch_add(1, Ordering::Relaxed);
-    shared.metrics.count_response(503);
-    Response::json(503, r#"{"error":"gateway queue full, retry shortly"}"#)
-        .header("retry-after", "1")
-}
-
-fn shed(shared: &Shared, mut stream: TcpStream) {
-    let response = shed_response(shared);
-    let _ = response.write_to(&mut stream, false);
-}
-
-/// Per-worker keep-alive connections, one per backend index.
+/// Per-thread keep-alive connections, one per backend index.
 type ConnCache = HashMap<usize, Connection>;
 
-/// What came of waiting for the next keep-alive request.
-enum IdleWait {
-    /// Bytes are waiting; go read the request.
-    Ready,
-    /// Other connections queued up (or shutdown began): release the
-    /// worker instead of pinning it to an idle peer.
-    Yield,
-    /// The peer closed, errored, or idled past the read timeout.
-    Gone,
-}
-
-/// Blocks until the next request's first byte arrives, in short slices
-/// that re-check the admission queue — the same worker-fairness rule the
-/// backends apply, so an idle keep-alive client can't pin a gateway
-/// worker while admitted connections starve.
-fn await_next_request(stream: &mut TcpStream, shared: &Shared) -> IdleWait {
-    let slice = Duration::from_millis(20).min(shared.config.read_timeout);
-    let deadline = Instant::now() + shared.config.read_timeout;
-    let _ = stream.set_read_timeout(Some(slice));
-    let mut byte = [0u8; 1];
-    let outcome = loop {
-        if shared.stop.load(Ordering::SeqCst) || !shared.queue.is_empty() {
-            break IdleWait::Yield;
-        }
-        match stream.peek(&mut byte) {
-            Ok(0) => break IdleWait::Gone,
-            Ok(_) => break IdleWait::Ready,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if Instant::now() >= deadline {
-                    break IdleWait::Gone;
-                }
-            }
-            Err(_) => break IdleWait::Gone,
-        }
-    };
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    outcome
-}
-
-fn handle_connection(shared: &Shared, conns: &mut ConnCache, inbound: Inbound) {
-    let queue_wait_us = inbound.enqueued.elapsed().as_micros() as u64;
-    let mut stream = inbound.stream;
-    let mut reader = http::RequestReader::new();
-    for served in 0..shared.config.max_requests_per_connection {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if served > 0 && reader.buffered() == 0 {
-            match await_next_request(&mut stream, shared) {
-                IdleWait::Ready => {}
-                IdleWait::Yield | IdleWait::Gone => break,
-            }
-        }
-        // Read under a *total* header deadline — per-read timeouts alone
-        // reset on every dripped byte (slow loris).
-        let request = match http::read_request_deadline(
-            &mut reader,
-            &mut stream,
-            shared.config.limits,
-            shared.config.read_timeout,
-            shared.config.header_timeout,
-        ) {
-            Ok(request) => request,
-            Err(e) => {
-                let status = match e {
-                    ReadError::Closed | ReadError::TimedOut | ReadError::Io(_) => break,
-                    ReadError::HeaderTimeout => 408,
-                    ReadError::HeadTooLarge | ReadError::BodyTooLarge => 413,
-                    ReadError::Malformed(_) => 400,
-                };
-                shared.metrics.count_response(status);
-                let body = Json::object().field("error", e.to_string()).to_string();
-                let _ = Response::json(status, body).write_to(&mut stream, false);
-                break;
-            }
-        };
-        let started = Instant::now();
-        shared
-            .metrics
-            .routes
-            .count(&request.method, &request.target);
-        let routed = route(shared, conns, &request);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        shared.metrics.count_response(routed.response.status());
-        // Same fairness rule as the backends: when other client
-        // connections are queued for a worker, close after this response
-        // so the slot cycles instead of pinning to one keep-alive peer.
-        let keep_alive = request.wants_keep_alive()
-            && !routed.close
-            && served + 1 < shared.config.max_requests_per_connection
-            && shared.queue.is_empty()
-            && !shared.stop.load(Ordering::SeqCst);
-        shared.log.event(
-            Json::object()
-                .field("evt", "gateway")
-                .field("method", request.method.as_str())
-                .field("target", request.target.as_str())
-                .field("status", routed.response.status() as u64)
-                .field("queue_wait_us", if served == 0 { queue_wait_us } else { 0 })
-                .field("us", elapsed_us)
-                .field("bytes", routed.response.body_len()),
-        );
-        if routed.response.write_to(&mut stream, keep_alive).is_err() || !keep_alive {
-            break;
-        }
-    }
-}
-
-/// What the router produced for one request.
-struct Routed {
-    response: Response,
-    close: bool,
-}
-
 thread_local! {
-    /// Per-thread upstream keep-alive connections, one per backend — the
-    /// event-driven engine's equivalent of the per-worker `ConnCache` the
-    /// threaded pool passes around explicitly. Each pool worker (and the
-    /// reactor thread, though it never forwards) gets its own cache, so
-    /// upstream pooling stays lock-free.
+    /// Per-thread upstream keep-alive connections, one per backend. Each
+    /// pool worker (and the reactor thread, though it never forwards)
+    /// gets its own cache, so upstream pooling stays lock-free.
     static UPSTREAM: RefCell<ConnCache> = RefCell::new(HashMap::new());
 }
 
-/// The gateway application behind the event-driven engine: probes and
-/// control answered on the reactor, upstream forwarding deferred to the
-/// worker pool (it blocks on backend I/O).
-struct GatewayApp {
-    shared: Arc<Shared>,
-}
+impl Tier for Shared {
+    const PATHS: &'static [&'static str] = &["/v1/cluster", "/v1/experiments", "/v1/grids"];
 
-impl GatewayApp {
-    /// Counts and logs one finished response, mirroring the threaded
-    /// path's per-request `evt:gateway` record.
-    fn account(&self, request: &Request, outcome: &Outcome, queue_wait_us: u64, compute_us: u64) {
-        let shared = &self.shared;
-        shared.metrics.count_response(outcome.response.status());
-        shared.log.event(
-            Json::object()
-                .field("evt", "gateway")
-                .field("method", request.method.as_str())
-                .field("target", request.target.as_str())
-                .field("status", outcome.response.status() as u64)
-                .field("queue_wait_us", queue_wait_us)
-                .field("us", compute_us)
-                .field("bytes", outcome.response.body_len()),
-        );
-    }
-}
-
-impl reactor::App for GatewayApp {
-    fn dispatch(&self, request: &Request) -> Dispatch {
-        match (request.method.as_str(), request.target.as_str()) {
-            // Forwarding blocks on upstream sockets: pool work. A grid
-            // scatter additionally blocks on the whole fan-out.
-            ("GET" | "POST", "/v1/experiments") | ("POST", "/v1/grids") => Dispatch::Defer,
-            _ => {
-                let started = Instant::now();
-                self.shared
-                    .metrics
-                    .routes
-                    .count(&request.method, &request.target);
-                let routed =
-                    UPSTREAM.with(|conns| route(&self.shared, &mut conns.borrow_mut(), request));
-                let compute_us = started.elapsed().as_micros() as u64;
-                let outcome = Outcome {
-                    response: routed.response,
-                    cache: "-",
-                    close: routed.close,
-                };
-                self.account(request, &outcome, 0, compute_us);
-                Dispatch::Inline(outcome)
-            }
-        }
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    fn execute(&self, request: &Request) -> Outcome {
-        self.shared
-            .metrics
-            .routes
-            .count(&request.method, &request.target);
-        let routed = UPSTREAM.with(|conns| route(&self.shared, &mut conns.borrow_mut(), request));
-        Outcome {
-            response: routed.response,
-            cache: "-",
-            close: routed.close,
-        }
+    /// Forwarding blocks on upstream sockets: pool work. A grid scatter
+    /// additionally blocks on the whole fan-out.
+    fn defers(&self, request: &Request) -> bool {
+        matches!(
+            (request.method.as_str(), request.target.as_str()),
+            ("GET" | "POST", "/v1/experiments") | ("POST", "/v1/grids")
+        )
     }
 
-    fn on_connection(&self) {
-        self.shared
-            .metrics
-            .connections_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_response(
-        &self,
-        request: &Request,
-        outcome: &Outcome,
-        queue_wait_us: u64,
-        compute_us: u64,
-    ) {
-        self.account(request, outcome, queue_wait_us, compute_us);
-    }
-
-    fn shed(&self, _queue_len: usize) -> Response {
-        shed_response(&self.shared)
-    }
-
-    fn on_request_error(&self, status: u16) {
-        self.shared.metrics.count_response(status);
-    }
-
-    fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst) || self.shared.stop.load(Ordering::SeqCst)
-    }
-}
-
-fn route(shared: &Shared, conns: &mut ConnCache, request: &Request) -> Routed {
-    let pass = |response: Response| Routed {
-        response,
-        close: false,
-    };
-    match (request.method.as_str(), request.target.as_str()) {
-        ("GET", "/healthz") => pass(Response::text(200, "ok\n")),
-        ("GET", "/readyz") => pass(readiness(shared)),
-        ("GET", "/metrics") => {
-            let io = &shared.io_stats;
-            let depth = shared
-                .jobs
-                .as_ref()
-                .map_or_else(|| shared.queue.len(), |j| j.len());
-            pass(
-                Response::new(200)
-                    .header("content-type", "text/plain; version=0.0.4; charset=utf-8")
-                    .body(metrics::render(
-                        &shared.metrics,
-                        &shared.backends,
-                        depth,
-                        (
-                            io.registered_fds.load(Ordering::Relaxed),
-                            io.ready_depth.load(Ordering::Relaxed),
-                            io.timer_fires.load(Ordering::Relaxed),
-                        ),
-                    )),
-            )
-        }
-        ("GET", "/v1/cluster") => pass(Response::json(200, cluster_status(shared))),
-        ("GET", "/v1/experiments") => pass(forward(shared, conns, request, None)),
-        ("POST", "/v1/experiments") => {
+    fn route(&self, request: &Request) -> Option<Outcome> {
+        self.metrics.routes.count(&request.method, &request.target);
+        let proxy = |key: Option<String>| {
+            UPSTREAM.with(|conns| forward(self, &mut conns.borrow_mut(), request, key))
+        };
+        let response = match (request.method.as_str(), request.target.as_str()) {
+            ("GET", "/v1/cluster") => Response::json(200, cluster_status(self)),
+            ("GET", "/v1/experiments") => proxy(None),
             // Parse only to derive the routing key; an unparsable body
             // still goes upstream (unkeyed) so the client sees the
-            // backend's own positioned 400 — the gateway is a
-            // transport, not a second validator.
-            let key = ExperimentRequest::from_body(&request.body)
-                .ok()
-                .map(|r| r.cache_key());
-            pass(forward(shared, conns, request, key))
-        }
-        ("POST", "/v1/grids") => serve_grid(shared, &request.body),
-        ("POST", "/v1/shutdown") => {
-            signal_shutdown(shared);
-            Routed {
-                response: Response::json(200, r#"{"status":"shutting down"}"#),
-                close: true,
-            }
-        }
-        (
-            _,
-            "/healthz" | "/readyz" | "/metrics" | "/v1/cluster" | "/v1/experiments" | "/v1/grids"
-            | "/v1/shutdown",
-        ) => pass(Response::json(405, r#"{"error":"method not allowed"}"#)),
-        _ => pass(Response::json(404, r#"{"error":"not found"}"#)),
+            // backend's own positioned 400 — the gateway is a transport,
+            // not a second validator.
+            ("POST", "/v1/experiments") => proxy(
+                ExperimentRequest::from_body(&request.body)
+                    .ok()
+                    .map(|r| r.cache_key()),
+            ),
+            ("POST", "/v1/grids") => serve_grid(self, &request.body),
+            _ => return None,
+        };
+        Some(Outcome::new(response))
     }
-}
 
-/// Gateway readiness: `503` while draining or while no backend is in
-/// rotation (nothing upstream could answer), `200` otherwise.
-fn readiness(shared: &Shared) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::json(503, r#"{"ready":false,"reason":"draining"}"#)
-            .header("retry-after", "1");
+    /// Nothing upstream could answer while no backend is in rotation.
+    fn not_ready(&self) -> Option<&'static str> {
+        let now = Instant::now();
+        (!self.backends.iter().any(|b| b.in_rotation(now))).then_some("no backend in rotation")
     }
-    let now = Instant::now();
-    if !shared.backends.iter().any(|b| b.in_rotation(now)) {
-        return Response::json(503, r#"{"ready":false,"reason":"no backend in rotation"}"#)
-            .header("retry-after", "1");
+
+    fn render_metrics(&self, out: &mut String) {
+        metrics::render(&self.metrics, &self.backends, out);
     }
-    Response::text(200, "ready\n")
 }
 
 /// The `/v1/cluster` status document.
@@ -878,7 +480,7 @@ fn take_retry(shared: &Shared) -> bool {
 
 fn log_transition(shared: &Shared, backend: &Backend, t: Option<crate::breaker::Transition>) {
     if let Some(t) = t {
-        shared.log.event(
+        shared.front.log.event(
             Json::object()
                 .field("evt", "breaker")
                 .field("backend", backend.addr.as_str())
@@ -964,10 +566,13 @@ fn forward(
     shared.metrics.proxied_total.fetch_add(1, Ordering::Relaxed);
     shared.proxied.fetch_add(1, Ordering::Relaxed);
     let rotation = rotation_order(shared, key.as_deref());
-    let response = if let (Some(hedge_after), Some(_)) = (shared.config.hedge_after, key.as_ref()) {
-        forward_hedged(shared, &rotation, request, hedge_after)
-    } else {
-        forward_serial(shared, conns, &rotation, request)
+    let answer = match (shared.config.hedge_after, key) {
+        (Some(hedge_after), Some(_)) => failover_hedged(shared, &rotation, request, hedge_after),
+        _ => failover_serial(shared, conns, &rotation, request, None),
+    };
+    let response = match answer {
+        Ok(upstream) => passthrough(upstream),
+        Err(last_shed) => exhausted(shared, last_shed),
     };
     shared
         .metrics
@@ -988,18 +593,6 @@ fn exhausted(shared: &Shared, last_shed: Option<ClientResponse>) -> Response {
         Some(upstream) => passthrough(upstream),
         None => Response::json(503, r#"{"error":"no backend available, retry shortly"}"#)
             .header("retry-after", "1"),
-    }
-}
-
-fn forward_serial(
-    shared: &Shared,
-    conns: &mut ConnCache,
-    candidates: &[usize],
-    request: &Request,
-) -> Response {
-    match failover_serial(shared, conns, candidates, request, None) {
-        Ok(upstream) => passthrough(upstream),
-        Err(last_shed) => exhausted(shared, last_shed),
     }
 }
 
@@ -1079,11 +672,9 @@ fn grid_owners(shared: &Shared, plan: &grid::GridPlan) -> HashMap<String, usize>
 /// backend serving the same grid. The cells of a batch that every
 /// candidate fails, or that comes back malformed, are computed locally
 /// by the merger, so backend loss degrades latency, never the answer.
-fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
-    let bad = |message: String| Routed {
-        response: Response::json(400, Json::object().field("error", message).to_string()),
-        close: false,
-    };
+fn serve_grid(shared: &Shared, body: &[u8]) -> Response {
+    let bad =
+        |message: String| Response::json(400, Json::object().field("error", message).to_string());
     let Ok(text) = std::str::from_utf8(body) else {
         return bad("body is not UTF-8".to_string());
     };
@@ -1142,7 +733,7 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
             };
             if let Some(error) = failure {
                 failed_cells += batch.cells.len() - (merger.accepted() - before);
-                shared.log.event(
+                shared.front.log.event(
                     Json::object()
                         .field("evt", "grid_batch_failed")
                         .field("key", batch.route_key.as_str())
@@ -1163,7 +754,7 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
         Ok(doc) => Response::json(200, doc),
         Err(message) => Response::json(500, Json::object().field("error", message).to_string()),
     };
-    shared.log.event(
+    shared.front.log.event(
         Json::object()
             .field("evt", "grid")
             .field("experiments", grid_request.experiments.len() as u64)
@@ -1172,10 +763,7 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Routed {
             .field("failed", failed_cells as u64)
             .field("us", started.elapsed().as_micros() as u64),
     );
-    Routed {
-        response,
-        close: false,
-    }
+    response
 }
 
 /// The serial failover loop shared by the experiment proxy path and
@@ -1229,7 +817,7 @@ fn failover_serial(
                 backend.stats.failures.fetch_add(1, Ordering::Relaxed);
                 let t = backend.with_breaker(|b| b.record_failure(Instant::now()));
                 log_transition(shared, backend, t);
-                shared.log.event(
+                shared.front.log.event(
                     Json::object()
                         .field("evt", "upstream_error")
                         .field("backend", backend.addr.as_str())
@@ -1241,25 +829,12 @@ fn failover_serial(
     Err(last_shed)
 }
 
-/// The hedged proxy path: attempts run in spawned threads over fresh
-/// connections, all reporting into one channel; a timeout launches the
-/// next candidate (a hedge), a failure launches it immediately (a
-/// failover), and the first non-shed response wins.
-fn forward_hedged(
-    shared: &Shared,
-    candidates: &[usize],
-    request: &Request,
-    hedge_after: Duration,
-) -> Response {
-    match failover_hedged(shared, candidates, request, hedge_after) {
-        Ok(upstream) => passthrough(upstream),
-        Err(last_shed) => exhausted(shared, last_shed),
-    }
-}
-
-/// The hedged failover loop behind [`forward_hedged`], also used per
-/// grid cell when hedging is configured. Returns the winning upstream
-/// response, or `Err(last shed response)` once exhausted.
+/// The hedged failover loop, for keyed proxy requests and grid batches
+/// when hedging is configured: attempts run in spawned threads over
+/// fresh connections, all reporting into one channel; a timeout launches
+/// the next candidate (a hedge), a failure launches it immediately (a
+/// failover), and the first non-shed response wins. Returns the winning
+/// upstream response, or `Err(last shed response)` once exhausted.
 fn failover_hedged(
     shared: &Shared,
     candidates: &[usize],
@@ -1375,7 +950,7 @@ fn failover_hedged(
                 backend.stats.failures.fetch_add(1, Ordering::Relaxed);
                 let t = backend.with_breaker(|b| b.record_failure(Instant::now()));
                 log_transition(shared, backend, t);
-                shared.log.event(
+                shared.front.log.event(
                     Json::object()
                         .field("evt", "upstream_error")
                         .field("backend", backend.addr.as_str())
@@ -1421,7 +996,7 @@ fn probe_loop(shared: &Arc<Shared>) {
         .collect();
     let mut due: Vec<Instant> = vec![Instant::now(); n];
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.front.draining() {
             return;
         }
         let now = Instant::now();
@@ -1439,7 +1014,7 @@ fn probe_loop(shared: &Arc<Shared>) {
             let healthy = matches!(verdict, Ok(ref r) if r.status == 200);
             let was = backend.set_healthy(healthy);
             if was != healthy {
-                shared.log.event(
+                shared.front.log.event(
                     Json::object()
                         .field("evt", "health")
                         .field("backend", backend.addr.as_str())
@@ -1466,16 +1041,12 @@ fn probe_loop(shared: &Arc<Shared>) {
         let sleep = next_due
             .saturating_duration_since(Instant::now())
             .min(shared.config.probe_interval);
-        let guard = shared
-            .shutdown_flag
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if *guard {
+        if shared
+            .front
+            .wait_for_shutdown(Some(sleep.max(Duration::from_millis(5))))
+        {
             return;
         }
-        let _ = shared
-            .shutdown_cv
-            .wait_timeout(guard, sleep.max(Duration::from_millis(5)));
     }
 }
 
@@ -1589,7 +1160,7 @@ fn handoff(shared: &Arc<Shared>, target_idx: usize) {
         .metrics
         .handoff_errors_total
         .fetch_add(errors, Ordering::Relaxed);
-    shared.log.event(
+    shared.front.log.event(
         Json::object()
             .field("evt", "handoff")
             .field("backend", target.addr.as_str())

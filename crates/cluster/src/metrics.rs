@@ -1,6 +1,9 @@
 //! Gateway metrics: cluster-wide counters plus labeled per-backend and
 //! per-route families, rendered in the same Prometheus text exposition
-//! (version 0.0.4) as the backends' own `/metrics`.
+//! (version 0.0.4) as the backends' own `/metrics`. The connection,
+//! shed, request and response families both tiers keep are rendered by
+//! the shared front as `mds_gateway_*`
+//! ([`mds_serve::metrics::render_front`]).
 
 use crate::backend::Backend;
 use mds_harness::stats::Histogram;
@@ -12,18 +15,6 @@ use std::sync::Arc;
 /// [`Backend`]).
 #[derive(Debug, Default)]
 pub struct GatewayMetrics {
-    /// Connections the gateway acceptor accepted.
-    pub connections_total: AtomicU64,
-    /// Connections shed at the gateway's own admission queue.
-    pub rejected_total: AtomicU64,
-    /// Requests fully parsed and routed.
-    pub requests_total: AtomicU64,
-    /// Responses with 2xx status.
-    pub responses_2xx: AtomicU64,
-    /// Responses with 4xx status.
-    pub responses_4xx: AtomicU64,
-    /// Responses with 5xx status.
-    pub responses_5xx: AtomicU64,
     /// Proxied requests entering the failover path.
     pub proxied_total: AtomicU64,
     /// Retry-budget units consumed (failovers + hedges).
@@ -57,19 +48,6 @@ pub struct GatewayMetrics {
     pub upstream_latency: Histogram,
     /// Per-route request counters.
     pub routes: RouteCounters,
-}
-
-impl GatewayMetrics {
-    /// Counts a response by status class.
-    pub fn count_response(&self, status: u16) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-        let class = match status {
-            200..=299 => &self.responses_2xx,
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
-        };
-        class.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Requests per route, labeled `route="METHOD /path"` in the exposition.
@@ -144,157 +122,89 @@ fn labeled(
     }
 }
 
-/// Renders the full gateway exposition. `io` carries the event-engine
-/// gauges (all-zero under `--io threads`) as `(registered fds, ready
-/// events, timer fires)`.
-pub fn render(
-    m: &GatewayMetrics,
-    backends: &[Arc<Backend>],
-    queue_depth: usize,
-    io: (u64, u64, u64),
-) -> String {
-    let mut out = String::with_capacity(4096);
+/// Appends the gateway's own families.
+pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     let c = |v: &AtomicU64| v.load(Ordering::Relaxed);
     counter(
-        &mut out,
-        "mds_gateway_connections_total",
-        "Connections the gateway accepted.",
-        c(&m.connections_total),
-    );
-    counter(
-        &mut out,
-        "mds_gateway_rejected_total",
-        "Connections shed at the gateway admission queue.",
-        c(&m.rejected_total),
-    );
-    counter(
-        &mut out,
-        "mds_gateway_requests_total",
-        "Requests routed by the gateway.",
-        c(&m.requests_total),
-    );
-    counter(
-        &mut out,
-        "mds_gateway_responses_2xx_total",
-        "Responses with 2xx status.",
-        c(&m.responses_2xx),
-    );
-    counter(
-        &mut out,
-        "mds_gateway_responses_4xx_total",
-        "Responses with 4xx status.",
-        c(&m.responses_4xx),
-    );
-    counter(
-        &mut out,
-        "mds_gateway_responses_5xx_total",
-        "Responses with 5xx status.",
-        c(&m.responses_5xx),
-    );
-    counter(
-        &mut out,
+        out,
         "mds_gateway_proxied_total",
         "Requests that entered the proxy failover path.",
         c(&m.proxied_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_retries_total",
         "Retry-budget units consumed (failovers plus hedges).",
         c(&m.retries_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_failovers_total",
         "Failover attempts to another backend.",
         c(&m.failovers_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_hedges_total",
         "Hedged second requests launched.",
         c(&m.hedges_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_hedge_wins_total",
         "Hedges that answered before the original attempt.",
         c(&m.hedge_wins_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_unavailable_total",
         "Proxied requests that exhausted every candidate backend.",
         c(&m.unavailable_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_grids_total",
         "Grid requests entering the scatter-gather path.",
         c(&m.grids_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_grid_cells_total",
         "Grid cells dispatched upstream.",
         c(&m.grid_cells_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_grid_cell_failures_total",
         "Grid cells recomputed locally after exhausting failover.",
         c(&m.grid_cell_failures_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_handoffs_total",
         "Warm-cache handoffs performed for recovered backends.",
         c(&m.handoffs_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_handoff_keys_total",
         "Warm entries streamed to recovering backends.",
         c(&m.handoff_keys_total),
     );
     counter(
-        &mut out,
+        out,
         "mds_gateway_handoff_errors_total",
         "Handoff transfer errors (failed dump, refused fill, epoch skew).",
         c(&m.handoff_errors_total),
     );
     gauge(
-        &mut out,
-        "mds_gateway_queue_depth",
-        "Connections waiting in the gateway admission queue.",
-        queue_depth as u64,
-    );
-    gauge(
-        &mut out,
+        out,
         "mds_gateway_backends",
         "Backends configured on the ring.",
         backends.len() as u64,
     );
-    gauge(
-        &mut out,
-        "mds_io_registered_fds",
-        "Fds registered with the gateway's event poller (0 under --io threads).",
-        io.0,
-    );
-    gauge(
-        &mut out,
-        "mds_io_ready_queue_depth",
-        "Readiness events delivered by the gateway's most recent poll.",
-        io.1,
-    );
-    counter(
-        &mut out,
-        "mds_io_timer_fires_total",
-        "Client-connection deadlines fired by the gateway's timer wheel.",
-        io.2,
-    );
     labeled(
-        &mut out,
+        out,
         "mds_gateway_route_requests_total",
         "Requests per route.",
         "counter",
@@ -320,7 +230,7 @@ pub fn render(
             .collect::<Vec<_>>()
     };
     labeled(
-        &mut out,
+        out,
         "mds_gateway_backend_attempts_total",
         "Proxy attempts per backend.",
         "counter",
@@ -328,7 +238,7 @@ pub fn render(
         per_backend(|v| v.attempts).into_iter(),
     );
     labeled(
-        &mut out,
+        out,
         "mds_gateway_backend_failures_total",
         "Transport failures per backend.",
         "counter",
@@ -336,7 +246,7 @@ pub fn render(
         per_backend(|v| v.failures).into_iter(),
     );
     labeled(
-        &mut out,
+        out,
         "mds_gateway_backend_sheds_total",
         "503 answers per backend.",
         "counter",
@@ -344,7 +254,7 @@ pub fn render(
         per_backend(|v| v.sheds).into_iter(),
     );
     labeled(
-        &mut out,
+        out,
         "mds_gateway_backend_breaker_opens_total",
         "Circuit-breaker trips per backend.",
         "counter",
@@ -352,7 +262,7 @@ pub fn render(
         per_backend(|v| v.opens).into_iter(),
     );
     labeled(
-        &mut out,
+        out,
         "mds_gateway_backend_healthy",
         "Last readiness-probe verdict per backend (1 healthy).",
         "gauge",
@@ -360,7 +270,7 @@ pub fn render(
         per_backend(|v| v.healthy).into_iter(),
     );
     labeled(
-        &mut out,
+        out,
         "mds_gateway_backend_breaker_state",
         "Breaker state per backend (0 closed, 1 half-open, 2 open).",
         "gauge",
@@ -370,14 +280,13 @@ pub fn render(
     m.proxy_latency.render_prometheus(
         "mds_gateway_proxy_microseconds",
         "Gateway end-to-end latency of proxied requests.",
-        &mut out,
+        out,
     );
     m.upstream_latency.render_prometheus(
         "mds_gateway_upstream_microseconds",
         "Latency of individual upstream attempts.",
-        &mut out,
+        out,
     );
-    out
 }
 
 /// Point-in-time snapshot of one backend's counters, for rendering.
@@ -398,7 +307,8 @@ mod tests {
     #[test]
     fn render_emits_labeled_backend_and_route_families() {
         let m = GatewayMetrics::default();
-        m.count_response(200);
+        let front = mds_serve::Metrics::default();
+        front.count_response(200);
         m.routes.count("POST", "/v1/experiments");
         m.routes.count("GET", "/nope");
         let backends = vec![
@@ -415,7 +325,13 @@ mod tests {
         ];
         backends[1].stats.attempts.fetch_add(7, Ordering::Relaxed);
         backends[1].set_healthy(false);
-        let text = render(&m, &backends, 3, (12, 4, 9));
+        let io = mds_serve::io::reactor::IoStats::default();
+        io.registered_fds.store(12, Ordering::Relaxed);
+        io.ready_depth.store(4, Ordering::Relaxed);
+        io.timer_fires.store(9, Ordering::Relaxed);
+        let mut text = String::new();
+        mds_serve::metrics::render_front("mds_gateway", &front, 3, &io, &mut text);
+        render(&m, &backends, &mut text);
         for needle in [
             "mds_gateway_requests_total 1",
             "mds_gateway_responses_2xx_total 1",

@@ -534,3 +534,141 @@ fn gateway_shutdown_via_http_drains_cleanly() {
     assert!(request_once(&addr, "GET", "/healthz", b"", Duration::from_millis(500)).is_err());
     fleet.shutdown();
 }
+
+/// A gauge's value in a `/metrics` exposition.
+fn metric(text: &str, name: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn gateway_readyz_reports_its_own_saturated_job_queue() {
+    // With no workers and room for one job, one parked experiment fills
+    // the gateway's job queue: every further deferred request would be
+    // shed, so readiness must say so, exactly like a backend does.
+    let fleet = fleet(1);
+    let gateway = Gateway::start(GatewayConfig {
+        addr: "127.0.0.1:0".to_string(),
+        backends: fleet.addrs(),
+        workers: 0,
+        queue_depth: 1,
+        probe_interval: Duration::from_millis(50),
+        log: LogTarget::Memory,
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+    assert_eq!(request(&gateway, "GET", "/readyz", b"").status, 200);
+
+    let mut parked = std::net::TcpStream::connect(gateway.local_addr()).unwrap();
+    parked
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let body: &[u8] = br#"{"experiment":"fig5","scale":"tiny"}"#;
+    mds_serve::http::write_request(&mut parked, "POST", "/v1/experiments", body).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let metrics = request(&gateway, "GET", "/metrics", b"");
+        let text = String::from_utf8_lossy(&metrics.body).to_string();
+        if metric(&text, "mds_gateway_queue_depth") == Some(1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job never queued:\n{text}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let ready = request(&gateway, "GET", "/readyz", b"");
+    assert_eq!(
+        ready.status,
+        503,
+        "{:?}",
+        String::from_utf8_lossy(&ready.body)
+    );
+    assert_eq!(ready.header("retry-after"), Some("1"));
+    assert!(String::from_utf8_lossy(&ready.body).contains("admission queue saturated"));
+
+    // Drain runs the parked job: its client still gets the full answer.
+    std::thread::scope(|scope| {
+        let drainer = scope.spawn(move || gateway.shutdown());
+        let drained = mds_serve::http::read_response(&mut parked).expect("drained response");
+        assert_eq!(drained.status, 200);
+        assert_eq!(drained.body, cli_fig5_tiny().as_bytes());
+        drainer.join().unwrap();
+    });
+    fleet.shutdown();
+}
+
+#[test]
+fn framing_shapes_a_lenient_parser_accepts_get_400_at_the_gateway() {
+    let fleet = fleet(1);
+    let gateway = gateway_over(fleet.addrs());
+    for raw in [
+        &b"GET /healthz HTTP/1.1\r\ncontent-length: +2\r\n\r\nhi"[..],
+        b"GET /healthz HTTP/1.1\r\ncontent-length : 2\r\n\r\nhi",
+        b"GET /healthz HTTP/1.1\nhost: a\r\n\r\n",
+        b"GET /healthz HTTP/1.1 junk\r\n\r\n",
+    ] {
+        use std::io::Write;
+        let mut stream = std::net::TcpStream::connect(gateway.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(raw).unwrap();
+        let response = mds_serve::http::read_response(&mut stream).expect("an error response");
+        assert_eq!(response.status, 400, "{:?}", String::from_utf8_lossy(raw));
+    }
+    gateway.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
+fn gateway_metrics_family_names_stay_pinned() {
+    // CI gates grep these names; renaming one is a breaking change.
+    let fleet = fleet(1);
+    let gateway = gateway_over(fleet.addrs());
+    let metrics = request(&gateway, "GET", "/metrics", b"");
+    assert_eq!(metrics.status, 200);
+    let text = String::from_utf8(metrics.body).unwrap();
+    let mut families: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .collect();
+    families.sort_unstable();
+    let pinned = [
+        "mds_gateway_backend_attempts_total",
+        "mds_gateway_backend_breaker_opens_total",
+        "mds_gateway_backend_breaker_state",
+        "mds_gateway_backend_failures_total",
+        "mds_gateway_backend_healthy",
+        "mds_gateway_backend_sheds_total",
+        "mds_gateway_backends",
+        "mds_gateway_connections_total",
+        "mds_gateway_failovers_total",
+        "mds_gateway_grid_cell_failures_total",
+        "mds_gateway_grid_cells_total",
+        "mds_gateway_grids_total",
+        "mds_gateway_handoff_errors_total",
+        "mds_gateway_handoff_keys_total",
+        "mds_gateway_handoffs_total",
+        "mds_gateway_hedge_wins_total",
+        "mds_gateway_hedges_total",
+        "mds_gateway_proxied_total",
+        "mds_gateway_proxy_microseconds",
+        "mds_gateway_queue_depth",
+        "mds_gateway_rejected_total",
+        "mds_gateway_requests_total",
+        "mds_gateway_responses_2xx_total",
+        "mds_gateway_responses_4xx_total",
+        "mds_gateway_responses_5xx_total",
+        "mds_gateway_retries_total",
+        "mds_gateway_route_requests_total",
+        "mds_gateway_unavailable_total",
+        "mds_gateway_upstream_microseconds",
+        "mds_io_ready_queue_depth",
+        "mds_io_registered_fds",
+        "mds_io_timer_fires_total",
+    ];
+    assert_eq!(families, pinned, "{text}");
+    gateway.shutdown();
+    fleet.shutdown();
+}

@@ -22,8 +22,8 @@ pub struct AccessRecord {
     pub target: String,
     /// Response status.
     pub status: u16,
-    /// Microseconds the connection waited in the admission queue before a
-    /// worker picked it up (0 for follow-on keep-alive requests).
+    /// Microseconds the request waited in the job queue before a worker
+    /// picked it up (0 for requests answered on the reactor thread).
     pub queue_wait_us: u64,
     /// Microseconds spent producing the response.
     pub compute_us: u64,
@@ -56,30 +56,32 @@ enum Sink {
     Memory(Vec<String>),
 }
 
+/// Where the structured log goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogTarget {
+    /// JSON lines to stderr (production).
+    Stderr,
+    /// Nowhere (benchmarks, `--quiet`).
+    Discard,
+    /// An in-memory buffer (tests).
+    Memory,
+}
+
 /// A thread-safe structured log writer.
 pub struct AccessLog {
     sink: Mutex<Sink>,
 }
 
 impl AccessLog {
-    /// Logs JSON lines to stderr (the production configuration).
-    pub fn stderr() -> AccessLog {
+    /// A log writing to `target`.
+    pub fn new(target: LogTarget) -> AccessLog {
+        let sink = match target {
+            LogTarget::Stderr => Sink::Stderr,
+            LogTarget::Discard => Sink::Discard,
+            LogTarget::Memory => Sink::Memory(Vec::new()),
+        };
         AccessLog {
-            sink: Mutex::new(Sink::Stderr),
-        }
-    }
-
-    /// Discards everything (benchmarks and quiet mode).
-    pub fn discard() -> AccessLog {
-        AccessLog {
-            sink: Mutex::new(Sink::Discard),
-        }
-    }
-
-    /// Buffers lines in memory (tests).
-    pub fn memory() -> AccessLog {
-        AccessLog {
-            sink: Mutex::new(Sink::Memory(Vec::new())),
+            sink: Mutex::new(sink),
         }
     }
 
@@ -104,7 +106,7 @@ impl AccessLog {
         }
     }
 
-    /// The buffered lines of a [`AccessLog::memory`] log.
+    /// The buffered lines of a [`LogTarget::Memory`] log.
     pub fn lines(&self) -> Vec<String> {
         match &*lock(&self.sink) {
             Sink::Memory(lines) => lines.clone(),
@@ -119,7 +121,7 @@ mod tests {
 
     #[test]
     fn lines_are_valid_json_with_every_field() {
-        let log = AccessLog::memory();
+        let log = AccessLog::new(LogTarget::Memory);
         log.record(&AccessRecord {
             method: "POST".into(),
             target: "/v1/experiments".into(),

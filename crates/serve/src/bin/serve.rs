@@ -2,7 +2,8 @@
 //!
 //! Binds, prints the listening address, and serves until a client posts
 //! `/v1/shutdown` (the SIGTERM surrogate — plain `std` has no signal
-//! handling), then drains in-flight work and exits 0.
+//! handling), then drains in-flight work and exits 0. Linux-only: the
+//! server runs on an `epoll` event loop.
 
 use mds_serve::{LogTarget, Server, ServerConfig};
 use std::path::PathBuf;
@@ -14,12 +15,9 @@ Serve paper experiments over HTTP/JSON.
 
 options:
   --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --workers N        connection-serving worker threads (default 4)
-  --queue-depth N    admission queue capacity before 503 shedding (default 64)
+  --workers N        request-executing worker threads (default 4)
+  --queue-depth N    job queue capacity before 503 shedding (default 64)
   --jobs N           simulation worker threads (default: MDS_JOBS or all cores)
-  --io MODEL         connection engine: 'epoll' (one event loop owns every
-                     connection fd; default on Linux) or 'threads' (legacy
-                     thread-per-connection pool, kept for one release)
   --store DIR        durable result store: prewarm the cache from DIR at boot
                      and persist every cache fill, so warm state survives
                      restarts (created if missing)
@@ -89,10 +87,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> Result<Options, String> 
                 let text = value("--jobs")?;
                 config.jobs =
                     Some(mds_runner::parse_jobs(&text).map_err(|e| format!("--jobs: {e}"))?);
-            }
-            "--io" => {
-                let text = value("--io")?;
-                config.io = text.parse().map_err(|e| format!("--io: {e}"))?;
             }
             "--store" => config.store_dir = Some(PathBuf::from(value("--store")?)),
             "--wdl" => options.wdl_files.push(value("--wdl")?),
@@ -174,8 +168,6 @@ mod tests {
                 "5",
                 "--jobs",
                 "3",
-                "--io",
-                "threads",
                 "--store",
                 "/tmp/mds-store",
                 "--wdl",
@@ -196,7 +188,6 @@ mod tests {
         assert_eq!(options.config.workers, 8);
         assert_eq!(options.config.queue_depth, 5);
         assert_eq!(options.config.jobs, Some(3));
-        assert_eq!(options.config.io, mds_serve::IoModel::Threads);
         assert_eq!(
             options.config.store_dir.as_deref(),
             Some(std::path::Path::new("/tmp/mds-store"))
@@ -217,7 +208,5 @@ mod tests {
         let count =
             parse_options(["--wdl-count".to_string(), "0".to_string()].into_iter()).unwrap_err();
         assert!(count.starts_with("--wdl-count:"), "{count}");
-        let io = parse_options(["--io".to_string(), "kqueue".to_string()].into_iter()).unwrap_err();
-        assert!(io.starts_with("--io:"), "{io}");
     }
 }

@@ -15,7 +15,6 @@
 //! streams (tests, probes).
 
 use std::io::{self, Read, Write};
-use std::time::{Duration, Instant};
 
 /// Hard limits applied while reading a request.
 #[derive(Debug, Clone, Copy)]
@@ -457,104 +456,6 @@ impl RequestReader {
                         ReadError::Malformed("truncated head")
                     })
                 }
-            }
-        }
-    }
-}
-
-/// Reads the next request from a blocking [`std::net::TcpStream`],
-/// bounding the time from the first head byte to a complete head by
-/// `header_timeout` while body bytes keep the plain per-read
-/// `read_timeout`.
-///
-/// This is the threaded-path fix for the slow-loris hole: the per-read
-/// timeout used to reset on every successful byte, so a client trickling
-/// one header byte per timeout-interval held its worker forever. The
-/// deadline arms when the first head byte arrives (an idle keep-alive
-/// wait is *not* counted against it) and expiry reports
-/// [`ReadError::HeaderTimeout`] so the caller can answer `408`.
-///
-/// The stream's read timeout is restored to `read_timeout` before
-/// returning on **every** path — success, timeout, parse error, or I/O
-/// failure — by funnelling all exits through a single restore point, so
-/// no caller can observe a stale sub-second timeout armed by this call.
-///
-/// # Errors
-///
-/// As [`RequestReader::read_request`], plus [`ReadError::HeaderTimeout`].
-pub fn read_request_deadline(
-    reader: &mut RequestReader,
-    stream: &mut std::net::TcpStream,
-    limits: Limits,
-    read_timeout: Duration,
-    header_timeout: Duration,
-) -> Result<Request, ReadError> {
-    let result = read_request_deadline_inner(reader, stream, limits, read_timeout, header_timeout);
-    // The single restore point: every exit path above runs through here.
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    result
-}
-
-fn read_request_deadline_inner(
-    reader: &mut RequestReader,
-    stream: &mut std::net::TcpStream,
-    limits: Limits,
-    read_timeout: Duration,
-    header_timeout: Duration,
-) -> Result<Request, ReadError> {
-    // Pipelined head bytes already buffered start the clock immediately;
-    // otherwise it arms when the first byte of the next head arrives.
-    let mut head_deadline: Option<Instant> =
-        (reader.head_pending() && reader.has_partial()).then(|| Instant::now() + header_timeout);
-    loop {
-        if let Some(request) = reader.try_parse(limits)? {
-            return Ok(request);
-        }
-        if !reader.head_pending() {
-            // Head complete: the deadline no longer applies, and must not
-            // misattribute a later body timeout to the header clock.
-            head_deadline = None;
-        }
-        let per_read = if reader.head_pending() {
-            match head_deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(ReadError::HeaderTimeout);
-                    }
-                    (deadline - now).min(read_timeout)
-                }
-                None => read_timeout,
-            }
-        } else {
-            read_timeout
-        };
-        stream
-            .set_read_timeout(Some(per_read.max(Duration::from_millis(1))))
-            .map_err(ReadError::Io)?;
-        match reader.fill_from(stream)? {
-            Fill::Data(_) => {
-                if head_deadline.is_none() && reader.head_pending() {
-                    head_deadline = Some(Instant::now() + header_timeout);
-                }
-            }
-            Fill::Blocked => {
-                return Err(
-                    if head_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                        ReadError::HeaderTimeout
-                    } else {
-                        ReadError::TimedOut
-                    },
-                )
-            }
-            Fill::Eof => {
-                return Err(if !reader.head_pending() {
-                    ReadError::Malformed("truncated body")
-                } else if reader.buffered() == 0 {
-                    ReadError::Closed
-                } else {
-                    ReadError::Malformed("truncated head")
-                })
             }
         }
     }

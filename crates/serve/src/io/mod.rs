@@ -1,10 +1,8 @@
 //! The event-driven I/O core: readiness loop, connection state machines,
 //! and deadline timers.
 //!
-//! The thread-per-connection server caps concurrent connections at pool
-//! size — the PR-5 keep-alive slicing made that survivable, not right.
-//! This module replaces blocking-per-connection with one reactor thread
-//! that owns every connection fd:
+//! One reactor thread owns every connection fd, so an idle keep-alive
+//! connection costs an fd and no worker time:
 //!
 //! - [`poller`] — readiness collection behind the [`Poller`] trait: a raw
 //!   `epoll` implementation on Linux ([`poller::EpollPoller`]) and a
@@ -33,80 +31,3 @@ mod sys;
 pub mod timer;
 
 pub use poller::{Event, Interest, Poller};
-
-/// Which connection engine a server runs.
-///
-/// `Epoll` is the default on Linux; `Threads` keeps the previous
-/// thread-per-connection path available for one release as an escape
-/// hatch (`--io threads`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One reactor thread multiplexing every connection over `epoll`;
-    /// workers execute only ready (fully read) requests.
-    Epoll,
-    /// Acceptor + blocking worker pool, one connection held per worker.
-    Threads,
-}
-
-impl Default for IoModel {
-    fn default() -> IoModel {
-        if cfg!(target_os = "linux") {
-            IoModel::Epoll
-        } else {
-            IoModel::Threads
-        }
-    }
-}
-
-impl IoModel {
-    /// The model that will actually run: `Epoll` falls back to `Threads`
-    /// on platforms without an epoll implementation.
-    pub fn effective(self) -> IoModel {
-        if cfg!(target_os = "linux") {
-            self
-        } else {
-            IoModel::Threads
-        }
-    }
-
-    /// The flag spelling (`epoll` / `threads`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "epoll" => Ok(IoModel::Epoll),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!("unknown io model '{other}' (epoll|threads)")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn io_model_parses_both_spellings_and_rejects_junk() {
-        assert_eq!("epoll".parse::<IoModel>().unwrap(), IoModel::Epoll);
-        assert_eq!("threads".parse::<IoModel>().unwrap(), IoModel::Threads);
-        assert!("kqueue".parse::<IoModel>().is_err());
-        assert_eq!(IoModel::Epoll.as_str(), "epoll");
-        assert_eq!(IoModel::Threads.as_str(), "threads");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_is_the_default_and_effective_on_linux() {
-        assert_eq!(IoModel::default(), IoModel::Epoll);
-        assert_eq!(IoModel::Epoll.effective(), IoModel::Epoll);
-    }
-}

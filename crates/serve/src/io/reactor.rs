@@ -11,10 +11,9 @@
 //!   them ([`App::execute`] — experiment simulation, upstream
 //!   forwarding), and push the finished response back over a completion
 //!   list plus a wake byte. A full queue sheds the *request* with a
-//!   `503` + `Retry-After` inline — admission control moves from
-//!   connection-accept time (the threaded model's only choke point) to
-//!   request-dispatch time, which is what lets 10k idle keep-alive
-//!   connections cost nothing.
+//!   `503` + `Retry-After` inline — admission control happens at
+//!   request-dispatch time, not connection-accept time, which is what
+//!   lets 10k idle keep-alive connections cost nothing.
 //!
 //! [`Core`] holds all of the per-connection machinery generically over
 //! [`Poller`] and [`Stream`], so the deterministic suite drives it with
@@ -60,10 +59,33 @@ pub struct Outcome {
     pub close: bool,
 }
 
+impl Outcome {
+    /// `response`, with no cache disposition, keeping the connection.
+    pub fn new(response: Response) -> Outcome {
+        Outcome {
+            response,
+            cache: "-",
+            close: false,
+        }
+    }
+
+    /// Labels the result-cache disposition.
+    pub fn cache(mut self, cache: &'static str) -> Outcome {
+        self.cache = cache;
+        self
+    }
+
+    /// Closes the connection after this response.
+    pub fn close(mut self) -> Outcome {
+        self.close = true;
+        self
+    }
+}
+
 /// The application seam between the event core and a server.
 ///
-/// `mds-serve` and the cluster gateway each implement this once; the
-/// reactor owns all socket mechanics.
+/// The shared serving front ([`crate::front`]) implements this once for
+/// both tiers; the reactor owns all socket mechanics.
 pub trait App: Send + Sync + 'static {
     /// Routes a parsed request: answer inline or defer to the pool.
     ///
@@ -425,9 +447,9 @@ impl<P: Poller, S: Stream> Core<P, S> {
         }
     }
 
-    /// Maps a terminal read error to the threaded path's behavior:
-    /// protocol violations get an error response then close, transport
-    /// conditions close silently.
+    /// Maps a terminal read error to its answer: protocol violations get
+    /// an error response then close, transport conditions close
+    /// silently.
     fn fail(&mut self, index: usize, error: &ReadError) {
         let status = match error {
             ReadError::Closed | ReadError::TimedOut | ReadError::Io(_) => {
@@ -502,8 +524,7 @@ impl<P: Poller, S: Stream> Core<P, S> {
             };
             self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
             match want {
-                // Idle keep-alive window expired: close silently, exactly
-                // like the threaded path's read timeout between requests.
+                // Idle keep-alive window expired: close silently.
                 Want::Idle => {
                     if let Some(slot) = self.slots[index].as_mut() {
                         slot.conn.close();
@@ -512,8 +533,8 @@ impl<P: Poller, S: Stream> Core<P, S> {
                 // The total header deadline: answer 408 and close (the
                 // slow-loris guard — progress no longer resets the clock).
                 Want::Head => self.fail(index, &ReadError::HeaderTimeout),
-                // Body bytes stalled past the read window: the threaded
-                // path treats this as a silent timeout; match it.
+                // Body bytes stalled past the read window, or a flush
+                // made no progress: a silent timeout.
                 Want::Body | Want::Write => {
                     if let Some(slot) = self.slots[index].as_mut() {
                         slot.conn.close();

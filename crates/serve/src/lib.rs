@@ -13,8 +13,8 @@
 //! 1. **Wire layer** ([`http`]) — request parsing with hard head/body
 //!    limits, keep-alive negotiation, and a deterministic response
 //!    writer; the same parser serves the server and the load generator.
-//! 2. **Admission queue** ([`queue`]) — a bounded MPMC queue between the
-//!    acceptor and the worker pool; a full queue sheds connections with
+//! 2. **Job queue** ([`queue`]) — a bounded MPMC queue between the
+//!    reactor and the worker pool; a full queue sheds requests with
 //!    `503` + `Retry-After` instead of buffering unboundedly.
 //! 3. **Result cache** ([`result_cache`]) — canonical request key →
 //!    response bytes, LRU within a byte budget, so warm repeats skip
@@ -26,9 +26,8 @@
 //! 5. **Observability** ([`metrics`], [`access_log`]) — lock-free
 //!    counters and histograms rendered as Prometheus text, plus one
 //!    structured JSON log line per request.
-//! 6. **The server itself** ([`server`]) — acceptor thread, fixed worker
-//!    pool, routing, liveness (`/healthz`) and readiness (`/readyz`)
-//!    probes, and graceful drain-then-join shutdown.
+//! 6. **The server itself** ([`server`]) — the backend's routes
+//!    (experiments, grids, cells, cache transfer) on the shared front.
 //! 7. **Client** ([`client`]) — the blocking HTTP connection shared by
 //!    the load generator, the cluster gateway's proxy path, and health
 //!    probes.
@@ -41,14 +40,20 @@
 //!    warm-state wire codec; the store itself lives in `mds-store`, and
 //!    a server started with `store_dir` prewarms its result cache from
 //!    it at boot and appends every cache fill.
-//! 10. **Event-driven I/O core** ([`io`]) — a readiness-based connection
-//!     engine (raw `epoll` behind a [`io::Poller`] trait with a
-//!     deterministic in-memory fake, per-connection non-blocking
-//!     read/write state machines, a timer wheel for header/idle/write
-//!     deadlines) so idle keep-alive connections cost one fd each and no
-//!     worker time. Selected per server via
-//!     [`ServerConfig::io`](server::ServerConfig); the thread-per-connection
-//!     path remains available as [`IoModel::Threads`] for one release.
+//! 10. **Event-driven I/O core** ([`io`]) — the one connection engine:
+//!     raw `epoll` behind a [`io::Poller`] trait with a deterministic
+//!     in-memory fake, per-connection non-blocking read/write state
+//!     machines, and a timer wheel for header/idle/write deadlines, so
+//!     idle keep-alive connections cost one fd each and no worker time.
+//! 11. **The shared front** ([`front`]) — what both serving tiers share
+//!     on top of the engine: lifecycle and drain, the probe, metrics and
+//!     shutdown routes, readiness, shedding, and per-request accounting.
+//!     `mds-serve` and the `mds-cluster` gateway each add only their own
+//!     routes ([`front::Tier`]).
+//!
+//! The servers need `epoll`, so they run on Linux only: elsewhere
+//! [`Server::start`] returns an error, while the library and the `repro`
+//! CLI stay portable.
 //!
 //! # Examples
 //!
@@ -85,6 +90,7 @@
 
 pub mod access_log;
 pub mod client;
+pub mod front;
 pub mod http;
 pub mod io;
 pub mod load;
@@ -95,12 +101,11 @@ pub mod result_cache;
 pub mod server;
 pub mod service;
 
-pub use access_log::{AccessLog, AccessRecord};
+pub use access_log::{AccessLog, AccessRecord, LogTarget};
 pub use client::Connection;
-pub use io::IoModel;
 pub use load::{print_report, run_load, LoadConfig, LoadReport};
 pub use metrics::{Gauges, Histogram, Metrics};
 pub use queue::Bounded;
 pub use result_cache::ResultCache;
-pub use server::{LogTarget, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use service::{cell_key, CellBatch, ExperimentRequest, Service};

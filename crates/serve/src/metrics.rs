@@ -2,24 +2,31 @@
 //!
 //! Everything on the request path is an atomic counter or a fixed-bucket
 //! histogram, so recording never blocks a worker. `GET /metrics` renders
-//! the exposition-format text (version 0.0.4) from a point-in-time
-//! snapshot that also folds in gauges owned elsewhere (queue depth, cache
-//! residency).
+//! the exposition-format text (version 0.0.4) in two parts: the families
+//! every tier keeps ([`render_front`], under the tier's prefix), then the
+//! tier's own ([`render`] for `mds-serve`), folding in gauges owned
+//! elsewhere (cache residency, the durable store).
 
+use crate::io::reactor::IoStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // The histogram lives in the harness so the cluster gateway and benches
 // record latency the same way; re-exported here for existing users.
 pub use mds_harness::stats::{Histogram, BUCKET_BOUNDS_US};
 
-/// All request-path counters.
+/// The request-path counters of one serving front.
+///
+/// The connection, shed, request and response counters are rendered for
+/// both tiers ([`render_front`]); the result-cache counters and the two
+/// histograms are `mds-serve`'s own families ([`render`]), which the
+/// gateway, keeping no result cache, leaves unrendered.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections the acceptor accepted.
+    /// Connections the reactor accepted.
     pub connections_total: AtomicU64,
-    /// Connections shed at admission (503 + `Retry-After`).
+    /// Requests and connections shed with `503` + `Retry-After`.
     pub rejected_total: AtomicU64,
-    /// Requests fully parsed and dispatched.
+    /// Responses sent, error answers included.
     pub requests_total: AtomicU64,
     /// Responses with 2xx status.
     pub responses_2xx: AtomicU64,
@@ -31,7 +38,7 @@ pub struct Metrics {
     pub result_cache_hits: AtomicU64,
     /// Experiments and grid cells that had to compute.
     pub result_cache_misses: AtomicU64,
-    /// Time connections spent in the admission queue.
+    /// Time requests spent in the job queue.
     pub queue_wait: Histogram,
     /// Time spent computing (or fetching) an experiment response.
     pub compute: Histogram,
@@ -50,12 +57,10 @@ impl Metrics {
     }
 }
 
-/// Point-in-time gauges owned outside [`Metrics`], folded into the
-/// rendered exposition.
+/// Point-in-time `mds-serve` gauges owned outside [`Metrics`], folded
+/// into the rendered exposition.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gauges {
-    /// Connections currently waiting in the admission queue.
-    pub queue_depth: usize,
     /// Result-cache entries resident.
     pub result_cache_entries: usize,
     /// Result-cache bytes resident.
@@ -82,12 +87,6 @@ pub struct Gauges {
     pub store_append_errors: u64,
     /// Store compactions since boot.
     pub store_compactions: u64,
-    /// Fds registered with the event poller (0 under `--io threads`).
-    pub io_registered_fds: u64,
-    /// Readiness events delivered by the most recent poll.
-    pub io_ready_depth: u64,
-    /// Connection deadlines fired by the reactor's timer wheel.
-    pub io_timer_fires: u64,
 }
 
 /// Appends one Prometheus counter family (`# HELP` / `# TYPE` / sample)
@@ -105,171 +104,178 @@ pub fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
     ));
 }
 
-/// Renders the full Prometheus exposition text.
-pub fn render(m: &Metrics, g: Gauges) -> String {
-    let mut out = String::with_capacity(2048);
+/// Appends the families every serving tier keeps: connections, sheds,
+/// requests and responses under `prefix` (`mds`, `mds_gateway`), the
+/// job-queue depth, and the reactor's `mds_io_*` gauges.
+pub fn render_front(prefix: &str, m: &Metrics, queue_depth: usize, io: &IoStats, out: &mut String) {
     let c = |v: &AtomicU64| v.load(Ordering::Relaxed);
+    let name = |family: &str| format!("{prefix}_{family}");
     counter(
-        &mut out,
-        "mds_connections_total",
+        out,
+        &name("connections_total"),
         "Connections accepted.",
         c(&m.connections_total),
     );
     counter(
-        &mut out,
-        "mds_rejected_total",
-        "Connections shed at admission with 503 + Retry-After.",
+        out,
+        &name("rejected_total"),
+        "Requests and connections shed with 503 + Retry-After.",
         c(&m.rejected_total),
     );
     counter(
-        &mut out,
-        "mds_requests_total",
-        "Requests dispatched.",
+        out,
+        &name("requests_total"),
+        "Responses sent, error answers included.",
         c(&m.requests_total),
     );
     counter(
-        &mut out,
-        "mds_responses_2xx_total",
+        out,
+        &name("responses_2xx_total"),
         "Responses with 2xx status.",
         c(&m.responses_2xx),
     );
     counter(
-        &mut out,
-        "mds_responses_4xx_total",
+        out,
+        &name("responses_4xx_total"),
         "Responses with 4xx status.",
         c(&m.responses_4xx),
     );
     counter(
-        &mut out,
-        "mds_responses_5xx_total",
+        out,
+        &name("responses_5xx_total"),
         "Responses with 5xx status.",
         c(&m.responses_5xx),
     );
+    gauge(
+        out,
+        &name("queue_depth"),
+        "Requests waiting in the job queue for a worker.",
+        queue_depth as u64,
+    );
+    gauge(
+        out,
+        "mds_io_registered_fds",
+        "Fds registered with the event poller.",
+        c(&io.registered_fds),
+    );
+    gauge(
+        out,
+        "mds_io_ready_queue_depth",
+        "Readiness events delivered by the most recent poll.",
+        c(&io.ready_depth),
+    );
     counter(
-        &mut out,
+        out,
+        "mds_io_timer_fires_total",
+        "Connection deadlines fired by the reactor's timer wheel.",
+        c(&io.timer_fires),
+    );
+}
+
+/// Appends `mds-serve`'s own families: result and trace caches, the
+/// durable store, and the queue-wait and compute histograms.
+pub fn render(m: &Metrics, g: Gauges, out: &mut String) {
+    let c = |v: &AtomicU64| v.load(Ordering::Relaxed);
+    counter(
+        out,
         "mds_result_cache_hits_total",
         "Experiments and grid cells answered from the result cache.",
         c(&m.result_cache_hits),
     );
     counter(
-        &mut out,
+        out,
         "mds_result_cache_misses_total",
         "Experiments and grid cells that computed.",
         c(&m.result_cache_misses),
     );
     counter(
-        &mut out,
+        out,
         "mds_result_cache_evictions_total",
         "Result-cache entries evicted for the byte budget.",
         g.result_cache_evictions,
     );
     gauge(
-        &mut out,
-        "mds_queue_depth",
-        "Connections waiting in the admission queue.",
-        g.queue_depth as u64,
-    );
-    gauge(
-        &mut out,
+        out,
         "mds_result_cache_entries",
         "Result-cache entries resident.",
         g.result_cache_entries as u64,
     );
     gauge(
-        &mut out,
+        out,
         "mds_result_cache_bytes",
         "Result-cache bytes resident.",
         g.result_cache_bytes as u64,
     );
     counter(
-        &mut out,
+        out,
         "mds_trace_cache_hits_total",
         "Simulations that reused an already-emulated trace.",
         g.trace_cache_hits,
     );
     counter(
-        &mut out,
+        out,
         "mds_trace_cache_misses_total",
         "Workload emulations performed.",
         g.trace_cache_misses,
     );
     gauge(
-        &mut out,
+        out,
         "mds_trace_cache_bytes",
         "Trace bytes resident in the shared trace cache.",
         g.trace_cache_bytes as u64,
     );
     gauge(
-        &mut out,
+        out,
         "mds_store_records",
         "Live records in the durable result store.",
         g.store_records as u64,
     );
     gauge(
-        &mut out,
+        out,
         "mds_store_log_bytes",
         "Bytes in the durable store's append-only log.",
         g.store_log_bytes,
     );
     gauge(
-        &mut out,
+        out,
         "mds_store_snapshot_bytes",
         "Bytes in the durable store's compacted snapshot.",
         g.store_snapshot_bytes,
     );
     gauge(
-        &mut out,
+        out,
         "mds_store_prewarmed_keys",
         "Result-cache entries prewarmed from the durable store at boot.",
         g.store_prewarmed as u64,
     );
     counter(
-        &mut out,
+        out,
         "mds_store_appends_total",
         "Records appended to the durable store.",
         g.store_appends,
     );
     counter(
-        &mut out,
+        out,
         "mds_store_append_errors_total",
         "Store appends that failed (responses served, not persisted).",
         g.store_append_errors,
     );
     counter(
-        &mut out,
+        out,
         "mds_store_compactions_total",
         "Durable-store compactions (snapshot rewrite + log truncate).",
         g.store_compactions,
     );
-    gauge(
-        &mut out,
-        "mds_io_registered_fds",
-        "Fds registered with the event poller (0 under --io threads).",
-        g.io_registered_fds,
-    );
-    gauge(
-        &mut out,
-        "mds_io_ready_queue_depth",
-        "Readiness events delivered by the most recent poll.",
-        g.io_ready_depth,
-    );
-    counter(
-        &mut out,
-        "mds_io_timer_fires_total",
-        "Connection deadlines fired by the reactor's timer wheel.",
-        g.io_timer_fires,
-    );
     m.queue_wait.render_prometheus(
         "mds_queue_wait_microseconds",
-        "Time connections spent queued before a worker picked them up.",
-        &mut out,
+        "Time requests spent queued before a worker picked them up.",
+        out,
     );
     m.compute.render_prometheus(
         "mds_compute_microseconds",
-        "Time spent producing an experiment response (compute or cache fetch).",
-        &mut out,
+        "Time spent producing a response (compute or cache fetch).",
+        out,
     );
-    out
 }
 
 #[cfg(test)]
@@ -282,15 +288,17 @@ mod tests {
         m.count_response(200);
         m.count_response(404);
         m.count_response(503);
-        let text = render(
+        let mut text = String::new();
+        render_front("mds", &m, 3, &IoStats::default(), &mut text);
+        render(
             &m,
             Gauges {
-                queue_depth: 3,
                 trace_cache_misses: 5,
                 store_records: 7,
                 store_prewarmed: 2,
                 ..Default::default()
             },
+            &mut text,
         );
         for family in [
             "mds_requests_total 3",

@@ -1,7 +1,7 @@
-//! The bounded admission queue between the acceptor and the workers.
+//! The bounded job queue between the reactor and the workers.
 //!
 //! Backpressure is explicit: [`Bounded::push`] on a full (or closed)
-//! queue hands the item straight back so the acceptor can shed load with
+//! queue hands the item straight back so the reactor can shed load with
 //! a `503` + `Retry-After` instead of queuing unboundedly. [`Bounded::pop`]
 //! blocks until an item arrives or the queue is closed and drained, which
 //! is how graceful shutdown lets workers finish in-flight work.

@@ -9,14 +9,14 @@
 //! - The shared trace cache reports exactly one emulation per workload
 //!   however many requests raced, and a warm repeat adds none (the
 //!   counters prove warm requests skip simulation).
-//! - A full admission queue sheds new connections with `503` +
+//! - A full connection table or job queue sheds with `503` +
 //!   `Retry-After` instead of hanging or buffering.
 //! - Malformed input gets 4xx with positioned errors; keep-alive serves
 //!   several requests per connection; `/v1/shutdown` unblocks a waiting
 //!   server and drains cleanly.
 
 use mds_serve::http::{self, ClientResponse};
-use mds_serve::{IoModel, LogTarget, Server, ServerConfig};
+use mds_serve::{LogTarget, Server, ServerConfig};
 use mds_workloads::Scale;
 use std::io::Write;
 use std::net::TcpStream;
@@ -27,10 +27,6 @@ use std::time::Duration;
 const FIG5_TINY_WORKLOADS: u64 = 5;
 
 fn start(workers: usize, queue_depth: usize) -> Server {
-    start_io(workers, queue_depth, IoModel::default())
-}
-
-fn start_io(workers: usize, queue_depth: usize, io: IoModel) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
@@ -38,7 +34,6 @@ fn start_io(workers: usize, queue_depth: usize, io: IoModel) -> Server {
         jobs: Some(2),
         read_timeout: Duration::from_secs(10),
         write_timeout: Duration::from_secs(10),
-        io,
         log: LogTarget::Memory,
         ..ServerConfig::default()
     })
@@ -122,18 +117,29 @@ fn concurrent_clients_get_cli_identical_bytes_and_one_emulation_per_workload() {
 
 #[test]
 fn full_admission_queue_sheds_with_503_and_retry_after() {
-    // No workers ever pop, so one queued connection fills the queue and
-    // the next accept must shed deterministically. Accept-time shedding
-    // is the threaded engine's admission point; the epoll engine sheds
-    // per request instead (covered below).
-    let server = start_io(0, 1, IoModel::Threads);
-    let _queued = connect(&server);
-    // Give the acceptor a moment to enqueue the first connection.
+    // With room for one connection, the first one fills the table and
+    // the next accept must shed deterministically, at the door. (Full
+    // job queues shed per request instead; covered below.)
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: Some(1),
+        max_connections: 1,
+        log: LogTarget::Memory,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let _held = connect(&server);
+    // Give the reactor a moment to register the first connection.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.queue_depth() < 1 {
+    while server
+        .metrics()
+        .connections_total
+        .load(std::sync::atomic::Ordering::Relaxed)
+        < 1
+    {
         assert!(
             std::time::Instant::now() < deadline,
-            "connection never queued"
+            "connection never accepted"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -324,29 +330,6 @@ fn readiness_flips_to_503_on_drain_while_liveness_stays_up() {
 }
 
 #[test]
-fn readiness_reports_saturation_when_the_queue_is_full() {
-    // workers=0 so the queued connection is never drained; capacity 1 is
-    // reached by a single idle connection. A second connection still gets
-    // the readiness answer because shedding happens at accept time with a
-    // direct write, before the queue is involved... so probe the
-    // saturated state through the metrics-visible invariant instead:
-    // every readiness probe arriving while the queue is full is itself
-    // shed with 503, which is exactly the signal a gateway needs.
-    let server = start_io(0, 1, IoModel::Threads);
-    let _queued = connect(&server);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.queue_depth() < 1 {
-        assert!(std::time::Instant::now() < deadline, "never queued");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let mut probe = connect(&server);
-    let response = http::read_response(&mut probe).expect("shed response");
-    assert_eq!(response.status, 503);
-    assert_eq!(response.header("retry-after"), Some("1"));
-    server.shutdown();
-}
-
-#[test]
 fn open_loop_load_holds_its_arrival_schedule() {
     use mds_serve::{run_load, LoadConfig};
     let server = start(4, 64);
@@ -389,14 +372,13 @@ fn open_loop_load_holds_its_arrival_schedule() {
 #[test]
 fn load_generator_backs_off_on_sheds_instead_of_hammering() {
     use mds_serve::{run_load, LoadConfig};
-    // queue_depth 0: every connection is shed with 503 + Retry-After at
-    // accept time, deterministically.
+    // max_connections 0: every connection is shed with 503 +
+    // Retry-After at accept time, deterministically.
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 0,
-        queue_depth: 0,
         jobs: Some(1),
-        io: IoModel::Threads,
+        max_connections: 0,
         log: LogTarget::Memory,
         ..ServerConfig::default()
     })
@@ -439,12 +421,12 @@ fn load_generator_backs_off_on_sheds_instead_of_hammering() {
 
 #[test]
 fn epoll_sheds_at_the_request_level_and_readyz_reports_saturation() {
-    // The epoll engine admits connections cheaply and sheds at the
-    // request level: with no workers, one deferred request fills the
+    // The server admits connections cheaply and sheds at the request
+    // level: with no workers, one deferred request fills the
     // jobs queue, the next deferred request is answered 503 and closed,
     // and a readiness probe — served inline, never queued — still gets
     // an answer that reports the saturation.
-    let server = start_io(0, 1, IoModel::Epoll);
+    let server = start(0, 1);
     let body: &[u8] = br#"{"experiment":"fig5","scale":"tiny"}"#;
 
     let mut parked = connect(&server);
@@ -491,110 +473,167 @@ fn epoll_sheds_at_the_request_level_and_readyz_reports_saturation() {
 #[test]
 fn slow_loris_headers_hit_the_total_deadline_with_408() {
     // A client trickling one byte per 25ms refreshes every per-read
-    // timeout, so only a *total* header deadline can stop it. Both
-    // engines must answer 408 and close well before the 10s read
-    // timeout would fire.
+    // timeout, so only a *total* header deadline can stop it. The server
+    // must answer 408 and close well before the 10s read timeout would
+    // fire.
     let head: &[u8] =
         b"GET /healthz HTTP/1.1\r\nhost: mds\r\nx-slow: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa";
-    for io in [IoModel::Epoll, IoModel::Threads] {
-        let server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            queue_depth: 4,
-            jobs: Some(1),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            header_timeout: Duration::from_millis(300),
-            io,
-            log: LogTarget::Memory,
-            ..ServerConfig::default()
-        })
-        .expect("start server");
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 4,
+        jobs: Some(1),
+        read_timeout: Duration::from_secs(10),
+        write_timeout: Duration::from_secs(10),
+        header_timeout: Duration::from_millis(300),
+        log: LogTarget::Memory,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
 
-        let mut stream = connect(&server);
-        let started = std::time::Instant::now();
-        for byte in head {
-            // Once the server has closed on us the trickle write fails;
-            // the time guard is a backstop so a broken server cannot
-            // stall the test.
-            if stream.write_all(std::slice::from_ref(byte)).is_err()
-                || started.elapsed() > Duration::from_secs(5)
-            {
-                break;
-            }
-            let _ = stream.flush();
-            std::thread::sleep(Duration::from_millis(25));
+    let mut stream = connect(&server);
+    let started = std::time::Instant::now();
+    for byte in head {
+        // Once the server has closed on us the trickle write fails; the
+        // time guard is a backstop so a broken server cannot stall the
+        // test.
+        if stream.write_all(std::slice::from_ref(byte)).is_err()
+            || started.elapsed() > Duration::from_secs(5)
+        {
+            break;
         }
-        let response = http::read_response(&mut stream)
-            .unwrap_or_else(|e| panic!("{} gave no 408: {e:?}", io.as_str()));
-        assert_eq!(response.status, 408, "{}", io.as_str());
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "{}: 408 must come from the header deadline, not the read timeout",
-            io.as_str()
-        );
-        use std::io::Read;
-        let mut rest = Vec::new();
-        assert_eq!(
-            stream.read_to_end(&mut rest).unwrap_or(0),
-            0,
-            "{}",
-            io.as_str()
-        );
-        server.shutdown();
+        let _ = stream.flush();
+        std::thread::sleep(Duration::from_millis(25));
     }
+    let response = http::read_response(&mut stream).expect("a 408 response");
+    assert_eq!(response.status, 408);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "408 must come from the header deadline, not the read timeout"
+    );
+    use std::io::Read;
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0);
+    server.shutdown();
 }
 
 #[test]
 fn body_split_across_a_pause_still_completes_on_a_keep_alive_connection() {
-    // Regression: the PR-5 keep-alive slicing shrank the socket read
-    // timeout for the between-requests wait and never restored it, so a
-    // request body arriving in two chunks with a pause between them died
-    // on the sliced timeout. The split must land on a *second* request
-    // so the connection has been through the keep-alive wait.
+    // A request body arriving in two chunks with a pause between them
+    // must complete, on a *second* request so the connection has been
+    // through the keep-alive wait first.
     let expected = cli_fig5_tiny();
     let body: &[u8] = br#"{"experiment":"fig5","scale":"tiny"}"#;
-    for io in [IoModel::Epoll, IoModel::Threads] {
-        let server = start_io(2, 8, io);
-        let mut stream = connect(&server);
-        let first = roundtrip(&mut stream, "GET", "/healthz", b"");
-        assert_eq!(first.status, 200, "{}", io.as_str());
+    let server = start(2, 8);
+    let mut stream = connect(&server);
+    let first = roundtrip(&mut stream, "GET", "/healthz", b"");
+    assert_eq!(first.status, 200);
 
-        let head = format!(
-            "POST /v1/experiments HTTP/1.1\r\nhost: mds\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes()).unwrap();
-        stream.write_all(&body[..10]).unwrap();
-        stream.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        stream.write_all(&body[10..]).unwrap();
-        stream.flush().unwrap();
-        let response = http::read_response(&mut stream).expect("split-body response");
-        assert_eq!(response.status, 200, "{}", io.as_str());
-        assert_eq!(response.body, expected.as_bytes(), "{}", io.as_str());
-        server.shutdown();
-    }
+    let head = format!(
+        "POST /v1/experiments HTTP/1.1\r\nhost: mds\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(&body[..10]).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(&body[10..]).unwrap();
+    stream.flush().unwrap();
+    let response = http::read_response(&mut stream).expect("split-body response");
+    assert_eq!(response.status, 200);
+    assert_eq!(response.body, expected.as_bytes());
+    server.shutdown();
 }
 
 #[test]
-fn both_engines_serve_cli_identical_bytes() {
-    // The engine is a transport detail: epoll and threads must produce
-    // the same bytes the repro CLI writes, down to the last byte.
+fn the_event_engine_serves_cli_identical_bytes() {
+    // The engine is a transport detail: it must produce the bytes the
+    // repro CLI writes, down to the last byte.
     let expected = cli_fig5_tiny();
     let body: &[u8] = br#"{"experiment":"fig5","scale":"tiny"}"#;
-    for io in [IoModel::Epoll, IoModel::Threads] {
-        let server = start_io(2, 8, io);
-        let response = request(&server, "POST", "/v1/experiments", body);
-        assert_eq!(response.status, 200, "{}", io.as_str());
-        assert_eq!(
-            response.body,
-            expected.as_bytes(),
-            "engine {} diverges from the repro CLI bytes",
-            io.as_str()
-        );
-        server.shutdown();
+    let server = start(2, 8);
+    let response = request(&server, "POST", "/v1/experiments", body);
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        response.body,
+        expected.as_bytes(),
+        "served bytes diverge from the repro CLI document"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn framing_shapes_a_lenient_parser_accepts_get_400() {
+    // A signed length, whitespace before a colon, a bare LF ending the
+    // request line, and junk after the version: each is a framing a
+    // stricter peer would read differently, so each is refused.
+    let server = start(2, 8);
+    for raw in [
+        &b"GET /healthz HTTP/1.1\r\ncontent-length: +2\r\n\r\nhi"[..],
+        b"GET /healthz HTTP/1.1\r\ncontent-length : 2\r\n\r\nhi",
+        b"GET /healthz HTTP/1.1\nhost: a\r\n\r\n",
+        b"GET /healthz HTTP/1.1 junk\r\n\r\n",
+    ] {
+        let mut stream = connect(&server);
+        stream.write_all(raw).unwrap();
+        stream.flush().unwrap();
+        let response = http::read_response(&mut stream).expect("an error response");
+        assert_eq!(response.status, 400, "{:?}", String::from_utf8_lossy(raw));
     }
+    server.shutdown();
+}
+
+/// The `# TYPE` family names of a `/metrics` exposition, sorted.
+fn families(text: &str) -> Vec<String> {
+    let mut names: Vec<String> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .map(String::from)
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn metrics_family_names_stay_pinned() {
+    // CI gates and dashboards grep these names; renaming one is a
+    // breaking change, not a refactor.
+    let server = start(2, 8);
+    let metrics = request(&server, "GET", "/metrics", b"");
+    assert_eq!(metrics.status, 200);
+    let text = String::from_utf8(metrics.body).unwrap();
+    let pinned = [
+        "mds_compute_microseconds",
+        "mds_connections_total",
+        "mds_io_ready_queue_depth",
+        "mds_io_registered_fds",
+        "mds_io_timer_fires_total",
+        "mds_queue_depth",
+        "mds_queue_wait_microseconds",
+        "mds_rejected_total",
+        "mds_requests_total",
+        "mds_responses_2xx_total",
+        "mds_responses_4xx_total",
+        "mds_responses_5xx_total",
+        "mds_result_cache_bytes",
+        "mds_result_cache_entries",
+        "mds_result_cache_evictions_total",
+        "mds_result_cache_hits_total",
+        "mds_result_cache_misses_total",
+        "mds_store_append_errors_total",
+        "mds_store_appends_total",
+        "mds_store_compactions_total",
+        "mds_store_log_bytes",
+        "mds_store_prewarmed_keys",
+        "mds_store_records",
+        "mds_store_snapshot_bytes",
+        "mds_trace_cache_bytes",
+        "mds_trace_cache_hits_total",
+        "mds_trace_cache_misses_total",
+    ];
+    assert_eq!(families(&text), pinned, "{text}");
+    server.shutdown();
 }
 
 #[test]
