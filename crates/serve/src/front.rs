@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 const SHARED_PATHS: [&str; 4] = ["/healthz", "/readyz", "/metrics", "/v1/shutdown"];
 
 /// What a serving tier adds to the shared [`Front`].
-pub trait Tier: Send + Sync + Sized + 'static {
+pub trait Tier: Send + Sync + 'static {
     /// The paths [`Tier::route`] serves, so a wrong method on one of
     /// them is a `405` rather than a `404`.
     const PATHS: &'static [&'static str];
@@ -320,7 +320,6 @@ impl Running {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::Response;
 
     struct Probe {
         front: Front,
