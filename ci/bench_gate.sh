@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Bench-regression gate: measure the simulators, replay, wdl, serve, and
-# cluster suites fresh and compare them against the committed
-# BENCH_simulators.json / BENCH_replay.json / BENCH_wdl.json /
+# Bench-regression gate: measure the structures, simulators, runner,
+# replay, wdl, serve, and cluster suites fresh and compare them against
+# the committed BENCH_structures.json / BENCH_simulators.json /
+# BENCH_runner.json / BENCH_replay.json / BENCH_wdl.json /
 # BENCH_serve.json / BENCH_cluster.json baselines. Three suites
 # additionally carry absolute, machine-independent claims checked within
-# the fresh report: one fused cross-policy replay must stay >= 2x faster
-# than six scratch replays, restart-warm serving (cache prewarmed from
-# the durable store) must stay within 10x of steady-warm serving, and a
-# repeated gateway grid (answered from per-cell result caches) must stay
-# >= 3x faster than the cold grid.
+# the fresh report: six planned replays (one per policy) must stay >= 2x
+# faster than six scratch replays, restart-warm serving (cache prewarmed
+# from the durable store) must stay within 10x of steady-warm serving,
+# and a repeated gateway grid (answered from per-cell result caches)
+# must stay >= 3x faster than the cold grid.
 #
 # The comparison (see crates/bench/src/bin/bench_gate.rs) normalizes by
 # the suite's median fresh/baseline ratio, so a uniformly slower CI
 # runner passes while a single benchmark regressing relative to its
-# peers fails. MDS_BENCH_TOLERANCE (default 1.6) sets the headroom.
+# peers fails, and it fails when a baseline benchmark is missing from the
+# fresh report. MDS_BENCH_TOLERANCE (default 1.6) sets the headroom.
 #
 # Knobs for faster CI runs: the harness honors MDS_BENCH_WARMUP_MS,
 # MDS_BENCH_BATCH_MS, MDS_BENCH_BATCHES, MDS_BENCH_MAX_MS.
@@ -27,6 +29,20 @@ trap 'rm -rf "$fresh_dir"' EXIT
 echo "==> building the bench suite and the gate"
 cargo build --release --offline -p mds-bench --benches --bins
 
+# The structures suite times single operations of a few nanoseconds, so
+# one contended batch moves a median much further than in the
+# millisecond-scale suites. It always runs 25 batches and gets wider
+# headroom: on a shared 2-vCPU host its worst benchmark reached 2.1x the
+# suite's median ratio with nothing changed.
+echo "==> measuring the structures suite"
+MDS_BENCH_DIR="$fresh_dir" \
+MDS_BENCH_BATCHES=25 \
+  cargo bench -q --offline -p mds-bench --bench structures -- --scale small
+
+echo "==> comparing the structures suite against its committed baseline"
+MDS_BENCH_TOLERANCE=2.5 \
+  target/release/bench_gate BENCH_structures.json "$fresh_dir/BENCH_structures.json"
+
 echo "==> measuring the simulators suite (small scale)"
 MDS_BENCH_DIR="$fresh_dir" cargo bench -q --offline -p mds-bench \
   --bench simulators -- --scale small
@@ -34,22 +50,31 @@ MDS_BENCH_DIR="$fresh_dir" cargo bench -q --offline -p mds-bench \
 echo "==> comparing against the committed baseline"
 target/release/bench_gate BENCH_simulators.json "$fresh_dir/BENCH_simulators.json"
 
+# The runner suite times the scheduler itself: naive per-cell emulation
+# against the runner at 1/2/4 workers over one fixed tiny-scale grid.
+echo "==> measuring the runner suite (tiny scale)"
+MDS_BENCH_DIR="$fresh_dir" cargo bench -q --offline -p mds-bench \
+  --bench runner -- --scale tiny
+
+echo "==> comparing the runner suite against its committed baseline"
+target/release/bench_gate BENCH_runner.json "$fresh_dir/BENCH_runner.json"
+
 # The replay suite's headline benchmarks run ~0.5s per iteration; give
 # the harness a longer wall-clock guard so each one collects its full 25
 # batches — the speedup check below compares fastest-batch times, and a
 # deep batch pool is what makes those robust on a noisy runner.
 echo "==> measuring the replay suite (small scale)"
 MDS_BENCH_DIR="$fresh_dir" \
-MDS_BENCH_MAX_MS="${MDS_REPLAY_BENCH_MAX_MS:-12000}" \
+MDS_BENCH_MAX_MS="${MDS_BENCH_REPLAY_MAX_MS:-12000}" \
   cargo bench -q --offline -p mds-bench --bench replay -- --scale small
 
 echo "==> comparing the replay suite against its committed baseline"
 target/release/bench_gate BENCH_replay.json "$fresh_dir/BENCH_replay.json"
 
-echo "==> checking the fork-replay speedup claim (fused >= 2x six scratch walks)"
+echo "==> checking the planned-replay speedup claim (planned >= 2x six scratch walks)"
 target/release/bench_gate --min-speedup "$fresh_dir/BENCH_replay.json" \
   multiscalar/compress_small_8st_scratch_x6 \
-  multiscalar/compress_small_8st_fused_x6 \
+  multiscalar/compress_small_8st_planned_x6 \
   2.0
 
 echo "==> measuring the wdl suite (spec parse, lowering, generated end-to-end)"

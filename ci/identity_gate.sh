@@ -2,9 +2,10 @@
 # Byte-identity gate: every RESULTS_<experiment>.json the repro CLI
 # produces at tiny scale must equal the pinned artifact in ci/pinned/
 # byte for byte, and the small-scale fig5 document must equal its pin in
-# ci/pinned/small/. The second scale exists because tiny traces fork at
-# task 0-2 and exercise little of the cross-policy replay engine; the
-# small fig5 run covers real fork points and long post-fork tails.
+# ci/pinned/small/. The second scale exists because tiny traces are
+# short; the small fig5 run replays long traces under every policy, so
+# predictor training, squash storms and cache behaviour deep into a run
+# are pinned too.
 #
 # The pinned files were captured before the hot-path optimization work
 # (scratch arenas, FxHash maps, dense port ledgers, the planned replay

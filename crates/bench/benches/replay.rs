@@ -1,24 +1,23 @@
-//! Benchmarks for the cross-policy fork-replay engine.
+//! Benchmarks for the planned Multiscalar replay engine.
 //!
 //! Run with `cargo bench --bench replay -- --scale small`; results are
 //! written to `BENCH_replay.json` at the workspace root. The suite
-//! measures the three levers the fork engine pulls:
+//! measures what the planned engine buys over the scratch engine:
 //!
 //! - `plan_build` — lowering a collected committed stream into the
 //!   structure-of-arrays [`mds_emu::ReplayPlan`] (capture runs the same
 //!   lowering while it emulates);
 //! - per-policy `scratch` vs `planned` replay — the SoA walk with
 //!   pre-resolved dependences against the legacy record-stream walk;
-//! - `scratch_x6` vs `fused_x6` — the paper's actual workload shape: all
-//!   six speculation policies over one trace, either as six independent
-//!   scratch replays or as one fused job sharing the policy-independent
-//!   prefix. The CI bench gate enforces `fused_x6` ≥ 2× `scratch_x6` at
-//!   8 stages.
+//! - `scratch_x6` vs `planned_x6` — the paper's actual workload shape: all
+//!   six speculation policies over one trace, as six scratch replays or
+//!   six planned replays (one runner cell each). The CI bench gate
+//!   enforces `planned_x6` ≥ 2× `scratch_x6` at 8 stages.
 
 use mds_core::Policy;
 use mds_emu::{Emulator, Trace};
 use mds_harness::bench::Harness;
-use mds_multiscalar::{run_fused, run_planned, MsConfig, Multiscalar};
+use mds_multiscalar::{run_planned, MsConfig, Multiscalar};
 use mds_workloads::{by_name, Scale};
 use std::hint::black_box;
 
@@ -66,11 +65,11 @@ fn main() {
         );
 
         h.bench_with_throughput(
-            &format!("multiscalar/compress_{tag}_{stages}st_fused_x6"),
+            &format!("multiscalar/compress_{tag}_{stages}st_planned_x6"),
             n * configs.len() as u64,
             |b| {
                 b.iter(|| {
-                    let total: u64 = run_fused(&trace, &configs).iter().map(|r| r.cycles).sum();
+                    let total: u64 = configs.iter().map(|c| run_planned(&trace, c).cycles).sum();
                     black_box(total)
                 });
             },

@@ -34,9 +34,14 @@
 //! restart-warm serving to steady-warm serving: a restarted server must
 //! answer from its store-prewarmed cache, not recompute.
 //!
-//! Exit status: `0` when every shared benchmark is within tolerance (or
-//! the speedup holds), `1` on a regression (or a missed speedup), `2` on
-//! usage or parse errors.
+//! Every baseline benchmark must appear in the fresh report: a renamed or
+//! deleted benchmark fails the comparison with the missing names listed,
+//! so it cannot silently leave the gate. A fresh benchmark with no
+//! baseline only gets a note.
+//!
+//! Exit status: `0` when every baseline benchmark is present and within
+//! tolerance (or the speedup holds), `1` on a regression, a missing
+//! baseline benchmark, or a missed speedup, `2` on usage or parse errors.
 
 use mds_harness::bench::{median, BenchReport};
 use std::process::ExitCode;
@@ -162,24 +167,33 @@ fn main() -> ExitCode {
     };
 
     // (name, baseline median, fresh median) for benchmarks present in both.
-    let shared: Vec<(&str, f64, f64)> = baseline
-        .results
-        .iter()
-        .filter_map(|b| {
-            let f = fresh.results.iter().find(|f| f.name == b.name)?;
-            (b.median_ns > 0.0).then_some((b.name.as_str(), b.median_ns, f.median_ns))
-        })
-        .collect();
-    if shared.is_empty() {
-        eprintln!("bench_gate: no shared benchmarks between the two reports");
-        return ExitCode::from(2);
+    let mut shared: Vec<(&str, f64, f64)> = Vec::new();
+    let mut missing: Vec<&str> = Vec::new();
+    for b in &baseline.results {
+        match fresh.results.iter().find(|f| f.name == b.name) {
+            Some(f) if b.median_ns > 0.0 => shared.push((&b.name, b.median_ns, f.median_ns)),
+            Some(_) => {}
+            None => missing.push(&b.name),
+        }
     }
-    for missing in fresh
+    for new in fresh
         .results
         .iter()
         .filter(|f| !baseline.results.iter().any(|b| b.name == f.name))
     {
-        println!("bench_gate: note: '{}' has no baseline yet", missing.name);
+        println!("bench_gate: note: '{}' has no baseline yet", new.name);
+    }
+    // A renamed or deleted benchmark must not silently leave the gate.
+    if !missing.is_empty() {
+        eprintln!(
+            "bench_gate: FAIL (baseline benchmarks missing from {fresh_path}: {})",
+            missing.join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
+    if shared.is_empty() {
+        eprintln!("bench_gate: no shared benchmarks between the two reports");
+        return ExitCode::from(2);
     }
 
     let ratios: Vec<f64> = shared.iter().map(|(_, b, f)| f / b).collect();

@@ -457,31 +457,6 @@ impl ReplayPlan {
         self.task_load_start[k + 1] - self.task_load_start[k]
     }
 
-    /// The first task at which simulators replaying this trace under
-    /// different speculation policies can diverge, given a `stages`-unit
-    /// window: the first task that issues a load while some task in its
-    /// window (`k - (stages - 1) .. k`) performed a store. Before this
-    /// task no load can have an in-window producer and no older store
-    /// address is outstanding, so every policy schedules identically.
-    ///
-    /// Returns [`ReplayPlan::tasks`] when no such task exists (the whole
-    /// replay is policy-independent).
-    pub fn fork_task(&self, stages: usize) -> usize {
-        if stages <= 1 {
-            return self.tasks();
-        }
-        for k in 0..self.tasks() {
-            if self.task_loads(k) == 0 {
-                continue;
-            }
-            let lo = k.saturating_sub(stages - 1);
-            if self.task_store_start[k] > self.task_store_start[lo] {
-                return k;
-            }
-        }
-        self.tasks()
-    }
-
     /// Approximate resident size of the plan in bytes (for trace-cache
     /// budgeting).
     pub fn resident_bytes(&self) -> usize {
@@ -634,26 +609,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fork_task_is_the_first_load_with_windowed_stores() {
-        let records = recurrence(6);
-        let plan = ReplayPlan::build(&records);
-        // Task 0 has the loop preamble (no stores before the first task's
-        // load); task 1's load sees task 0's... the first loop task stores,
-        // so the second loop task is the first that can diverge.
-        let f = plan.fork_task(4);
-        assert!(f >= 1, "fork task {f}");
-        assert!(plan.task_loads(f) > 0);
-        assert!(plan.task_store_start[f] > plan.task_store_start[f.saturating_sub(3)]);
-        // A 1-stage machine has no cross-task window: never forks.
-        assert_eq!(plan.fork_task(1), plan.tasks());
-    }
-
+    /// Without stores, no load has a producer.
     #[test]
     fn empty_and_storeless_streams_never_fork() {
         let plan = ReplayPlan::build(&[]);
         assert_eq!(plan.tasks(), 0);
-        assert_eq!(plan.fork_task(8), 0);
         let records = trace(|b| {
             b.alloc("x", 1);
             b.la(Reg::S0, "x");
@@ -664,7 +624,7 @@ mod tests {
             b.halt();
         });
         let plan = ReplayPlan::build(&records);
-        assert_eq!(plan.fork_task(8), plan.tasks());
+        assert!(plan.store_rec.is_empty());
         assert!(plan.load_inter.iter().all(|&x| x == NONE));
     }
 

@@ -1,5 +1,5 @@
 //! The planned replay engine: branch-light Multiscalar replay over a
-//! [`ReplayPlan`], with cross-policy prefix sharing ("fork replay").
+//! [`ReplayPlan`].
 //!
 //! # Why a second engine
 //!
@@ -14,43 +14,14 @@
 //! pre-resolved into dense arrays, so an attempt is a sequential scan
 //! with array indexing where the legacy engine chases hash maps.
 //!
-//! # Fork semantics
+//! Every configuration is one independent [`run_planned`]. Sharing a
+//! policy-independent replay prefix across policies was measured to save
+//! nothing: every workload has an in-window store→load pair within its
+//! first few tasks, so the policies diverge almost at once.
 //!
-//! All six policies agree on every scheduling decision until the first
-//! load that *could* have an in-window producer. Concretely, before the
-//! task index [`ReplayPlan::fork_task`] returns:
-//!
-//! - no load overlaps a store in its task window, so WAIT/PSYNC/ALWAYS
-//!   behave identically and no violation (hence no squash, no MDPT
-//!   training, no DDC observation) can occur;
-//! - every window task is store-free from the perspective of any task
-//!   that issues a load, so NEVER's "wait for all older store addresses"
-//!   bound is 0 and changes nothing;
-//! - SYNC/ESYNC consult an MDPT that has never been trained (training
-//!   requires a violation), and predicting from an empty MDPT is
-//!   side-effect-free, so they degrade to ALWAYS exactly.
-//!
-//! [`run_fused`] exploits this: configurations that are
-//! [`forkable_twins`] (identical hardware, differing only in policy /
-//! predictor configuration) share one simulation of the common prefix;
-//! at the fork task each member receives a clone of the lightweight
-//! simulator state — caches, bus, window records, sequencer state,
-//! in-order commit clocks — plus a fresh (still-empty) prediction unit
-//! and DDCs, and continues independently. The only per-policy state that
-//! accumulates before the fork is the table 8 prediction breakdown
-//! (predictor policies record one `(no prediction, no dependence)` entry
-//! per load), which is reconstructed arithmetically at the fork.
-//!
-//! A fork is never *invalidated*: the fork point is chosen so that the
-//! prefix is provably policy-independent, rather than optimistically and
-//! rolled back. Traces whose first window-store/load interaction happens
-//! immediately (common in store-heavy loops) simply fork at task 0 or 1
-//! and share little; the planned engine's flat-array replay still makes
-//! the fused run cheaper than six scratch walks.
-//!
-//! Equivalence with the legacy engine is enforced three ways: unit tests
-//! here, a `properties!` fuzz test over random traces (all policies),
-//! and the CI identity gate's `MDS_REPLAY=scratch` / `fork` comparison.
+//! Equivalence with the legacy engine is enforced by unit tests here, a
+//! `properties!` fuzz test over random traces (all policies), and an
+//! in-tree test that compares both engines on every paper grid cell.
 
 use crate::config::MsConfig;
 use crate::exec::{LoadEvent, Ports, Shared, Violation, REGS};
@@ -722,41 +693,6 @@ impl PSim {
         }
     }
 
-    /// Clones the policy-independent prefix state into a continuation for
-    /// `config`. `loads_seen` is the number of loads committed in the
-    /// prefix: predictor policies record one unpredicted/no-dependence
-    /// breakdown entry per load, which the (predictor-free) prefix did not
-    /// accumulate.
-    fn fork(&self, config: &MsConfig, loads_seen: u64) -> PSim {
-        let unit = sync_unit_for(config);
-        let mut result = self.result.clone();
-        if unit.is_some() {
-            for _ in 0..loads_seen {
-                result.breakdown.record(false, false);
-            }
-        }
-        PSim {
-            lat: self.lat.clone(),
-            dcache: self.dcache.clone(),
-            bus: self.bus.clone(),
-            icaches: self.icaches.clone(),
-            unit,
-            predictor: self.predictor.clone(),
-            history: self.history.clone(),
-            descriptor_cache: self.descriptor_cache.clone(),
-            window: self.window.clone(),
-            scratch: PScratch::default(),
-            stage_free: self.stage_free.clone(),
-            prev_assign: self.prev_assign,
-            prev_commit: self.prev_commit,
-            prev_task_pc: self.prev_task_pc,
-            prev_last_branch: self.prev_last_branch,
-            ddcs: config.ddc_sizes.iter().map(|&s| (s, Ddc::new(s))).collect(),
-            result,
-            config: config.clone(),
-        }
-    }
-
     fn on_task(&mut self, plan: &ReplayPlan, k: usize) {
         let stage = k % self.config.stages;
         let start_pc = plan.task_start_pc[k];
@@ -894,9 +830,9 @@ impl PSim {
 ///
 /// Produces a result identical to
 /// [`Multiscalar::run_trace`](crate::Multiscalar::run_trace) over the
-/// same records (enforced by tests and the CI equivalence gate), at a
-/// fraction of the cost: the trace's [`ReplayPlan`] is built once, at
-/// capture, and the replay itself is a flat scan over its arrays.
+/// same records (enforced by tests), at a fraction of the cost: the
+/// trace's [`ReplayPlan`] is built once, at capture, and the replay
+/// itself is a flat scan over its arrays.
 pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
     let plan = trace.replay_plan().clone();
     let mut sim = PSim::new(config.clone());
@@ -907,10 +843,8 @@ pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
 }
 
 /// `true` when two configurations model identical hardware up to the
-/// speculation policy — the precondition for sharing a fork-replay
-/// prefix. Policy, predictor configuration (MDPT, tagging), and DDC
-/// measurement sizes may differ; everything that affects scheduling
-/// before the first possible policy divergence must match.
+/// speculation policy: policy, predictor configuration (MDPT, tagging),
+/// and DDC measurement sizes may differ; every other field must match.
 pub fn forkable_twins(a: &MsConfig, b: &MsConfig) -> bool {
     // Exhaustive destructure: adding a field to `MsConfig` must force a
     // decision about whether it participates in twin-ness.
@@ -960,57 +894,10 @@ pub fn forkable_twins(a: &MsConfig, b: &MsConfig) -> bool {
         && *signal_latency == b.signal_latency
 }
 
-/// Replays `trace` under every configuration, sharing the
-/// policy-independent prefix across [`forkable_twins`]; results are
-/// returned in input order and are identical to running [`run_planned`]
-/// per configuration (and to the legacy engine).
+/// Replays `trace` under every configuration, one [`run_planned`] each;
+/// results are returned in input order.
 pub fn run_fused(trace: &Trace, configs: &[MsConfig]) -> Vec<MsResult> {
-    let plan = trace.replay_plan().clone();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, c) in configs.iter().enumerate() {
-        match groups
-            .iter_mut()
-            .find(|g| forkable_twins(&configs[g[0]], c))
-        {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let mut results: Vec<Option<MsResult>> = configs.iter().map(|_| None).collect();
-    for group in groups {
-        if group.len() == 1 {
-            let i = group[0];
-            let mut sim = PSim::new(configs[i].clone());
-            for k in 0..plan.tasks() {
-                sim.on_task(&plan, k);
-            }
-            results[i] = Some(sim.finish());
-            continue;
-        }
-        let fork_at = plan.fork_task(configs[group[0]].stages);
-        // The prefix is policy-independent by construction; run it as
-        // blind speculation with no predictor and no DDCs (none of which
-        // can act before the fork).
-        let mut prefix_config = configs[group[0]].clone();
-        prefix_config.policy = Policy::Always;
-        prefix_config.ddc_sizes = Vec::new();
-        let mut prefix = PSim::new(prefix_config);
-        for k in 0..fork_at {
-            prefix.on_task(&plan, k);
-        }
-        let loads_seen = plan.task_load_start[fork_at] as u64;
-        for &i in &group {
-            let mut sim = prefix.fork(&configs[i], loads_seen);
-            for k in fork_at..plan.tasks() {
-                sim.on_task(&plan, k);
-            }
-            results[i] = Some(sim.finish());
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every config produced a result"))
-        .collect()
+    configs.iter().map(|c| run_planned(trace, c)).collect()
 }
 
 #[cfg(test)]

@@ -1,21 +1,21 @@
-//! Property test: the fork-replay engine is observationally identical to
-//! scratch replay.
+//! Property test: the planned replay engine is observationally identical
+//! to scratch replay.
 //!
 //! For any randomized committed instruction stream — random task
 //! boundaries, mixed word/byte loads and stores over a small colliding
 //! address pool, ALU/FP/branch filler, recycled PCs so the MDPT actually
-//! trains — running all six speculation policies through
-//! [`mds_multiscalar::run_fused`] (one shared-prefix walk, per-policy
-//! forks) must produce results byte-identical to six independent
-//! [`Multiscalar::run_trace`] replays: cycles, violation counts,
-//! synchronization counts, and the full serialized result document.
+//! trains — [`mds_multiscalar::run_planned`] under each of the six
+//! speculation policies must produce a result byte-identical to
+//! [`Multiscalar::run_trace`] over the same records: cycles, violation
+//! counts, synchronization counts, and the full serialized result
+//! document.
 
 use mds_core::Policy;
 use mds_emu::{BranchOutcome, DynInst, MemAccess, Trace, TraceSummary};
 use mds_harness::json::ToJson;
 use mds_harness::prelude::*;
 use mds_isa::{Instruction, Opcode, Pc, Reg};
-use mds_multiscalar::{run_fused, MsConfig, Multiscalar};
+use mds_multiscalar::{run_planned, MsConfig, Multiscalar};
 
 /// Synthesizes one committed record from a `(kind, sel)` pair.
 ///
@@ -103,10 +103,10 @@ fn record(i: usize, kind: usize, sel: u16) -> DynInst {
 properties! {
     #![config(PropConfig { cases: 12, ..PropConfig::default() })]
 
-    /// Fused cross-policy fork replay equals independent scratch replays
-    /// for every policy, at 4 and 8 stages, over randomized traces.
+    /// Planned replay equals scratch replay for every policy, at 4 and
+    /// 8 stages, over randomized traces.
     #[test]
-    fn fork_replay_equals_scratch_replay(
+    fn planned_replay_equals_scratch_replay(
         cells in vec_of((0usize..9, any::<u16>()), 20..250),
     ) {
         let records: Vec<DynInst> = cells
@@ -117,24 +117,20 @@ properties! {
         let trace = Trace::from_parts(records, TraceSummary::default());
 
         for stages in [4usize, 8] {
-            let configs: Vec<MsConfig> = Policy::ALL
-                .iter()
-                .map(|&policy| MsConfig::paper(stages, policy))
-                .collect();
-            let fused = run_fused(&trace, &configs);
-            prop_assert_eq!(fused.len(), configs.len());
-            for (config, forked) in configs.iter().zip(&fused) {
-                let scratch = Multiscalar::new(config.clone())
+            for policy in Policy::ALL {
+                let config = MsConfig::paper(stages, policy);
+                let planned = run_planned(&trace, &config);
+                let scratch = Multiscalar::new(config)
                     .run_trace(trace.records().iter().copied());
-                prop_assert_eq!(scratch.cycles, forked.cycles);
-                prop_assert_eq!(scratch.misspeculations, forked.misspeculations);
+                prop_assert_eq!(scratch.cycles, planned.cycles);
+                prop_assert_eq!(scratch.misspeculations, planned.misspeculations);
                 prop_assert_eq!(
                     scratch.synchronized_loads,
-                    forked.synchronized_loads
+                    planned.synchronized_loads
                 );
                 prop_assert_eq!(
                     scratch.to_json().to_string(),
-                    forked.to_json().to_string()
+                    planned.to_json().to_string()
                 );
             }
         }

@@ -440,10 +440,10 @@ impl OooSim {
 /// [`mds_emu::ReplayPlan`] rows — under several configurations in a
 /// single walk, returning results in input order.
 ///
-/// Each simulator is independent; the fusion saves the repeated record
-/// iteration (and its cache traffic) when a grid cell evaluates many
-/// policies over the same workload. Results are identical to running
-/// each configuration through [`OooSim::observe`] separately.
+/// Each simulator is independent, so results are identical to running
+/// each configuration through [`OooSim::observe`] separately. The runner
+/// does exactly that, one walk per grid cell: the lockstep walk measured
+/// no faster than separate walks.
 pub fn run_fused<R: Into<Row>>(
     records: impl IntoIterator<Item = R>,
     configs: &[OooConfig],

@@ -13,6 +13,9 @@
 //!    per-worker deques plus a global injector under
 //!    `std::thread::scope`; worker count from `--jobs N`, `MDS_JOBS`, or
 //!    available parallelism, with `--jobs 1` running genuinely inline.
+//!    Every grid cell is one pool job that replays the trace's
+//!    [`ReplayPlan`](mds_emu::ReplayPlan) on its own, so a panic fails
+//!    only that cell and per-cell wall times time only its work.
 //! 3. **A shared trace cache** ([`TraceCache`]) — each workload is
 //!    emulated exactly once per run behind `Arc<mds_emu::Trace>` and
 //!    replayed read-only by every cell; reference counts seeded from the
@@ -59,4 +62,4 @@ pub use cache::TraceCache;
 pub use job::{Grid, Job, JobKind, JobOutput};
 pub use pool::{job_count, parse_jobs, run_indexed, try_job_count, try_run_indexed};
 pub use pool::{JobPanic, PoolReport};
-pub use runner::{JobFailure, JobResult, ReplayEngine, RunError, RunOutcome, RunStats, Runner};
+pub use runner::{JobFailure, JobResult, RunError, RunOutcome, RunStats, Runner};

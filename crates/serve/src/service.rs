@@ -182,8 +182,7 @@ impl Service {
 
     /// Runs grid-cell jobs (`POST /v1/cells`) as **one** grid on the
     /// shared runner, so jobs replaying the same trace share its
-    /// persistent cache entry and fuse into one replay group where the
-    /// runner's planner allows. Returns each job's compact wire-encoded
+    /// persistent cache entry. Returns each job's compact wire-encoded
     /// output, in job order.
     ///
     /// A simulation panic is caught and mapped to an error string (the
