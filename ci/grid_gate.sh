@@ -9,9 +9,14 @@
 #    the concatenation of the repro CLI's per-experiment RESULTS
 #    documents. One merge contract, three independent producers.
 #
-# 2. Warm repeats. The same grid sent again answers from the backends'
-#    per-cell result caches (one cell batch per trace key), with the
-#    same bytes.
+# 2. Warm grids, at both cache layers. The same grid sent again is
+#    `cmp`-identical and answered from the gateway's merged-document
+#    cache: the gateway's hit counter rises and the backends'
+#    result-cache hits do not move (no upstream call). The grid in the
+#    other order is another document: it is `cmp`-identical to the
+#    reordered repro concatenation, and it scatters with every cell
+#    answered from the backends' per-cell result caches, so their hits
+#    rise.
 #
 # 3. Loss tolerance. `kill -9` of a backend in the middle of a sequence
 #    of fresh (recomputing) grid requests must be invisible to clients:
@@ -74,21 +79,44 @@ cache_hits() {
   echo "$total"
 }
 
-echo "==> the same grid again: identical bytes, served from the backends' cell caches"
+gateway_grid_hits() {
+  curl -fsS "http://$gw/metrics" | awk '$1 == "mds_gateway_grid_cache_hits_total" {print $2}'
+}
+
+echo "==> the same grid again: identical bytes, served from the gateway's merged cache"
 hits_before=$(cache_hits)
+gw_hits_before=$(gateway_grid_hits)
 curl -fsS -X POST --data "$body" -o "$work/gateway_grid_again.json" "http://$gw/v1/grids"
 cmp "$work/expected_grid.json" "$work/gateway_grid_again.json"
 hits_after=$(cache_hits)
-if [ "$hits_after" -le "$hits_before" ]; then
-  echo "  result-cache hits did not rise on the repeat ($hits_before -> $hits_after)" >&2
+gw_hits_after=$(gateway_grid_hits)
+if [ "$gw_hits_after" -le "$gw_hits_before" ]; then
+  echo "  gateway grid-cache hits did not rise on the repeat ($gw_hits_before -> $gw_hits_after)" >&2
   exit 1
 fi
-echo "  identical; backend result-cache hits $hits_before -> $hits_after"
+if [ "$hits_after" -ne "$hits_before" ]; then
+  echo "  the repeat reached the backends (result-cache hits $hits_before -> $hits_after)" >&2
+  exit 1
+fi
+echo "  identical; gateway grid-cache hits $gw_hits_before -> $gw_hits_after, backend hits unchanged at $hits_after"
+
+echo "==> the grid reordered: identical to the reordered CLI documents, served from the backends' cell caches"
+cat "$work/RESULTS_table1.json" "$work/RESULTS_fig5.json" >"$work/expected_reordered.json"
+reordered='{"experiments":["table1","fig5"],"scale":"tiny"}'
+curl -fsS -X POST --data "$reordered" -o "$work/gateway_reordered.json" "http://$gw/v1/grids"
+cmp "$work/expected_reordered.json" "$work/gateway_reordered.json"
+hits_reordered=$(cache_hits)
+if [ "$hits_reordered" -le "$hits_after" ]; then
+  echo "  backend result-cache hits did not rise on the reordered grid ($hits_after -> $hits_reordered)" >&2
+  exit 1
+fi
+echo "  identical; backend result-cache hits $hits_after -> $hits_reordered"
 
 echo "==> grid metrics counted the scatter"
 curl -fsS "http://$gw/metrics" >"$work/metrics.txt"
 grep -q '^mds_gateway_grids_total' "$work/metrics.txt"
 grep -q '^mds_gateway_grid_cells_total' "$work/metrics.txt"
+grep -q '^mds_gateway_grid_cache_misses_total' "$work/metrics.txt"
 
 echo "==> kill -9 one backend mid-grid: every response whole, zero errors"
 # `fresh` keeps the backends recomputing so the kill lands while cells

@@ -105,6 +105,17 @@ impl GridRequest {
             fresh,
         })
     }
+
+    /// The canonical merged-document cache key: the experiments in
+    /// request order, duplicates kept, joined by `+`, then `@` and the
+    /// scale (`fig5+fig6@tiny`). Field order, whitespace and `fresh`
+    /// stay out of it, so every body asking for the same document shares
+    /// one entry. A one-experiment grid's key is its experiment's
+    /// `(experiment, scale)` key (`fig5@tiny`), as its document is that
+    /// experiment's document.
+    pub fn cache_key(&self) -> String {
+        format!("{}@{}", self.experiments.join("+"), scale_name(self.scale))
+    }
 }
 
 /// One unit of scatter-gather work: a demand from some requested
@@ -243,6 +254,37 @@ mod tests {
                 err.contains(needle),
                 "body {body:?}: error {err:?} lacks {needle:?}"
             );
+        }
+    }
+
+    #[test]
+    fn cache_key_is_canonical_over_syntax_and_fresh() {
+        let key = |body: &str| GridRequest::from_body(body).unwrap().cache_key();
+        let canonical = key(r#"{"experiments":["fig5","fig6"],"scale":"tiny"}"#);
+        assert_eq!(canonical, "fig5+fig6@tiny");
+        for body in [
+            r#"{"scale":"tiny","experiments":["fig5","fig6"]}"#,
+            "{ \"experiments\" : [ \"fig5\" ,\n \"fig6\" ] , \"scale\" : \"tiny\" }",
+            r#"{"experiments":["fig5","fig6"],"scale":"tiny","fresh":true}"#,
+            r#"{"fresh":false,"experiments":["fig5","fig6"],"scale":"tiny"}"#,
+        ] {
+            assert_eq!(key(body), canonical, "{body}");
+        }
+        // Order, duplicates and scale are identity: each names another
+        // document.
+        for (body, expect) in [
+            (
+                r#"{"experiments":["fig6","fig5"],"scale":"tiny"}"#,
+                "fig6+fig5@tiny",
+            ),
+            (
+                r#"{"experiments":["fig5","fig6","fig5"],"scale":"tiny"}"#,
+                "fig5+fig6+fig5@tiny",
+            ),
+            (r#"{"experiments":["fig5","fig6"]}"#, "fig5+fig6@small"),
+            (r#"{"experiments":["fig5"],"scale":"tiny"}"#, "fig5@tiny"),
+        ] {
+            assert_eq!(key(body), expect, "{body}");
         }
     }
 

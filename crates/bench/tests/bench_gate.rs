@@ -1,8 +1,8 @@
 //! The `bench_gate` binary, driven end to end on temporary reports.
 
-use mds_harness::bench::{BenchConfig, BenchReport, BenchResult};
+use mds_harness::bench::{BenchConfig, BenchReport, BenchResult, Host};
 use mds_harness::json::ToJson;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn report(series: &[(&str, f64)]) -> BenchReport {
@@ -10,6 +10,7 @@ fn report(series: &[(&str, f64)]) -> BenchReport {
         suite: "gate_test".to_string(),
         scale: "tiny".to_string(),
         config: BenchConfig::default(),
+        host: Some(Host::current()),
         results: series
             .iter()
             .map(|&(name, median_ns)| BenchResult {
@@ -29,12 +30,29 @@ fn report(series: &[(&str, f64)]) -> BenchReport {
 /// Writes both reports to a fresh temporary directory and runs
 /// `bench_gate <baseline> <fresh>`.
 fn gate(test: &str, baseline: &BenchReport, fresh: &BenchReport) -> (i32, String) {
+    gate_against(test, None, baseline, fresh)
+}
+
+/// [`gate`], with the baseline read from `baseline_file` as it is on
+/// disk when one is given.
+fn gate_against(
+    test: &str,
+    baseline_file: Option<&Path>,
+    baseline: &BenchReport,
+    fresh: &BenchReport,
+) -> (i32, String) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("mds-bench-gate-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let base_path = dir.join("baseline.json");
+    let base_path = match baseline_file {
+        Some(path) => path.to_path_buf(),
+        None => {
+            let path = dir.join("baseline.json");
+            std::fs::write(&path, baseline.to_json().pretty()).unwrap();
+            path
+        }
+    };
     let fresh_path = dir.join("fresh.json");
-    std::fs::write(&base_path, baseline.to_json().pretty()).unwrap();
     std::fs::write(&fresh_path, fresh.to_json().pretty()).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
         .arg(&base_path)
@@ -46,6 +64,39 @@ fn gate(test: &str, baseline: &BenchReport, fresh: &BenchReport) -> (i32, String
     let text =
         String::from_utf8_lossy(&out.stdout).into_owned() + &String::from_utf8_lossy(&out.stderr);
     (out.status.code().unwrap(), text)
+}
+
+#[test]
+fn committed_baselines_gate_against_fresh_reports_with_host_facts() {
+    // Baselines recorded before reports carried host facts stay valid:
+    // each committed BENCH_*.json, read as it is on disk, parses and
+    // gates cleanly against a fresh report of the same timings that
+    // records its host.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&root).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let baseline = BenchReport::parse(&text)
+            .unwrap_or_else(|e| panic!("unparseable baseline {name}: {e}"));
+        assert_eq!(
+            baseline.host.is_some(),
+            text.contains("\"nproc\""),
+            "{name}: host facts read back as written"
+        );
+        let fresh = BenchReport {
+            host: Some(Host::current()),
+            ..baseline.clone()
+        };
+        let (code, out) = gate_against(&name, Some(&path), &baseline, &fresh);
+        assert_eq!(code, 0, "{name}: {out}");
+        checked += 1;
+    }
+    assert!(checked >= 7, "only {checked} committed baselines found");
 }
 
 #[test]

@@ -14,18 +14,25 @@
 //! the steady state where backends answer from their result caches and
 //! the gateway adds only its proxy hop.
 //!
-//! The `grid_cold` series times one whole `POST /v1/grids` (fig5)
-//! against a fresh fleet per sample, one simulation thread per backend:
-//! the scatter-gather cold-grid wall time whose 4-backend point the
-//! bench gate requires to beat the 1-backend point by 1.7x on hosts
-//! with at least four cores. The `grid_warm` series times the same grid
-//! sent again to the same fleet, answered from the backends' per-cell
-//! result caches; the gate requires it to be at least 3x faster than
+//! Three grid series time one whole `POST /v1/grids` each, against a
+//! fresh fleet per sample with one simulation thread per backend:
+//!
+//! - `grid_cold`: fig5 + table7 on empty caches, the scatter-gather
+//!   cold-grid wall time. The bench gate requires its 4-backend point to
+//!   beat the 1-backend point by 1.7x on hosts with at least four cores.
+//! - `grid_warm`: the same grid again, answered from the gateway's
+//!   merged-document cache with no upstream call.
+//! - `grid_cells_warm`: table7 + fig5, the same cells in the other
+//!   order. It is another document, so it misses the merged cache and
+//!   scatters, and every cell batch is answered from the backends'
+//!   per-cell result caches: this is the per-cell cache path.
+//!
+//! The gate requires both warm series to be at least 3x faster than
 //! `grid_cold` at 2 backends (see `ci/bench_gate.sh`).
 
 use mds_cluster::fleet::{Fleet, FleetConfig};
 use mds_cluster::gateway::{Gateway, GatewayConfig};
-use mds_harness::bench::{BenchConfig, BenchReport, BenchResult};
+use mds_harness::bench::{BenchConfig, BenchReport, BenchResult, Host};
 use mds_harness::json::{Json, ToJson};
 use mds_serve::client::request_once;
 use mds_serve::{run_load, LoadConfig, LoadReport, LogTarget};
@@ -35,6 +42,9 @@ const BACKEND_COUNTS: [usize; 3] = [1, 2, 4];
 const CLIENTS: usize = 8;
 const EXPERIMENT: &str = "fig5";
 const SCALE: &str = "tiny";
+/// The grid series' experiments. table7's cells are a subset of fig5's,
+/// so the two orders are two documents over one set of cells.
+const GRID: [&str; 2] = ["fig5", "table7"];
 
 fn seconds_per_run(measure: bool) -> f64 {
     if let Ok(text) = std::env::var("MDS_CLUSTER_BENCH_SECONDS") {
@@ -104,17 +114,19 @@ fn gate_result(mode: &str, backends: usize, report: &LoadReport) -> BenchResult 
     }
 }
 
-/// One `(cold, warm)` pair of `POST /v1/grids` wall times at `backends`
-/// backends. The cold grid runs on a fresh fleet (empty trace and result
-/// caches) with one simulation thread per backend, i.e. fixed per-node
-/// capacity; what it isolates is scale-out of the cold emulation phase:
-/// the gateway's balanced placement caps each backend at its fair share
-/// of the grid's distinct workloads, and each backend emulates its
-/// shards as their cell batches arrive, concurrently, so wall time
-/// shrinks with backend count on any host with at least as many cores
-/// as backends. The warm grid is the same request again, answered from
-/// the backends' per-cell result caches.
-fn grid_sample(backends: usize) -> (Duration, Duration) {
+/// One `[cold, warm, cells_warm]` triple of `POST /v1/grids` wall times
+/// at `backends` backends. The cold grid runs on a fresh fleet (empty
+/// trace and result caches) with one simulation thread per backend, i.e.
+/// fixed per-node capacity; what it isolates is scale-out of the cold
+/// emulation phase: the gateway's balanced placement caps each backend
+/// at its fair share of the grid's distinct workloads, and each backend
+/// emulates its shards as their cell batches arrive, concurrently, so
+/// wall time shrinks with backend count on any host with at least as
+/// many cores as backends. The warm grid is the same request again,
+/// answered from the gateway's merged-document cache; the cells-warm
+/// grid reverses the experiment order, so it scatters and every cell
+/// hits a backend's result cache.
+fn grid_sample(backends: usize) -> [Duration; 3] {
     let fleet = Fleet::spawn(&FleetConfig {
         backends,
         workers: 4,
@@ -130,8 +142,11 @@ fn grid_sample(backends: usize) -> (Duration, Duration) {
         ..GatewayConfig::default()
     })
     .expect("start gateway");
-    let body = format!(r#"{{"experiments":["{EXPERIMENT}"],"scale":"{SCALE}"}}"#);
-    let grid = || {
+    let grid = |ids: [&str; 2]| {
+        let body = format!(
+            r#"{{"experiments":["{}","{}"],"scale":"{SCALE}"}}"#,
+            ids[0], ids[1]
+        );
         let started = Instant::now();
         let response = request_once(
             &gateway.local_addr().to_string(),
@@ -145,7 +160,8 @@ fn grid_sample(backends: usize) -> (Duration, Duration) {
         assert_eq!(response.status, 200, "grid over {backends} backends failed");
         elapsed
     };
-    let samples = (grid(), grid());
+    let [first, second] = GRID;
+    let samples = [grid(GRID), grid(GRID), grid([second, first])];
     gateway.shutdown();
     fleet.shutdown();
     samples
@@ -191,13 +207,16 @@ fn main() {
     // fresh-fleet samples rather than load seconds.
     let grid_samples = ((seconds / 0.5).round() as usize).clamp(1, 8);
     for backends in BACKEND_COUNTS {
-        let (mut cold_ns, mut warm_ns): (Vec<u64>, Vec<u64>) = (0..grid_samples)
-            .map(|_| {
-                let (cold, warm) = grid_sample(backends);
-                (cold.as_nanos() as u64, warm.as_nanos() as u64)
-            })
-            .unzip();
-        for (mode, samples) in [("grid_cold", &mut cold_ns), ("grid_warm", &mut warm_ns)] {
+        let mut series: [Vec<u64>; 3] = Default::default();
+        for _ in 0..grid_samples {
+            for (samples, wall) in series.iter_mut().zip(grid_sample(backends)) {
+                samples.push(wall.as_nanos() as u64);
+            }
+        }
+        for (mode, samples) in ["grid_cold", "grid_warm", "grid_cells_warm"]
+            .into_iter()
+            .zip(&mut series)
+        {
             let result = grid_result(mode, backends, samples);
             eprintln!(
                 "  {mode}/{backends}b: median {:.1}ms over {grid_samples} fresh-fleet sample(s)",
@@ -271,17 +290,18 @@ fn main() {
             batches: 1,
             max_ms: (seconds * 1e3) as u64 * BACKEND_COUNTS.len() as u64 * 2,
         },
+        host: Some(Host::current()),
         results,
     };
     let doc = report
         .to_json()
         .field("experiment", EXPERIMENT)
+        .field(
+            "grid",
+            Json::Array(GRID.iter().map(|&id| Json::from(id)).collect()),
+        )
         .field("clients", CLIENTS)
         .field("seconds_per_run", seconds)
-        .field(
-            "cores",
-            std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-        )
         .field("runs", mds_harness::json::Json::Array(runs));
     let path = mds_harness::bench::report_dir().join("BENCH_cluster.json");
     match std::fs::write(&path, doc.pretty()) {

@@ -31,6 +31,15 @@
 //! copies status, `content-type`, and body verbatim, so gateway-served
 //! experiment documents are identical to `repro <id> --json` output.
 //!
+//! `POST /v1/grids` is the one route the gateway answers itself: it
+//! scatters the grid's cells across the fleet and merges them
+//! ([`crate::grid`]). Merged documents are cached in a [`ResultCache`]
+//! (the backends' default byte budget) keyed by
+//! [`GridRequest::cache_key`], under the effective output epoch captured
+//! at start. A repeated grid is answered from that cache with no
+//! planning, no upstream call and no merge; `fresh` skips the read and
+//! refreshes the entry. Access records say `cache: hit|miss` for grids.
+//!
 //! A background prober drives per-backend health from `GET /readyz`
 //! (drain-aware: backends flip not-ready the moment shutdown begins),
 //! re-probing failed backends on a capped exponential backoff with
@@ -51,6 +60,7 @@ use mds_serve::front::{Front, Running, Tier};
 use mds_serve::http::{ClientResponse, Limits, Request, Response, Version};
 use mds_serve::io::reactor::{self, Outcome};
 use mds_serve::persist;
+use mds_serve::result_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mds_serve::{ExperimentRequest, LogTarget};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -170,6 +180,12 @@ struct Shared {
     proxied: AtomicU64,
     /// Numerator of the retry budget (budgeted retries so far).
     retries: AtomicU64,
+    /// Merged grid documents by [`GridRequest::cache_key`].
+    merged: ResultCache,
+    /// The effective output epoch captured at start: the merged cache's
+    /// entries live under it, as a backend's result cache does under its
+    /// own.
+    epoch: u64,
 }
 
 /// A running gateway. Dropping it performs a graceful shutdown (the
@@ -214,9 +230,11 @@ impl Gateway {
             })
             .collect();
         let ring = HashRing::new(&config.backends, config.vnodes);
+        let epoch = persist::effective_epoch();
         front.log.event(
             Json::object()
                 .field("evt", "ring")
+                .field("epoch", epoch)
                 .field("backends", backends.len())
                 .field("vnodes", config.vnodes)
                 .field("points", ring.points())
@@ -230,6 +248,8 @@ impl Gateway {
             round_robin: AtomicU64::new(0),
             proxied: AtomicU64::new(0),
             retries: AtomicU64::new(0),
+            merged: ResultCache::new(DEFAULT_BUDGET_BYTES),
+            epoch,
             config,
         });
         let config = &shared.config;
@@ -271,6 +291,16 @@ impl Gateway {
     /// Gateway counters (tests, summaries).
     pub fn metrics(&self) -> &GatewayMetrics {
         &self.shared.metrics
+    }
+
+    /// The merged grid-document cache.
+    pub fn grid_cache(&self) -> &ResultCache {
+        &self.shared.merged
+    }
+
+    /// The effective output epoch the merged cache serves under.
+    pub fn epoch(&self) -> u64 {
+        self.shared.epoch
     }
 
     /// The per-backend states, in configuration order.
@@ -370,7 +400,7 @@ impl Tier for Shared {
                     .ok()
                     .map(|r| r.cache_key()),
             ),
-            ("POST", "/v1/grids") => serve_grid(self, &request.body),
+            ("POST", "/v1/grids") => return Some(serve_grid(self, &request.body)),
             _ => return None,
         };
         Some(Outcome::new(response))
@@ -411,6 +441,15 @@ fn cluster_status(shared: &Shared) -> String {
         .field("proxied", load(&shared.proxied))
         .field("retries", load(&shared.retries))
         .field("grids", load(&shared.metrics.grids_total))
+        .field(
+            "grid_cache_hits",
+            load(&shared.metrics.grid_cache_hits_total),
+        )
+        .field(
+            "grid_cache_misses",
+            load(&shared.metrics.grid_cache_misses_total),
+        )
+        .field("epoch", shared.epoch)
         .field("grid_cells", load(&shared.metrics.grid_cells_total))
         .field("grid_window", shared.config.grid_window as u64)
         .to_string()
@@ -662,7 +701,50 @@ fn grid_owners(shared: &Shared, plan: &grid::GridPlan) -> HashMap<String, usize>
     grid::balanced_assignments(&candidates, shared.backends.len())
 }
 
-/// `POST /v1/grids`: scatter-gather grid execution.
+/// `POST /v1/grids`: a merged-document cache in front of scatter-gather
+/// grid execution.
+///
+/// A grid whose [`GridRequest::cache_key`] is cached, and that is not
+/// `fresh`, is answered from the cache: no planning, no upstream call, no
+/// merge. Anything else scatters. Every successful merge fills the
+/// cache (so a `fresh` grid refreshes its entry); a `400` or a failed
+/// merge is never cached.
+fn serve_grid(shared: &Shared, body: &[u8]) -> Outcome {
+    let bad = |message: String| {
+        Outcome::new(Response::json(
+            400,
+            Json::object().field("error", message).to_string(),
+        ))
+    };
+    let Ok(text) = std::str::from_utf8(body) else {
+        return bad("body is not UTF-8".to_string());
+    };
+    let grid_request = match GridRequest::from_body(text) {
+        Ok(request) => request,
+        Err(message) => return bad(message),
+    };
+    let m = &shared.metrics;
+    m.grids_total.fetch_add(1, Ordering::Relaxed);
+    let key = grid_request.cache_key();
+    if !grid_request.fresh {
+        if let Some(doc) = shared.merged.get(&key) {
+            m.grid_cache_hits_total.fetch_add(1, Ordering::Relaxed);
+            return Outcome::new(Response::json(200, doc.as_bytes())).cache("hit");
+        }
+    }
+    m.grid_cache_misses_total.fetch_add(1, Ordering::Relaxed);
+    let response = match scatter_gather(shared, &grid_request) {
+        Ok(doc) => {
+            shared.merged.put(&key, Arc::from(doc.as_str()));
+            Response::json(200, doc)
+        }
+        Err(message) => Response::json(500, Json::object().field("error", message).to_string()),
+    };
+    Outcome::new(response).cache("miss")
+}
+
+/// Scatter-gather grid execution: the merged document, or the merge's
+/// error.
 ///
 /// Decomposes the request into cells (one per distinct simulation
 /// demand), groups them into one batch per `workload@scale` trace key,
@@ -672,21 +754,11 @@ fn grid_owners(shared: &Shared, plan: &grid::GridPlan) -> HashMap<String, usize>
 /// backend serving the same grid. The cells of a batch that every
 /// candidate fails, or that comes back malformed, are computed locally
 /// by the merger, so backend loss degrades latency, never the answer.
-fn serve_grid(shared: &Shared, body: &[u8]) -> Response {
-    let bad =
-        |message: String| Response::json(400, Json::object().field("error", message).to_string());
-    let Ok(text) = std::str::from_utf8(body) else {
-        return bad("body is not UTF-8".to_string());
-    };
-    let grid_request = match GridRequest::from_body(text) {
-        Ok(request) => request,
-        Err(message) => return bad(message),
-    };
-    shared.metrics.grids_total.fetch_add(1, Ordering::Relaxed);
+fn scatter_gather(shared: &Shared, grid_request: &GridRequest) -> Result<String, String> {
     let started = Instant::now();
-    let plan = grid::plan(&grid_request);
+    let plan = grid::plan(grid_request);
     let owners = grid_owners(shared, &plan);
-    let mut merger = grid::Merger::new(&grid_request, Runner::new(1));
+    let mut merger = grid::Merger::new(grid_request, Runner::new(1));
     let windows = grid::Windows::new(shared.backends.len(), shared.config.grid_window);
 
     let batches = &plan.batches;
@@ -750,10 +822,7 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Response {
             .fetch_add(failed_cells as u64, Ordering::Relaxed);
     }
     let accepted = merger.accepted();
-    let response = match merger.finish() {
-        Ok(doc) => Response::json(200, doc),
-        Err(message) => Response::json(500, Json::object().field("error", message).to_string()),
-    };
+    let doc = merger.finish();
     shared.front.log.event(
         Json::object()
             .field("evt", "grid")
@@ -763,7 +832,7 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Response {
             .field("failed", failed_cells as u64)
             .field("us", started.elapsed().as_micros() as u64),
     );
-    response
+    doc
 }
 
 /// The serial failover loop shared by the experiment proxy path and

@@ -17,10 +17,18 @@
 //! order — byte-identical to a lone `mds-serve` answering the whole grid,
 //! and to `repro <id> --json` per experiment.
 //!
+//! All of this runs only when the gateway's merged-document cache
+//! misses: a grid answered before, and not sent `fresh`, comes back from
+//! that cache under its canonical descriptor
+//! ([`GridRequest::cache_key`]) without a plan, a batch or a merge. A
+//! grid that differs only in experiment order is another document, so it
+//! scatters again, and its batches hit the backends' per-cell caches.
+//!
 //! The submodule split mirrors the pipeline: this module plans and
 //! merges (pure, property-testable); [`windows`] bounds per-backend
-//! in-flight dispatch; the network scatter loop lives in the gateway,
-//! next to the failover machinery it reuses.
+//! in-flight dispatch; the network scatter loop and the merged-document
+//! cache live in the gateway, next to the failover machinery the loop
+//! reuses.
 
 pub mod windows;
 

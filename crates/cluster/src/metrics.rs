@@ -27,8 +27,13 @@ pub struct GatewayMetrics {
     pub hedge_wins_total: AtomicU64,
     /// Proxied requests that exhausted every candidate backend.
     pub unavailable_total: AtomicU64,
-    /// `POST /v1/grids` requests entering the scatter-gather path.
+    /// Valid `POST /v1/grids` requests: merged-cache hits plus
+    /// scatter-gathers.
     pub grids_total: AtomicU64,
+    /// Grids answered from the merged-document cache.
+    pub grid_cache_hits_total: AtomicU64,
+    /// Grids that scattered instead: not cached yet, evicted, or `fresh`.
+    pub grid_cache_misses_total: AtomicU64,
     /// Grid cells dispatched upstream (across all grids; a batch counts
     /// each of its cells).
     pub grid_cells_total: AtomicU64,
@@ -164,8 +169,20 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     counter(
         out,
         "mds_gateway_grids_total",
-        "Grid requests entering the scatter-gather path.",
+        "Valid grid requests: merged-cache hits plus scatter-gathers.",
         c(&m.grids_total),
+    );
+    counter(
+        out,
+        "mds_gateway_grid_cache_hits_total",
+        "Grids answered from the merged-document cache.",
+        c(&m.grid_cache_hits_total),
+    );
+    counter(
+        out,
+        "mds_gateway_grid_cache_misses_total",
+        "Grids scattered because the merged document was not cached or fresh was set.",
+        c(&m.grid_cache_misses_total),
     );
     counter(
         out,

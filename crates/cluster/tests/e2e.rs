@@ -425,43 +425,144 @@ fn gateway_grid_matches_lone_backend_and_cli_byte_for_byte() {
     fleet.shutdown();
 }
 
+/// Upstream calls the gateway has made (every attempt, all backends).
+fn upstream_calls(gateway: &Gateway) -> u64 {
+    gateway.metrics().upstream_latency.count()
+}
+
+/// Result-cache hits summed over the fleet's running backends.
+fn backend_hits(fleet: &Fleet, backends: usize) -> u64 {
+    (0..backends)
+        .filter_map(|i| fleet.server(i))
+        .map(|s| s.metrics().result_cache_hits.load(Ordering::Relaxed))
+        .sum()
+}
+
+/// Trace emulations summed over the fleet's running backends.
+fn backend_emulations(fleet: &Fleet, backends: usize) -> u64 {
+    (0..backends)
+        .filter_map(|i| fleet.server(i))
+        .map(|s| s.trace_cache().misses())
+        .sum()
+}
+
+/// The gateway's merged-cache `(hits, misses)` counters.
+fn grid_cache_counts(gateway: &Gateway) -> (u64, u64) {
+    let m = gateway.metrics();
+    (
+        m.grid_cache_hits_total.load(Ordering::Relaxed),
+        m.grid_cache_misses_total.load(Ordering::Relaxed),
+    )
+}
+
+/// The `cache` field of every `/v1/grids` access record, in order.
+fn grid_access_cache_fields(gateway: &Gateway) -> Vec<String> {
+    gateway
+        .log_lines()
+        .iter()
+        .filter_map(|line| mds_harness::json::Json::parse(line).ok())
+        .filter(|rec| {
+            rec.get("evt").and_then(|v| v.as_str()) == Some("request")
+                && rec.get("target").and_then(|v| v.as_str()) == Some("/v1/grids")
+        })
+        .filter_map(|rec| rec.get("cache").and_then(|v| v.as_str()).map(String::from))
+        .collect()
+}
+
 #[test]
-fn repeated_gateway_grid_ships_one_batch_per_key_and_hits_cell_caches() {
+fn repeated_gateway_grid_is_served_from_the_merged_cache() {
     let fleet = fleet(2);
     let gateway = gateway_over(fleet.addrs());
     let body = br#"{"experiments":["fig5","fig6"],"scale":"tiny"}"#;
     let expected = cli_doc("fig5") + &cli_doc("fig6");
+
+    let cold = request(&gateway, "POST", "/v1/grids", body);
+    assert_eq!(cold.body, expected.as_bytes());
+    assert_eq!(grid_cache_counts(&gateway), (0, 1));
+    assert_eq!(gateway.grid_cache().len(), 1);
+
+    // The repeat, spelled differently: byte-identical, a merged-cache
+    // hit, and not one upstream call.
+    let (calls, hits) = (upstream_calls(&gateway), backend_hits(&fleet, 2));
+    let respelled = br#"{ "scale": "tiny", "experiments": [ "fig5", "fig6" ] }"#;
+    let repeat = request(&gateway, "POST", "/v1/grids", respelled);
+    assert_eq!(repeat.status, 200);
+    assert_eq!(repeat.header("content-type"), Some("application/json"));
+    assert_eq!(repeat.body, expected.as_bytes());
+    assert_eq!(upstream_calls(&gateway), calls, "a hit calls no backend");
+    assert_eq!(backend_hits(&fleet, 2), hits);
+    assert_eq!(grid_cache_counts(&gateway), (1, 1));
+    assert_eq!(grid_access_cache_fields(&gateway), ["miss", "hit"]);
+
+    // The status page and the exposition both count it.
+    let status = request(&gateway, "GET", "/v1/cluster", b"");
+    let status =
+        mds_harness::json::Json::parse(std::str::from_utf8(&status.body).unwrap()).unwrap();
+    assert_eq!(
+        status.get("grid_cache_hits").and_then(|v| v.as_u64()),
+        Some(1)
+    );
+    assert_eq!(
+        status.get("grid_cache_misses").and_then(|v| v.as_u64()),
+        Some(1)
+    );
+    assert_eq!(
+        status.get("epoch").and_then(|v| v.as_u64()),
+        Some(gateway.epoch())
+    );
+    let text = String::from_utf8(request(&gateway, "GET", "/metrics", b"").body).unwrap();
+    assert_eq!(metric(&text, "mds_gateway_grid_cache_hits_total"), Some(1));
+    assert_eq!(
+        metric(&text, "mds_gateway_grid_cache_misses_total"),
+        Some(1)
+    );
+
+    gateway.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
+fn reordered_gateway_grid_ships_one_batch_per_key_and_hits_cell_caches() {
+    let fleet = fleet(2);
+    let gateway = gateway_over(fleet.addrs());
     let ids = ["fig5".to_string(), "fig6".to_string()];
     let cells = mds_bench::grid::cells(&ids, Scale::Tiny);
     let mut keys: Vec<String> = cells.iter().map(|c| c.route_key()).collect();
     keys.sort_unstable();
     keys.dedup();
 
-    let calls = || gateway.metrics().upstream_latency.count();
-    let hits = || -> u64 {
-        (0..2)
-            .filter_map(|i| fleet.server(i))
-            .map(|s| s.metrics().result_cache_hits.load(Ordering::Relaxed))
-            .sum()
-    };
-    let misses = || -> u64 {
-        (0..2)
-            .filter_map(|i| fleet.server(i))
-            .map(|s| s.trace_cache().misses())
-            .sum()
-    };
-    let cold = request(&gateway, "POST", "/v1/grids", body);
-    assert_eq!(cold.body, expected.as_bytes());
-    assert_eq!(misses(), keys.len() as u64, "each trace emulated once");
+    let cold = request(
+        &gateway,
+        "POST",
+        "/v1/grids",
+        br#"{"experiments":["fig5","fig6"],"scale":"tiny"}"#,
+    );
+    assert_eq!(cold.body, (cli_doc("fig5") + &cli_doc("fig6")).as_bytes());
+    assert_eq!(
+        backend_emulations(&fleet, 2),
+        keys.len() as u64,
+        "each trace emulated once"
+    );
 
-    // The repeat: one upstream call per distinct trace key, every cell
-    // answered from its backend's result cache, nothing emulated.
-    let (calls_before, hits_before) = (calls(), hits());
-    let repeat = request(&gateway, "POST", "/v1/grids", body);
-    assert_eq!(repeat.body, expected.as_bytes());
-    assert_eq!(calls() - calls_before, keys.len() as u64);
-    assert_eq!(hits() - hits_before, cells.len() as u64);
-    assert_eq!(misses(), keys.len() as u64);
+    // The same cells in another experiment order is another document:
+    // it misses the merged cache and scatters one upstream call per
+    // distinct trace key, every cell answered from its backend's result
+    // cache, nothing emulated.
+    let (calls, hits) = (upstream_calls(&gateway), backend_hits(&fleet, 2));
+    let reordered = request(
+        &gateway,
+        "POST",
+        "/v1/grids",
+        br#"{"experiments":["fig6","fig5"],"scale":"tiny"}"#,
+    );
+    assert_eq!(
+        reordered.body,
+        (cli_doc("fig6") + &cli_doc("fig5")).as_bytes()
+    );
+    assert_eq!(upstream_calls(&gateway) - calls, keys.len() as u64);
+    assert_eq!(backend_hits(&fleet, 2) - hits, cells.len() as u64);
+    assert_eq!(backend_emulations(&fleet, 2), keys.len() as u64);
+    assert_eq!(grid_cache_counts(&gateway), (0, 2));
     assert_eq!(
         gateway
             .metrics()
@@ -470,6 +571,71 @@ fn repeated_gateway_grid_ships_one_batch_per_key_and_hits_cell_caches() {
         0
     );
 
+    gateway.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
+fn fresh_gateway_grid_bypasses_the_merged_cache_and_refreshes_it() {
+    let fleet = fleet(2);
+    let gateway = gateway_over(fleet.addrs());
+    let body = br#"{"experiments":["fig5","table1"],"scale":"tiny"}"#;
+    let fresh = br#"{"experiments":["fig5","table1"],"scale":"tiny","fresh":true}"#;
+    let expected = cli_doc("fig5") + &cli_doc("table1");
+
+    // A fresh grid on a cold gateway fills the entry the plain
+    // descriptor reads: the repeat is a hit.
+    let first = request(&gateway, "POST", "/v1/grids", fresh);
+    assert_eq!(first.body, expected.as_bytes());
+    assert_eq!(gateway.grid_cache().len(), 1);
+    let calls = upstream_calls(&gateway);
+    let hit = request(&gateway, "POST", "/v1/grids", body);
+    assert_eq!(hit.body, expected.as_bytes());
+    assert_eq!(upstream_calls(&gateway), calls);
+    assert_eq!(grid_cache_counts(&gateway), (1, 1));
+
+    // A fresh repeat of a cached grid skips the read: it scatters again
+    // and counts a miss, then refreshes the same entry.
+    let again = request(&gateway, "POST", "/v1/grids", fresh);
+    assert_eq!(again.body, expected.as_bytes());
+    assert!(
+        upstream_calls(&gateway) > calls,
+        "a fresh grid must call its backends"
+    );
+    assert_eq!(grid_cache_counts(&gateway), (1, 2));
+    assert_eq!(gateway.grid_cache().len(), 1);
+    let calls = upstream_calls(&gateway);
+    let hit = request(&gateway, "POST", "/v1/grids", body);
+    assert_eq!(hit.body, expected.as_bytes());
+    assert_eq!(upstream_calls(&gateway), calls);
+    assert_eq!(grid_cache_counts(&gateway), (2, 2));
+    assert_eq!(
+        grid_access_cache_fields(&gateway),
+        ["miss", "hit", "miss", "hit"]
+    );
+
+    gateway.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
+fn rejected_gateway_grids_are_never_cached() {
+    let fleet = fleet(1);
+    let gateway = gateway_over(fleet.addrs());
+    for _ in 0..2 {
+        let bad = request(
+            &gateway,
+            "POST",
+            "/v1/grids",
+            br#"{"experiments":["fig5","nope"],"scale":"tiny"}"#,
+        );
+        assert_eq!(bad.status, 400);
+        assert!(String::from_utf8_lossy(&bad.body).contains("nope"));
+    }
+    assert!(gateway.grid_cache().is_empty());
+    assert_eq!(grid_cache_counts(&gateway), (0, 0));
+    assert_eq!(upstream_calls(&gateway), 0, "a 400 never scatters");
+    assert_eq!(grid_access_cache_fields(&gateway), ["-", "-"]);
     gateway.shutdown();
     fleet.shutdown();
 }
@@ -644,6 +810,8 @@ fn gateway_metrics_family_names_stay_pinned() {
         "mds_gateway_backends",
         "mds_gateway_connections_total",
         "mds_gateway_failovers_total",
+        "mds_gateway_grid_cache_hits_total",
+        "mds_gateway_grid_cache_misses_total",
         "mds_gateway_grid_cell_failures_total",
         "mds_gateway_grid_cells_total",
         "mds_gateway_grids_total",

@@ -179,6 +179,45 @@ impl BenchResult {
     }
 }
 
+/// The machine a report was measured on: timings are only comparable
+/// between reports whose hosts match.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// Logical CPUs available to the measuring process (`nproc`).
+    pub nproc: u64,
+    /// Kernel release (`uname -r`), or `"unknown"` where it cannot be
+    /// read.
+    pub kernel: String,
+}
+
+impl Host {
+    /// The machine this process runs on.
+    pub fn current() -> Host {
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            kernel: std::fs::read_to_string("/proc/sys/kernel/osrelease")
+                .map_or_else(|_| "unknown".to_string(), |s| s.trim().to_string()),
+        }
+    }
+
+    /// Reads host facts back from their [`ToJson`] form.
+    pub fn from_json(v: &Json) -> Option<Host> {
+        Some(Host {
+            nproc: v.get("nproc")?.as_u64()?,
+            kernel: v.get("kernel")?.as_str()?.to_string(),
+        })
+    }
+}
+
+impl ToJson for Host {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("nproc", Json::from(self.nproc)),
+            ("kernel", Json::from(self.kernel.as_str())),
+        ])
+    }
+}
+
 /// A whole suite's report: what `BENCH_<suite>.json` holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -188,6 +227,9 @@ pub struct BenchReport {
     pub scale: String,
     /// Timing parameters the measurements used.
     pub config: BenchConfig,
+    /// The measuring machine; `None` for reports written before reports
+    /// recorded it.
+    pub host: Option<Host>,
     /// Per-benchmark summaries, in declaration order.
     pub results: Vec<BenchResult>,
 }
@@ -198,6 +240,7 @@ impl ToJson for BenchReport {
             ("suite", Json::from(self.suite.as_str())),
             ("scale", Json::from(self.scale.as_str())),
             ("config", self.config.to_json()),
+            ("host", self.host.to_json()),
             ("results", self.results.to_json()),
         ])
     }
@@ -219,6 +262,10 @@ impl BenchReport {
             suite: v.get("suite")?.as_str()?.to_string(),
             scale: v.get("scale")?.as_str()?.to_string(),
             config: BenchConfig::from_json(v.get("config")?)?,
+            host: match v.get("host") {
+                None | Some(Json::Null) => None,
+                Some(host) => Some(Host::from_json(host)?),
+            },
             results: v
                 .get("results")?
                 .as_array()?
@@ -450,6 +497,7 @@ impl Harness {
             suite: self.suite.clone(),
             scale: self.scale.clone(),
             config: self.cfg.clone(),
+            host: Some(Host::current()),
             results: self.results.clone(),
         }
     }
@@ -547,6 +595,10 @@ mod tests {
             suite: "structures".into(),
             scale: "small".into(),
             config: BenchConfig::default(),
+            host: Some(Host {
+                nproc: 2,
+                kernel: "6.1.0".into(),
+            }),
             results: vec![
                 BenchResult {
                     name: "mdpt_lookup_hit".into(),
@@ -572,6 +624,26 @@ mod tests {
         };
         let text = report.to_json().pretty();
         assert_eq!(BenchReport::parse(&text).unwrap(), report);
+    }
+
+    #[test]
+    fn reports_without_host_facts_parse_with_none() {
+        let mut report = BenchReport {
+            suite: "older".into(),
+            scale: "tiny".into(),
+            config: BenchConfig::default(),
+            host: Some(Host::current()),
+            results: Vec::new(),
+        };
+        let Json::Object(pairs) = report.to_json() else {
+            unreachable!("a report renders as an object")
+        };
+        let older = Json::Object(pairs.into_iter().filter(|(k, _)| k != "host").collect());
+        assert!(!older.pretty().contains("nproc"));
+        report.host = None;
+        assert_eq!(BenchReport::parse(&older.pretty()).unwrap(), report);
+        assert!(Host::current().nproc >= 1);
+        assert!(!Host::current().kernel.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! shrinking, and serialization guarantees the rest of the workspace
 //! relies on.
 
-use mds_harness::bench::{BenchConfig, BenchReport, BenchResult};
+use mds_harness::bench::{BenchConfig, BenchReport, BenchResult, Host};
 use mds_harness::json::{FromJson, Json, ToJson};
 use mds_harness::prelude::*;
 use mds_harness::prop;
@@ -217,6 +217,7 @@ fn bench_report_round_trips_through_json() {
         suite: "selftest".into(),
         scale: "small".into(),
         config: BenchConfig::default(),
+        host: Some(Host::current()),
         results: vec![BenchResult {
             name: "roundtrip".into(),
             iters_per_batch: 4096,

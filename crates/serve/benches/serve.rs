@@ -24,7 +24,7 @@
 //! `serve/<mode>/<N>c` entry per point, `median_ns` = the run's p50
 //! request latency) alongside the richer legacy `runs` array.
 
-use mds_harness::bench::{BenchConfig, BenchReport, BenchResult};
+use mds_harness::bench::{BenchConfig, BenchReport, BenchResult, Host};
 use mds_harness::json::ToJson;
 use mds_harness::tempdir::TempDir;
 use mds_serve::{run_load, LoadConfig, LoadReport, LogTarget, Server, ServerConfig};
@@ -202,6 +202,7 @@ fn main() {
             batches: 1,
             max_ms: (seconds * 1000.0) as u64,
         },
+        host: Some(Host::current()),
         results,
     };
     let doc = report

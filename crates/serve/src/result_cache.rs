@@ -2,9 +2,10 @@
 //! body, LRU within a byte budget.
 //!
 //! Keys are canonical request strings (see
-//! [`ExperimentRequest::cache_key`](crate::service::ExperimentRequest::cache_key)),
-//! so syntactically different JSON bodies asking for the same experiment
-//! share one entry. A warm hit returns the exact bytes of the original
+//! [`ExperimentRequest::cache_key`](crate::service::ExperimentRequest::cache_key),
+//! and [`GridRequest::cache_key`](mds_bench::grid::GridRequest::cache_key)
+//! for the gateway's merged grid documents), so syntactically different
+//! JSON bodies asking for the same document share one entry. A warm hit returns the exact bytes of the original
 //! response — no re-simulation, no re-serialization — which is what makes
 //! repeat queries byte-identical and nearly free.
 //!
@@ -22,6 +23,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// The default byte budget of a result cache: a backend's
+/// `cache_budget_bytes` default and the budget of the gateway's
+/// merged-grid cache.
+pub const DEFAULT_BUDGET_BYTES: usize = 16 * 1024 * 1024;
 
 const NIL: usize = usize::MAX;
 

@@ -21,7 +21,7 @@ use crate::http::{Limits, Request, Response};
 use crate::io::reactor::{self, Outcome};
 use crate::metrics::{self, Gauges, Metrics};
 use crate::persist;
-use crate::result_cache::ResultCache;
+use crate::result_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use crate::service::{cell_key, CellBatch, ExperimentRequest, Service};
 use mds_harness::json::{Json, ToJson};
 use mds_runner::TraceCache;
@@ -85,7 +85,7 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(5),
             limits: Limits::default(),
             max_requests_per_connection: 1000,
-            cache_budget_bytes: 16 * 1024 * 1024,
+            cache_budget_bytes: DEFAULT_BUDGET_BYTES,
             store_dir: None,
             log: LogTarget::Stderr,
             max_connections: 10_000,

@@ -259,6 +259,25 @@ mod tests {
     }
 
     #[test]
+    fn one_experiment_grid_key_is_the_experiment_key() {
+        // A one-experiment grid's document is that experiment's
+        // document, so both descriptors must name the same cache entry.
+        for id in mds_bench::EXPERIMENT_IDS {
+            for scale in ["tiny", "small", "full"] {
+                let experiment = ExperimentRequest::from_body(
+                    format!(r#"{{"experiment":"{id}","scale":"{scale}"}}"#).as_bytes(),
+                )
+                .unwrap();
+                let grid = mds_bench::grid::GridRequest::from_body(&format!(
+                    r#"{{"experiments":["{id}"],"scale":"{scale}","fresh":true}}"#
+                ))
+                .unwrap();
+                assert_eq!(grid.cache_key(), experiment.cache_key(), "{id}@{scale}");
+            }
+        }
+    }
+
+    #[test]
     fn rejections_carry_positions() {
         let syntax = ExperimentRequest::from_body(b"{").unwrap_err();
         assert!(syntax.contains("byte"), "{syntax}");
