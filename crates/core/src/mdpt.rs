@@ -76,6 +76,17 @@ struct EntryData {
     store_task_pc: Option<Pc>,
 }
 
+impl EntryData {
+    fn entry(&self, edge: DepEdge) -> MdptEntry {
+        MdptEntry {
+            edge,
+            dist: self.dist,
+            counter: self.counter,
+            store_task_pc: self.store_task_pc,
+        }
+    }
+}
+
 /// The Memory Dependence Prediction Table.
 ///
 /// A fully associative, LRU-replaced table of [`MdptEntry`]s keyed by the
@@ -196,48 +207,47 @@ impl Mdpt {
         }
     }
 
-    fn snapshot(&mut self, edge: DepEdge) -> Option<MdptEntry> {
-        self.table.get(&edge).map(|d| MdptEntry {
-            edge,
-            dist: d.dist,
-            counter: d.counter,
-            store_task_pc: d.store_task_pc,
-        })
-    }
-
     /// All entries naming `load_pc` that currently predict synchronization
     /// (counter at or above threshold). Touches LRU state.
     pub fn predicting_for_load(&mut self, load_pc: Pc) -> Vec<MdptEntry> {
-        self.matching(load_pc, true)
+        let mut out = Vec::new();
+        self.matching_into(load_pc, true, &mut out);
+        out
     }
 
     /// All entries naming `store_pc` that currently predict
     /// synchronization. Touches LRU state.
     pub fn predicting_for_store(&mut self, store_pc: Pc) -> Vec<MdptEntry> {
-        self.matching(store_pc, false)
+        let mut out = Vec::new();
+        self.matching_into(store_pc, false, &mut out);
+        out
     }
 
-    fn matching(&mut self, pc: Pc, by_load: bool) -> Vec<MdptEntry> {
+    /// Appends to `out` the predicting entries naming `pc` (as the load or
+    /// the store), in edge order, touching the LRU state of every resident
+    /// entry that names it.
+    pub(crate) fn matching_into(&mut self, pc: Pc, by_load: bool, out: &mut Vec<MdptEntry>) {
         let index = if by_load {
             &self.by_load
         } else {
             &self.by_store
         };
-        let edges: Vec<DepEdge> = match index.get(&pc) {
-            Some(set) => set.iter().copied().collect(),
-            None => return Vec::new(),
+        let Some(edges) = index.get(&pc) else {
+            return;
         };
         let threshold = self.config.threshold;
-        edges
-            .into_iter()
-            .filter_map(|e| self.snapshot(e))
-            .filter(|e| e.predicts(threshold))
-            .collect()
+        for &edge in edges {
+            if let Some(entry) = self.table.get(&edge).map(|d| d.entry(edge)) {
+                if entry.predicts(threshold) {
+                    out.push(entry);
+                }
+            }
+        }
     }
 
     /// Reads one entry without filtering by prediction.
     pub fn entry(&mut self, edge: DepEdge) -> Option<MdptEntry> {
-        self.snapshot(edge)
+        self.table.get(&edge).map(|d| d.entry(edge))
     }
 
     /// Strengthens the prediction for `edge` (dependence did occur).
@@ -268,12 +278,7 @@ impl Mdpt {
 
     /// Iterates over resident entries, most recently used first.
     pub fn iter(&self) -> impl Iterator<Item = MdptEntry> + '_ {
-        self.table.iter().map(|(edge, d)| MdptEntry {
-            edge: *edge,
-            dist: d.dist,
-            counter: d.counter,
-            store_task_pc: d.store_task_pc,
-        })
+        self.table.iter().map(|(edge, d)| d.entry(*edge))
     }
 }
 

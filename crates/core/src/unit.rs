@@ -1,7 +1,7 @@
 //! The combined MDPT+MDST structure evaluated in §5.5 of the paper.
 
 use crate::edge::DepEdge;
-use crate::mdpt::{Mdpt, MdptConfig};
+use crate::mdpt::{Mdpt, MdptConfig, MdptEntry};
 use crate::mdst::{LoadSync, Mdst, MdstStats, StoreSync};
 use mds_harness::json::{Json, ToJson};
 use mds_isa::Pc;
@@ -161,38 +161,38 @@ impl SyncUnit {
         self.mdpt.allocate(edge, dist, store_task_pc);
     }
 
-    /// The MDPT entries that predict synchronization for a load at
-    /// `load_pc` in task `load_instance`, after applying the ESYNC path
-    /// filter when enabled. This is the prediction half of
-    /// [`SyncUnit::on_load_ready`] without the MDST side effects —
-    /// trace-driven timing models use it to compute wake times
-    /// analytically.
+    /// Fills `out` with the MDPT entries that predict synchronization for
+    /// a load at `load_pc` in task `load_instance`, after applying the
+    /// ESYNC path filter when enabled (`out` is cleared first, so a
+    /// caller can reuse one buffer for every load). This is the
+    /// prediction half of [`SyncUnit::on_load_ready`] without the MDST
+    /// side effects — trace-driven timing models use it to compute wake
+    /// times analytically.
     pub fn predicted_entries_for_load(
         &mut self,
         load_pc: Pc,
         load_instance: u64,
         task_pc_of: Option<&dyn Fn(u64) -> Option<Pc>>,
-    ) -> Vec<crate::mdpt::MdptEntry> {
-        let entries = self.mdpt.predicting_for_load(load_pc);
+        out: &mut Vec<MdptEntry>,
+    ) {
+        out.clear();
+        self.mdpt.matching_into(load_pc, true, out);
         if !self.config.esync {
-            return entries;
+            return;
         }
-        entries
-            .into_iter()
-            .filter(|entry| {
-                // Enforce only when the task at distance DIST matches the
-                // recorded store-task PC.
-                if let (Some(expected), Some(lookup)) = (entry.store_task_pc, task_pc_of) {
-                    let producer = load_instance.checked_sub(entry.dist as u64);
-                    let actual = producer.and_then(lookup);
-                    if actual != Some(expected) {
-                        self.stats.esync_filtered += 1;
-                        return false;
-                    }
+        out.retain(|entry| {
+            // Enforce only when the task at distance DIST matches the
+            // recorded store-task PC.
+            if let (Some(expected), Some(lookup)) = (entry.store_task_pc, task_pc_of) {
+                let producer = load_instance.checked_sub(entry.dist as u64);
+                let actual = producer.and_then(lookup);
+                if actual != Some(expected) {
+                    self.stats.esync_filtered += 1;
+                    return false;
                 }
-                true
-            })
-            .collect()
+            }
+            true
+        });
     }
 
     /// A load at `load_pc` in the task with sequence number
@@ -211,7 +211,8 @@ impl SyncUnit {
         task_pc_of: Option<&dyn Fn(u64) -> Option<Pc>>,
     ) -> LoadDecision {
         self.stats.loads_checked += 1;
-        let entries = self.predicted_entries_for_load(load_pc, load_instance, task_pc_of);
+        let mut entries = Vec::new();
+        self.predicted_entries_for_load(load_pc, load_instance, task_pc_of, &mut entries);
         if entries.is_empty() {
             return LoadDecision::NotPredicted;
         }

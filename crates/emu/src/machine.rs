@@ -114,6 +114,9 @@ pub struct TraceSummary {
 #[derive(Debug, Clone)]
 pub struct Emulator<'p> {
     program: &'p Program,
+    /// `is_head[pc]`: whether `pc` begins a task. A dense copy of the
+    /// program's task-head set, so the per-instruction check is one index.
+    is_head: Vec<bool>,
     state: MachineState,
     seq: u64,
     limit: u64,
@@ -133,8 +136,15 @@ impl<'p> Emulator<'p> {
         for (addr, value) in program.initial_data() {
             state.mem.write_u64(addr, value);
         }
+        let mut is_head = vec![false; program.len()];
+        for pc in program.task_heads() {
+            if let Some(slot) = is_head.get_mut(pc as usize) {
+                *slot = true;
+            }
+        }
         Emulator {
             program,
+            is_head,
             state,
             seq: 0,
             limit: DEFAULT_LIMIT,
@@ -177,7 +187,8 @@ impl<'p> Emulator<'p> {
             .program
             .fetch(pc)
             .ok_or(EmuError::PcOutOfRange { pc })?;
-        let new_task = self.seq == 0 || self.program.is_task_head(pc);
+        // `fetch` succeeded, so `pc` indexes the program.
+        let new_task = self.seq == 0 || self.is_head[pc as usize];
         let (mem, branch) = self.execute(pc, &inst);
 
         let rec = DynInst {

@@ -175,6 +175,7 @@ impl Instruction {
     /// The architectural register this instruction writes, if any.
     ///
     /// `r0` writes are suppressed (the zero register cannot be written).
+    #[inline]
     pub fn writes(&self) -> Option<RegRef> {
         use Format::*;
         let r = match self.op.format() {
@@ -192,6 +193,7 @@ impl Instruction {
     /// The architectural registers this instruction reads, as up to two
     /// entries; `None` slots are unused. Reads of `r0` are suppressed (its
     /// value is constant).
+    #[inline]
     pub fn reads(&self) -> [Option<RegRef>; 2] {
         use Format::*;
         let raw: [Option<RegRef>; 2] = match self.op.format() {

@@ -113,11 +113,15 @@ impl BankedCache {
     }
 
     /// The bank index `addr` maps to.
+    #[inline]
     pub fn bank_of(&self, addr: Addr) -> usize {
         ((addr >> self.block_shift) & self.bank_mask) as usize
     }
 
-    /// Performs a timed access starting no earlier than `now`.
+    /// Performs a timed access starting no earlier than `now`. Inlined
+    /// with [`Cache::access`] and [`Bus::request`], so a bank hit is
+    /// call-free at the caller.
+    #[inline]
     pub fn access(&mut self, now: u64, addr: Addr, is_write: bool, bus: &mut Bus) -> DCacheAccess {
         let bank = self.bank_of(addr);
         let start = now.max(self.busy_until[bank]);

@@ -59,6 +59,7 @@ impl Bus {
     /// than `now`; returns the cycle at which the data is fully delivered.
     /// The bus is occupied for the whole transfer (split transactions are
     /// serialized, modeling contention).
+    #[inline]
     pub fn request(&mut self, now: u64, words: u64) -> u64 {
         let beats = words.div_ceil(self.words_per_beat).max(1);
         let duration = self.first_latency + (beats - 1) * self.extra_latency;

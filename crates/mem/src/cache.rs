@@ -157,29 +157,38 @@ impl Cache {
     /// Accesses `addr`; returns `true` on a hit. A miss allocates the line
     /// (evicting LRU). `is_write` is accepted for symmetry/statistics; the
     /// model is write-allocate and tag behavior is identical.
+    ///
+    /// Inlined: the direct-mapped case (the paper's data banks) is one
+    /// candidate line and no LRU search, so it runs call-free in the
+    /// simulators. Associative sets take the out-of-line search.
+    #[inline]
     pub fn access(&mut self, addr: Addr, is_write: bool) -> bool {
         let _ = is_write;
         self.tick += 1;
         let block = addr >> self.block_shift;
         let set_idx = (block & self.set_mask) as usize;
         let tag = block >> self.set_shift;
-        if self.ways == 1 {
-            // Direct-mapped fast path: one candidate line, no LRU search.
-            // Hot in the simulators (the paper's data banks are 1-way).
-            let line = &mut self.lines[set_idx];
-            if line.valid && line.tag == tag {
-                line.last_use = self.tick;
-                self.stats.hits += 1;
-                return true;
-            }
-            self.stats.misses += 1;
-            *line = Line {
-                tag,
-                valid: true,
-                last_use: self.tick,
-            };
-            return false;
+        if self.ways != 1 {
+            return self.access_set(set_idx, tag);
         }
+        let line = &mut self.lines[set_idx];
+        if line.valid && line.tag == tag {
+            line.last_use = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        self.stats.misses += 1;
+        *line = Line {
+            tag,
+            valid: true,
+            last_use: self.tick,
+        };
+        false
+    }
+
+    /// The associative half of [`Cache::access`]: searches set `set_idx`
+    /// for `tag`, and on a miss replaces its least recently used line.
+    fn access_set(&mut self, set_idx: usize, tag: Addr) -> bool {
         let set = &mut self.lines[set_idx * self.ways..][..self.ways];
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.last_use = self.tick;
@@ -327,6 +336,51 @@ mod tests {
                 let block = a >> 4;
                 prop_assert_eq!(hit, !seen.insert(block));
             }
+        }
+
+        /// `access` (the inlined direct-mapped path and the out-of-line
+        /// associative search alike) agrees with a reference LRU model —
+        /// per set, tags in recency order — on every hit, on residency
+        /// (`probe`), and on the final stats, for 1-, 2- and 4-way
+        /// geometries. Operations are `(flush?, address)`.
+        #[test]
+        fn access_matches_a_reference_lru_model(
+            ways_log in 0u32..3,
+            sets_log in 0u32..4,
+            ops in vec_of((0u8..32, 0u64..2048), 1..400)
+        ) {
+            let (ways, sets, block) = (1usize << ways_log, 1usize << sets_log, 16usize);
+            let mut c = Cache::new(CacheConfig { size_bytes: ways * sets * block, ways, block_bytes: block });
+            // model[set]: resident tags, most recently used first.
+            let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets];
+            let mut want = CacheStats::default();
+            for (kind, addr) in ops {
+                if kind == 0 {
+                    c.flush();
+                    model.iter_mut().for_each(Vec::clear);
+                    continue;
+                }
+                let blk = addr / block as u64;
+                let (set, tag) = ((blk % sets as u64) as usize, blk / sets as u64);
+                let lru = &mut model[set];
+                let hit = match lru.iter().position(|&t| t == tag) {
+                    Some(i) => {
+                        lru.remove(i);
+                        true
+                    }
+                    None => {
+                        lru.truncate(ways - 1);
+                        false
+                    }
+                };
+                lru.insert(0, tag);
+                if hit { want.hits += 1 } else { want.misses += 1 }
+                prop_assert_eq!(c.access(addr, kind % 2 == 0), hit, "access({:#x})", addr);
+                let other = addr ^ (block * sets) as u64;
+                let other_tag = (other / block as u64) / sets as u64;
+                prop_assert_eq!(c.probe(other), model[set].contains(&other_tag));
+            }
+            prop_assert_eq!(c.stats(), want);
         }
 
         /// Probe agrees with the most recent access outcome.

@@ -120,21 +120,28 @@ pub(crate) struct Shared<'a> {
 /// an attempt happens at or after the attempt's start cycle, so the
 /// offset stays small. Slots are epoch-tagged rather than zeroed: `reset`
 /// bumps the epoch in O(1), and a slot whose tag is stale counts as
-/// empty. This keeps `claim` — called twice per simulated instruction in
-/// both replay engines — to a load, a compare, and a store in the common
-/// case, with no per-attempt clearing or one-element-at-a-time growth.
-#[derive(Debug, Clone, Copy, Default)]
-struct PortSlot {
-    epoch: u32,
-    used: u32,
-}
-
+/// empty, so an attempt starts with no clearing.
+///
+/// `claim` runs twice per simulated instruction in both replay engines.
+/// It is `#[inline]`, so at each call site the common case — the slot at
+/// `ready` is in the ledger and free — is a load, a compare, and a store
+/// with no call. The two rare cases live out of line behind `#[cold]`:
+/// a claim before the base (`rebase`) and a claim past the ledger's end
+/// (`claim_past_end`, which grows the ledger in chunks).
 #[derive(Debug, Default)]
 pub(crate) struct Ports {
     width: u32,
     base: u64,
     epoch: u32,
     slots: Vec<PortSlot>,
+}
+
+/// One cycle of a [`Ports`] ledger: claims made in it, valid only while
+/// `epoch` is the ledger's live epoch.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSlot {
+    epoch: u32,
+    used: u32,
 }
 
 impl Ports {
@@ -151,24 +158,16 @@ impl Ports {
     }
 
     /// Claims the earliest cycle at or after `ready` with a free slot.
-    pub(crate) fn claim(&mut self, ready: u64, _occupy: u64) -> u64 {
-        // Claims before the base cannot happen in an attempt (readiness is
-        // bounded below by the start cycle), but stay correct if one does.
+    #[inline]
+    pub(crate) fn claim(&mut self, ready: u64) -> u64 {
         if ready < self.base {
-            let shift = (self.base - ready) as usize;
-            // Tag 0 is never the live epoch (reset skips it), so these
-            // slots read as empty.
-            self.slots
-                .splice(0..0, std::iter::repeat_n(PortSlot::default(), shift));
-            self.base = ready;
+            self.rebase(ready);
         }
         let mut idx = (ready - self.base) as usize;
         loop {
-            if idx >= self.slots.len() {
-                // Grow in chunks so the resize amortizes away.
-                self.slots.resize(idx + 64, PortSlot::default());
-            }
-            let slot = &mut self.slots[idx];
+            let Some(slot) = self.slots.get_mut(idx) else {
+                return self.claim_past_end(idx);
+            };
             if slot.epoch != self.epoch {
                 *slot = PortSlot {
                     epoch: self.epoch,
@@ -182,6 +181,33 @@ impl Ports {
             }
             idx += 1;
         }
+    }
+
+    /// Moves the base down to `ready`. Claims before the base cannot happen
+    /// in an attempt (readiness is bounded below by the start cycle), but
+    /// the ledger stays correct if one does.
+    #[cold]
+    #[inline(never)]
+    fn rebase(&mut self, ready: u64) {
+        let shift = (self.base - ready) as usize;
+        // Tag 0 is never the live epoch (reset skips it), so these slots
+        // read as empty.
+        self.slots
+            .splice(0..0, std::iter::repeat_n(PortSlot::default(), shift));
+        self.base = ready;
+    }
+
+    /// Claims slot `idx`, which lies past the ledger's end and so is free.
+    /// Grows in chunks so the resize amortizes away.
+    #[cold]
+    #[inline(never)]
+    fn claim_past_end(&mut self, idx: usize) -> u64 {
+        self.slots.resize(idx + 64, PortSlot::default());
+        self.slots[idx] = PortSlot {
+            epoch: self.epoch,
+            used: 1,
+        };
+        self.base + idx as u64
     }
 }
 
@@ -373,7 +399,7 @@ pub(crate) fn execute_attempt(
                 FuClass::Branch => &mut *branch_ports,
                 FuClass::Mem => unreachable!("memory handled above"),
             };
-            let start = class_ports.claim(issue_ports.claim(ready, 1), 1);
+            let start = class_ports.claim(issue_ports.claim(ready));
             start + latency
         };
 
@@ -530,7 +556,7 @@ fn schedule_mem(
         // Address becomes known once the base register is ready.
         *ctx.intra_addr_ready = (*ctx.intra_addr_ready).max(base_ready);
         *ctx.max_store_addr_ready = (*ctx.max_store_addr_ready).max(base_ready);
-        let start = mem_ports.claim(issue_ports.claim(ready, 1), 1);
+        let start = mem_ports.claim(issue_ports.claim(ready));
         let access = shared.dcache.access(start, mem.addr, true, shared.bus);
         let complete = access.done_at;
         let info = StoreInfo {
@@ -591,7 +617,8 @@ fn schedule_mem(
             let lookup =
                 move |seq: u64| task_pcs.iter().find(|(s, _)| *s == seq).map(|(_, pc)| *pc);
             let unit = shared.unit.as_mut().expect("sync policy has a unit");
-            let mut entries = unit.predicted_entries_for_load(d.pc, task.seq, Some(&lookup));
+            let mut entries = Vec::new();
+            unit.predicted_entries_for_load(d.pc, task.seq, Some(&lookup), &mut entries);
             // Combined-structure slot limit: one sync entry per edge per
             // stage; later instances in the same task go unsynchronized.
             entries.retain(|e| ctx.synced_edges.insert(e.edge));
@@ -676,7 +703,7 @@ fn schedule_mem(
         }
     }
 
-    let start = mem_ports.claim(issue_ports.claim(ready_mem, 1), 1);
+    let start = mem_ports.claim(issue_ports.claim(ready_mem));
     let access = shared.dcache.access(start, mem.addr, false, shared.bus);
     let complete = access.done_at;
 
@@ -718,6 +745,7 @@ fn schedule_mem(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mds_harness::prelude::*;
 
     fn ports(width: u32, t0: u64) -> Ports {
         let mut p = Ports::default();
@@ -728,11 +756,11 @@ mod tests {
     #[test]
     fn ports_allow_width_per_cycle() {
         let mut p = ports(2, 0);
-        assert_eq!(p.claim(10, 1), 10);
-        assert_eq!(p.claim(10, 1), 10);
-        assert_eq!(p.claim(10, 1), 11); // third claim spills to the next cycle
-        assert_eq!(p.claim(11, 1), 11); // cycle 11 has one free slot left
-        assert_eq!(p.claim(11, 1), 12); // now it is full
+        assert_eq!(p.claim(10), 10);
+        assert_eq!(p.claim(10), 10);
+        assert_eq!(p.claim(10), 11); // third claim spills to the next cycle
+        assert_eq!(p.claim(11), 11); // cycle 11 has one free slot left
+        assert_eq!(p.claim(11), 12); // now it is full
     }
 
     #[test]
@@ -740,27 +768,60 @@ mod tests {
         // A late-ready claim must not block an earlier-ready one issued
         // after it — the OOO property the busy-until model got wrong.
         let mut p = ports(1, 0);
-        assert_eq!(p.claim(100, 1), 100);
-        assert_eq!(p.claim(5, 1), 5);
-        assert_eq!(p.claim(5, 1), 6);
+        assert_eq!(p.claim(100), 100);
+        assert_eq!(p.claim(5), 5);
+        assert_eq!(p.claim(5), 6);
     }
 
     #[test]
     fn ports_tolerate_claims_before_the_base() {
         // Cannot happen in an attempt, but the ledger must stay correct.
         let mut p = ports(1, 50);
-        assert_eq!(p.claim(50, 1), 50);
-        assert_eq!(p.claim(10, 1), 10);
-        assert_eq!(p.claim(10, 1), 11);
-        assert_eq!(p.claim(50, 1), 51); // cycle 50 already claimed above
+        assert_eq!(p.claim(50), 50);
+        assert_eq!(p.claim(10), 10);
+        assert_eq!(p.claim(10), 11);
+        assert_eq!(p.claim(50), 51); // cycle 50 already claimed above
     }
 
     #[test]
     fn ports_reset_clears_the_ledger() {
         let mut p = ports(1, 0);
-        assert_eq!(p.claim(3, 1), 3);
+        assert_eq!(p.claim(3), 3);
         p.reset(1, 3);
-        assert_eq!(p.claim(3, 1), 3); // claimable again after reset
+        assert_eq!(p.claim(3), 3); // claimable again after reset
+    }
+
+    properties! {
+        /// `Ports` agrees with a brute-force per-cycle ledger. Operations
+        /// are `(kind, x, width)`: kind 0 resets to `(width, x)`, kind 1
+        /// claims far past the ledger's end (`x * 64`), and every other
+        /// kind claims at `x`, which lands before the base whenever the
+        /// last reset started later.
+        #[test]
+        fn ports_match_a_brute_force_ledger(
+            t0 in 0u64..200,
+            width in 0u32..5,
+            ops in vec_of((0u8..8, 0u64..200, 0u32..5), 1..300)
+        ) {
+            let mut p = ports(width, t0);
+            let mut model_width = width.max(1);
+            let mut used: FxHashMap<u64, u32> = FxHashMap::default();
+            for (kind, x, w) in ops {
+                if kind == 0 {
+                    p.reset(w, x);
+                    model_width = w.max(1);
+                    used.clear();
+                    continue;
+                }
+                let ready = if kind == 1 { x * 64 } else { x };
+                let mut want = ready;
+                while used.get(&want).copied().unwrap_or(0) >= model_width {
+                    want += 1;
+                }
+                *used.entry(want).or_insert(0) += 1;
+                prop_assert_eq!(p.claim(ready), want, "claim({}) after {:?}", ready, (kind, x, w));
+            }
+        }
     }
 
     fn record(seq: u64, stage: usize) -> TaskRecord {

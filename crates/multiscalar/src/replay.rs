@@ -26,7 +26,7 @@
 use crate::config::MsConfig;
 use crate::exec::{LoadEvent, Ports, Shared, Violation, REGS};
 use crate::result::MsResult;
-use mds_core::{Ddc, DepEdge, Policy, SyncUnit, SyncUnitConfig, TagScheme};
+use mds_core::{Ddc, DepEdge, MdptEntry, Policy, SyncUnit, SyncUnitConfig, TagScheme};
 use mds_emu::plan::{
     ReplayPlan, FU_BRANCH, FU_COMPLEX, FU_FP, F_CONTROL, F_MEM, F_STORE, NONE, NO_REG,
 };
@@ -102,6 +102,8 @@ struct PScratch {
     mem: Ports,
     retire: RetireRing,
     synced_edges: FxHashSet<DepEdge>,
+    /// The predicting MDPT entries of the current load (SYNC/ESYNC).
+    entries: Vec<MdptEntry>,
     violations: Vec<Violation>,
     /// Register write times of the most recent attempt (copied into the
     /// committed `PRecord`; living here avoids moving 512 B through the
@@ -133,6 +135,7 @@ impl Default for PScratch {
             mem: Ports::default(),
             retire: RetireRing::default(),
             synced_edges: FxHashSet::default(),
+            entries: Vec::new(),
             violations: Vec::new(),
             last_write: [NO_TIME; REGS],
             write_epoch: [0; REGS],
@@ -295,6 +298,7 @@ fn planned_attempt(
         mem: mem_ports,
         retire,
         synced_edges,
+        entries,
         violations,
         last_write: local_write,
         write_epoch,
@@ -416,7 +420,7 @@ fn planned_attempt(
             if flags & F_STORE != 0 {
                 intra_addr_ready = intra_addr_ready.max(base_ready);
                 max_store_addr_ready = max_store_addr_ready.max(base_ready);
-                let start = mem_ports.claim(issue_ports.claim(ready, 1), 1);
+                let start = mem_ports.claim(issue_ports.claim(ready));
                 let complete = shared.dcache.access(start, addr, true, shared.bus).done_at;
                 store_complete.push(complete);
                 complete
@@ -479,8 +483,7 @@ fn planned_attempt(
                                 .then(|| plan.task_start_pc[seq as usize])
                         };
                         let unit = shared.unit.as_mut().expect("sync policy has a unit");
-                        let mut entries =
-                            unit.predicted_entries_for_load(pc_a[j], k as u64, Some(&lookup));
+                        unit.predicted_entries_for_load(pc_a[j], k as u64, Some(&lookup), entries);
                         entries.retain(|e| synced_edges.insert(e.edge));
                         if entries.is_empty() {
                             may_violate = true;
@@ -488,7 +491,7 @@ fn planned_attempt(
                             let mut edges = Vec::with_capacity(entries.len());
                             let mut wait_until = ready_mem;
                             let mut any_missing = false;
-                            for e in &entries {
+                            for e in entries.iter() {
                                 let producer_seq = (k as u64).checked_sub(e.dist as u64);
                                 let signal = match config.tagging {
                                     TagScheme::DependenceDistance => producer_seq.and_then(|ps| {
@@ -552,7 +555,7 @@ fn planned_attempt(
                     }
                 }
 
-                let start = mem_ports.claim(issue_ports.claim(ready_mem, 1), 1);
+                let start = mem_ports.claim(issue_ports.claim(ready_mem));
                 let complete = shared.dcache.access(start, addr, false, shared.bus).done_at;
 
                 if may_violate {
@@ -600,7 +603,7 @@ fn planned_attempt(
                 FU_BRANCH => &mut *branch_ports,
                 _ => &mut *simple_ports,
             };
-            let start = class_ports.claim(issue_ports.claim(ready, 1), 1);
+            let start = class_ports.claim(issue_ports.claim(ready));
             start + latency
         };
 
