@@ -16,6 +16,7 @@
 #
 #   cargo build --release --offline -p mds-bench
 #   MDS_RESULTS_DIR=ci/pinned target/release/repro --scale tiny --json all
+#   MDS_RESULTS_DIR=ci/pinned target/release/repro --scale tiny --json ablations
 #   MDS_RESULTS_DIR=ci/pinned/small target/release/repro --scale small --json fig5
 set -euo pipefail
 
@@ -30,6 +31,9 @@ mkdir -p "$fresh_dir/small"
 
 echo "==> running repro all at tiny scale"
 MDS_RESULTS_DIR="$fresh_dir" target/release/repro --scale tiny --json all >/dev/null
+
+echo "==> running repro ablations at tiny scale"
+MDS_RESULTS_DIR="$fresh_dir" target/release/repro --scale tiny --json ablations >/dev/null
 
 echo "==> running repro fig5 at small scale"
 MDS_RESULTS_DIR="$fresh_dir/small" target/release/repro --scale small --json fig5 >/dev/null

@@ -24,9 +24,8 @@ const PAGE_MASK: Addr = (PAGE_SIZE as Addr) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
+    /// Materialized pages, keyed by page number.
     pages: FxHashMap<Addr, Box<[u8; PAGE_SIZE]>>,
-    // One-entry translation cache for the common sequential-access case.
-    last_page: Option<Addr>,
 }
 
 impl Memory {
@@ -103,7 +102,6 @@ impl Memory {
     }
 
     fn page_mut(&mut self, page_no: Addr) -> &mut [u8; PAGE_SIZE] {
-        self.last_page = Some(page_no);
         self.pages
             .entry(page_no)
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))

@@ -1,5 +1,5 @@
 //! Structure-of-arrays replay plan: the committed stream predecoded into
-//! dense parallel vectors, with memory dependences pre-resolved.
+//! dense vectors, with memory dependences pre-resolved.
 //!
 //! A [`crate::Trace`] stores [`DynInst`] records — convenient to capture,
 //! but expensive to replay: every simulator pass re-decodes operands
@@ -13,15 +13,24 @@
 //! [`PlanBuilder`] lowers the committed stream one record at a time, so
 //! [`crate::Trace::capture`] builds the plan while the emulator runs and
 //! never stores the records; the plan is then shared read-only by every
-//! simulator configuration replaying that trace:
+//! simulator configuration replaying that trace. It keeps what depends
+//! only on the static instruction once per PC, and per dynamic record
+//! only what the record adds:
 //!
-//! - per-record arrays: PC, opcode, dense operand indices, flags,
-//!   effective address, and memory ordinal;
-//! - per-task arrays: record / store / load range starts and the task's
-//!   start PC;
-//! - per-store arrays: owning record and task;
-//! - per-load arrays: the pre-resolved *intra-task* forwarding source and
-//!   *inter-task* producer store (as global store ordinals).
+//! - per PC: the [`Decoded`] instruction (opcode, flags, functional-unit
+//!   class, dense operand indices), decoded the first time the stream
+//!   reaches that PC;
+//! - per record: its PC;
+//! - per task: record / store / load range starts and the task's start
+//!   PC;
+//! - per store: owning record, task and effective address;
+//! - per load: owning record, effective address, and the pre-resolved
+//!   *intra-task* forwarding source and *inter-task* producer store (as
+//!   global store ordinals).
+//!
+//! A load's or store's ordinal is its position among the stream's loads
+//! or stores. A consumer walking task `k` counts them up from
+//! `task_load_start[k]` and `task_store_start[k]`.
 //!
 //! # Dependence pre-resolution
 //!
@@ -51,25 +60,25 @@
 
 use crate::dyninst::{DynInst, MemAccess};
 use mds_harness::hash::FxHashMap;
-use mds_isa::{Addr, FuClass, Opcode, Pc};
+use mds_isa::{Addr, FuClass, Instruction, Opcode, Pc};
 
-/// Sentinel ordinal: "no such store / not a memory operation".
+/// Sentinel ordinal: "no such store".
 pub const NONE: u32 = u32::MAX;
 
 /// Sentinel dense register index: "no operand in this slot".
 pub const NO_REG: u8 = u8::MAX;
 
-/// Record flag: the instruction is a memory operation.
+/// Decoded flag: the instruction is a memory operation.
 pub const F_MEM: u8 = 1 << 0;
-/// Record flag: the memory operation is a store.
+/// Decoded flag: the memory operation is a store.
 pub const F_STORE: u8 = 1 << 1;
-/// Record flag: the instruction is a control transfer.
+/// Decoded flag: the instruction is a control transfer.
 pub const F_CONTROL: u8 = 1 << 2;
-/// Record flag: the memory operation accesses one byte (otherwise it
+/// Decoded flag: the memory operation accesses one byte (otherwise it
 /// accesses an 8-byte word — the only two sizes the ISA has).
 pub const F_BYTE: u8 = 1 << 3;
 
-/// Functional-unit class codes for [`ReplayPlan::fu`] (memory operations
+/// Functional-unit class codes for [`Decoded::fu`] (memory operations
 /// are dispatched via [`F_MEM`] instead).
 pub const FU_SIMPLE: u8 = 0;
 /// Complex-integer class code.
@@ -78,6 +87,79 @@ pub const FU_COMPLEX: u8 = 1;
 pub const FU_FP: u8 = 2;
 /// Branch class code.
 pub const FU_BRANCH: u8 = 3;
+
+/// One static instruction as replay reads it, decoded once per PC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
+    /// The opcode (for latency lookup).
+    pub op: Opcode,
+    /// [`F_MEM`] / [`F_STORE`] / [`F_CONTROL`] / [`F_BYTE`] bits.
+    pub flags: u8,
+    /// Functional-unit class code ([`FU_SIMPLE`]…).
+    pub fu: u8,
+    /// Dense indices of the two read slots (slot 0 is the base register
+    /// of a memory operation), or [`NO_REG`].
+    pub src: [u8; 2],
+    /// Dense index of the written register, or [`NO_REG`].
+    pub dst: u8,
+}
+
+fn dense(r: Option<mds_isa::RegRef>) -> u8 {
+    r.map_or(NO_REG, |r| r.dense_index() as u8)
+}
+
+impl Decoded {
+    /// What a `nop` decodes to; it also fills the slots of PCs the stream
+    /// never reached.
+    pub const NOP: Decoded = Decoded {
+        op: Opcode::Nop,
+        flags: 0,
+        fu: FU_SIMPLE,
+        src: [NO_REG; 2],
+        dst: NO_REG,
+    };
+
+    /// Decodes one static instruction.
+    #[inline]
+    pub fn of(inst: &Instruction) -> Decoded {
+        let op = inst.op;
+        let mut flags = 0u8;
+        if op.is_control() {
+            flags |= F_CONTROL;
+        }
+        if op.is_mem() {
+            flags |= F_MEM;
+        }
+        if op.is_store() {
+            flags |= F_STORE;
+        }
+        if op.access_bytes() == 1 {
+            flags |= F_BYTE;
+        }
+        let [r1, r2] = inst.reads();
+        Decoded {
+            op,
+            flags,
+            fu: match op.fu_class() {
+                FuClass::ComplexInt => FU_COMPLEX,
+                FuClass::Fp => FU_FP,
+                FuClass::Branch => FU_BRANCH,
+                FuClass::SimpleInt | FuClass::Mem => FU_SIMPLE,
+            },
+            src: [dense(r1), dense(r2)],
+            dst: dense(inst.writes()),
+        }
+    }
+
+    /// The access size in bytes of a memory operation.
+    pub fn access_bytes(&self) -> u8 {
+        if self.flags & F_BYTE != 0 {
+            1
+        } else {
+            8
+        }
+    }
+}
 
 /// The youngest store seen so far for one address key, plus the youngest
 /// store from any strictly earlier task (see module docs).
@@ -96,27 +178,11 @@ struct KeyState {
 /// valid half-open range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayPlan {
+    /// Per PC: the decoded instruction, up to the highest PC the stream
+    /// reached ([`Decoded::NOP`] for PCs it never reached).
+    pub code: Vec<Decoded>,
     /// Per record: the instruction's PC.
     pub pc: Vec<Pc>,
-    /// Per record: the opcode (for latency lookup).
-    pub op: Vec<Opcode>,
-    /// Per record: [`F_MEM`] / [`F_STORE`] / [`F_CONTROL`] / [`F_BYTE`]
-    /// bits.
-    pub flags: Vec<u8>,
-    /// Per record: functional-unit class code ([`FU_SIMPLE`]…).
-    pub fu: Vec<u8>,
-    /// Per record: dense index of read slot 0 (the base register for
-    /// memory operations), or [`NO_REG`].
-    pub src1: Vec<u8>,
-    /// Per record: dense index of read slot 1, or [`NO_REG`].
-    pub src2: Vec<u8>,
-    /// Per record: dense index of the written register, or [`NO_REG`].
-    pub dst: Vec<u8>,
-    /// Per record: effective byte address (0 for non-memory records).
-    pub addr: Vec<Addr>,
-    /// Per record: global store ordinal (stores), global load ordinal
-    /// (loads), or [`NONE`].
-    pub mem_ord: Vec<u32>,
     /// Record index where each task begins, plus sentinel.
     pub task_start: Vec<u32>,
     /// Per task: its start PC (no sentinel).
@@ -129,8 +195,12 @@ pub struct ReplayPlan {
     pub store_rec: Vec<u32>,
     /// Per store: the dynamic task it belongs to.
     pub store_task: Vec<u32>,
+    /// Per store: effective byte address.
+    pub store_addr: Vec<Addr>,
     /// Per load: the record index it came from.
     pub load_rec: Vec<u32>,
+    /// Per load: effective byte address.
+    pub load_addr: Vec<Addr>,
     /// Per load: same-task forwarding source (global store ordinal), or
     /// [`NONE`].
     pub load_intra: Vec<u32>,
@@ -157,20 +227,16 @@ pub struct Row {
     pub mem: Option<MemAccess>,
 }
 
-fn dense(r: Option<mds_isa::RegRef>) -> u8 {
-    r.map_or(NO_REG, |r| r.dense_index() as u8)
-}
-
 impl From<&DynInst> for Row {
     #[inline]
     fn from(d: &DynInst) -> Row {
-        let [r1, r2] = d.inst.reads();
+        let c = Decoded::of(&d.inst);
         Row {
             seq: d.seq,
             pc: d.pc,
-            op: d.inst.op,
-            src: [dense(r1), dense(r2)],
-            dst: dense(d.inst.writes()),
+            op: c.op,
+            src: c.src,
+            dst: c.dst,
             mem: d.mem,
         }
     }
@@ -182,7 +248,8 @@ impl From<&DynInst> for Row {
 ///
 /// Task boundaries follow the task splitter's semantics: record 0 always
 /// begins task 0, and a later record begins a new task exactly when its
-/// `new_task` marker is set.
+/// `new_task` marker is set. Every record at one PC must carry the same
+/// instruction, as every record of one program does.
 ///
 /// # Examples
 ///
@@ -203,10 +270,14 @@ impl From<&DynInst> for Row {
 /// let plan = builder.finish();
 /// assert_eq!(plan, ReplayPlan::build(&Emulator::new(&p).run()?));
 /// assert_eq!(plan.load_intra, vec![0]); // the load reads the store
+/// assert_eq!(plan.load_addr, plan.store_addr);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct PlanBuilder {
     plan: ReplayPlan,
+    /// `decoded[pc]`: whether `plan.code[pc]` holds the decoded
+    /// instruction yet.
+    decoded: Vec<bool>,
     word: FxHashMap<Addr, KeyState>,
     byte: FxHashMap<Addr, KeyState>,
     task: u32,
@@ -225,38 +296,56 @@ impl PlanBuilder {
     }
 
     /// An empty builder with room for `records` records: a stream of known
-    /// length spares the per-record arrays their growth copies.
+    /// length spares the per-record array its growth copies.
     fn with_capacity(records: usize) -> PlanBuilder {
         PlanBuilder {
             plan: ReplayPlan {
+                code: Vec::new(),
                 pc: Vec::with_capacity(records),
-                op: Vec::with_capacity(records),
-                flags: Vec::with_capacity(records),
-                fu: Vec::with_capacity(records),
-                src1: Vec::with_capacity(records),
-                src2: Vec::with_capacity(records),
-                dst: Vec::with_capacity(records),
-                addr: Vec::with_capacity(records),
-                mem_ord: Vec::with_capacity(records),
                 task_start: Vec::new(),
                 task_start_pc: Vec::new(),
                 task_store_start: Vec::new(),
                 task_load_start: Vec::new(),
                 store_rec: Vec::new(),
                 store_task: Vec::new(),
+                store_addr: Vec::new(),
                 load_rec: Vec::new(),
+                load_addr: Vec::new(),
                 load_intra: Vec::new(),
                 load_inter: Vec::new(),
             },
+            decoded: Vec::new(),
             word: FxHashMap::default(),
             byte: FxHashMap::default(),
             task: 0,
         }
     }
 
+    /// Decodes the instruction at `pc` on the stream's first visit.
+    #[cold]
+    #[inline(never)]
+    fn decode(&mut self, pc: usize, inst: &Instruction) {
+        if pc >= self.decoded.len() {
+            self.decoded.resize(pc + 1, false);
+            self.plan.code.resize(pc + 1, Decoded::NOP);
+        }
+        self.decoded[pc] = true;
+        self.plan.code[pc] = Decoded::of(inst);
+    }
+
     /// Lowers the next committed record.
     #[inline]
     pub fn push(&mut self, d: &DynInst) {
+        let pc = d.pc as usize;
+        if !self.decoded.get(pc).is_some_and(|&seen| seen) {
+            self.decode(pc, &d.inst);
+        }
+        debug_assert_eq!(
+            self.plan.code[pc],
+            Decoded::of(&d.inst),
+            "one instruction per PC"
+        );
+        debug_assert_eq!(d.mem.is_some(), d.inst.op.is_mem());
         let plan = &mut self.plan;
         let i = plan.pc.len();
         if i == 0 || d.new_task {
@@ -270,32 +359,12 @@ impl PlanBuilder {
         }
         let task = self.task;
         plan.pc.push(d.pc);
-        plan.op.push(d.inst.op);
-        let [r1, r2] = d.inst.reads();
-        plan.src1.push(dense(r1));
-        plan.src2.push(dense(r2));
-        plan.dst.push(dense(d.inst.writes()));
-        plan.fu.push(match d.inst.op.fu_class() {
-            FuClass::ComplexInt => FU_COMPLEX,
-            FuClass::Fp => FU_FP,
-            FuClass::Branch => FU_BRANCH,
-            FuClass::SimpleInt | FuClass::Mem => FU_SIMPLE,
-        });
-        let mut flags = 0u8;
-        if d.inst.op.is_control() {
-            flags |= F_CONTROL;
-        }
-        if d.mem.is_some_and(|m| m.size == 1) {
-            flags |= F_BYTE;
-        }
         match d.mem {
             Some(mem) if mem.is_store => {
-                flags |= F_MEM | F_STORE;
-                plan.addr.push(mem.addr);
                 let ord = plan.store_rec.len() as u32;
-                plan.mem_ord.push(ord);
                 plan.store_rec.push(i as u32);
                 plan.store_task.push(task);
+                plan.store_addr.push(mem.addr);
                 let (map, key) = if mem.size == 1 {
                     (&mut self.byte, mem.addr)
                 } else {
@@ -316,10 +385,8 @@ impl PlanBuilder {
                     });
             }
             Some(mem) => {
-                flags |= F_MEM;
-                plan.addr.push(mem.addr);
-                plan.mem_ord.push(plan.load_rec.len() as u32);
                 plan.load_rec.push(i as u32);
+                plan.load_addr.push(mem.addr);
                 // Store ordinals grow with stream position, so "the
                 // youngest candidate" is simply the largest ordinal —
                 // both within the task and across earlier tasks.
@@ -355,12 +422,8 @@ impl PlanBuilder {
                 plan.load_intra.push(intra);
                 plan.load_inter.push(inter);
             }
-            None => {
-                plan.addr.push(0);
-                plan.mem_ord.push(NONE);
-            }
+            None => {}
         }
-        plan.flags.push(flags);
     }
 
     /// Closes the task arrays with their sentinels and trims every array
@@ -374,22 +437,17 @@ impl PlanBuilder {
             ($($field:ident),*) => { $(plan.$field.shrink_to_fit();)* };
         }
         trim!(
+            code,
             pc,
-            op,
-            flags,
-            fu,
-            src1,
-            src2,
-            dst,
-            addr,
-            mem_ord,
             task_start,
             task_start_pc,
             task_store_start,
             task_load_start,
             store_rec,
             store_task,
+            store_addr,
             load_rec,
+            load_addr,
             load_intra,
             load_inter
         );
@@ -420,18 +478,24 @@ impl ReplayPlan {
 
     /// Every record in committed order, read back as [`Row`]s.
     pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
-        (0..self.len()).map(|i| {
-            let flags = self.flags[i];
+        let mut loads = self.load_addr.iter();
+        let mut stores = self.store_addr.iter();
+        self.pc.iter().enumerate().map(move |(i, &pc)| {
+            let d = &self.code[pc as usize];
             Row {
                 seq: i as u64,
-                pc: self.pc[i],
-                op: self.op[i],
-                src: [self.src1[i], self.src2[i]],
-                dst: self.dst[i],
-                mem: (flags & F_MEM != 0).then(|| MemAccess {
-                    addr: self.addr[i],
-                    size: if flags & F_BYTE != 0 { 1 } else { 8 },
-                    is_store: flags & F_STORE != 0,
+                pc,
+                op: d.op,
+                src: d.src,
+                dst: d.dst,
+                mem: (d.flags & F_MEM != 0).then(|| {
+                    let is_store = d.flags & F_STORE != 0;
+                    let addrs = if is_store { &mut stores } else { &mut loads };
+                    MemAccess {
+                        addr: *addrs.next().expect("one address per memory record"),
+                        size: d.access_bytes(),
+                        is_store,
+                    }
                 }),
             }
         })
@@ -447,6 +511,16 @@ impl ReplayPlan {
         self.task_start[k] as usize..self.task_start[k + 1] as usize
     }
 
+    /// The global store-ordinal range of task `k`.
+    pub fn task_store_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.task_store_start[k] as usize..self.task_store_start[k + 1] as usize
+    }
+
+    /// The global load-ordinal range of task `k`.
+    pub fn task_load_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.task_load_start[k] as usize..self.task_load_start[k + 1] as usize
+    }
+
     /// Number of stores in task `k`.
     pub fn task_stores(&self, k: usize) -> u32 {
         self.task_store_start[k + 1] - self.task_store_start[k]
@@ -460,19 +534,15 @@ impl ReplayPlan {
     /// Approximate resident size of the plan in bytes (for trace-cache
     /// budgeting).
     pub fn resident_bytes(&self) -> usize {
-        self.pc.len() * std::mem::size_of::<Pc>()
-            + self.op.len() * std::mem::size_of::<Opcode>()
-            + self.flags.len()
-            + self.fu.len()
-            + self.src1.len()
-            + self.src2.len()
-            + self.dst.len()
-            + self.addr.len() * std::mem::size_of::<Addr>()
-            + self.mem_ord.len() * 4
+        use std::mem::size_of;
+        self.code.len() * size_of::<Decoded>()
+            + self.pc.len() * size_of::<Pc>()
             + (self.task_start.len() + self.task_store_start.len() + self.task_load_start.len()) * 4
-            + self.task_start_pc.len() * std::mem::size_of::<Pc>()
+            + self.task_start_pc.len() * size_of::<Pc>()
             + (self.store_rec.len() + self.store_task.len()) * 4
+            + self.store_addr.len() * size_of::<Addr>()
             + (self.load_rec.len() + self.load_intra.len() + self.load_inter.len()) * 4
+            + self.load_addr.len() * size_of::<Addr>()
     }
 }
 
@@ -510,8 +580,6 @@ mod tests {
         let plan = ReplayPlan::build(&records);
         let n = records.len();
         assert_eq!(plan.pc.len(), n);
-        assert_eq!(plan.flags.len(), n);
-        assert_eq!(plan.mem_ord.len(), n);
         assert_eq!(*plan.task_start.last().unwrap() as usize, n);
         let mut covered = 0;
         for k in 0..plan.tasks() {
@@ -521,16 +589,56 @@ mod tests {
             assert_eq!(plan.task_start_pc[k], records[r.start].pc);
         }
         assert_eq!(covered, n);
+        assert_eq!(plan.store_addr.len(), plan.store_rec.len());
+        assert_eq!(plan.load_addr.len(), plan.load_rec.len());
         assert_eq!(
             plan.store_rec.len() + plan.load_rec.len(),
             records.iter().filter(|d| d.mem.is_some()).count()
         );
     }
 
+    #[test]
+    fn code_holds_one_decoded_instruction_per_pc() {
+        let records = recurrence(5);
+        let plan = ReplayPlan::build(&records);
+        let top = records.iter().map(|d| d.pc).max().unwrap() as usize;
+        assert_eq!(plan.code.len(), top + 1);
+        for d in &records {
+            let c = plan.code[d.pc as usize];
+            assert_eq!(c, Decoded::of(&d.inst));
+            assert_eq!(c.flags & F_MEM != 0, d.mem.is_some());
+            assert_eq!(c.flags & F_STORE != 0, d.is_store());
+            if let Some(m) = d.mem {
+                assert_eq!(c.access_bytes(), m.size);
+            }
+        }
+    }
+
+    /// Global load and store ordinals of every record, counted along the
+    /// stream (`NONE` for non-memory records).
+    fn ordinals(records: &[DynInst]) -> Vec<u32> {
+        let (mut loads, mut stores) = (0, 0);
+        records
+            .iter()
+            .map(|d| match d.mem {
+                Some(m) if m.is_store => {
+                    stores += 1;
+                    stores - 1
+                }
+                Some(_) => {
+                    loads += 1;
+                    loads - 1
+                }
+                None => NONE,
+            })
+            .collect()
+    }
+
     /// Brute-force reference for the per-load dependence pre-resolution:
     /// scan all earlier records for overlapping stores.
     fn check_against_reference(records: &[DynInst]) {
         let plan = ReplayPlan::build(records);
+        let ord = ordinals(records);
         let mut task_of = Vec::with_capacity(records.len());
         let mut t = 0usize;
         for (i, d) in records.iter().enumerate() {
@@ -541,6 +649,7 @@ mod tests {
         }
         for (lo, &rec) in plan.load_rec.iter().enumerate() {
             let i = rec as usize;
+            assert_eq!(ord[i] as usize, lo);
             let load = records[i].mem.unwrap();
             let lt = task_of[i];
             let mut intra: Option<u32> = None;
@@ -550,11 +659,10 @@ mod tests {
                 if !m.is_store || !m.overlaps(&load) {
                     continue;
                 }
-                let ord = plan.mem_ord[j];
                 if task_of[j] == lt {
-                    intra = Some(ord); // later stream position wins
+                    intra = Some(ord[j]); // later stream position wins
                 } else {
-                    inter = Some(ord);
+                    inter = Some(ord[j]);
                 }
             }
             assert_eq!(plan.load_intra[lo], intra.unwrap_or(NONE), "load {lo}");
@@ -586,6 +694,10 @@ mod tests {
             b.halt();
         });
         check_against_reference(&records);
+        let plan = ReplayPlan::build(&records);
+        for (row, d) in plan.rows().zip(&records) {
+            assert_eq!(row, Row::from(d));
+        }
     }
 
     #[test]
@@ -596,13 +708,11 @@ mod tests {
         // store — distance exactly 1.
         for (lo, &inter) in plan.load_inter.iter().enumerate() {
             let i = plan.load_rec[lo] as usize;
-            if plan.mem_ord[i] == NONE {
-                continue;
-            }
             let lt = plan
                 .task_start
                 .partition_point(|&s| (s as usize) <= i)
                 .saturating_sub(1);
+            assert!(plan.task_load_range(lt).contains(&lo));
             if lt >= 1 && inter != NONE {
                 assert_eq!(plan.store_task[inter as usize] as usize, lt - 1);
             }

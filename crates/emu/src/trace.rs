@@ -23,8 +23,9 @@ use std::sync::{Arc, OnceLock};
 /// [`ReplayPlan`], and the program it came from.
 ///
 /// Capture lowers the stream into the plan while the emulator runs, so a
-/// trace keeps about 25 bytes per instruction instead of a 48-byte
-/// [`DynInst`] record beside the plan. Everything the simulators and
+/// trace keeps about 9 bytes per instruction (a PC per record, decoded
+/// instructions once per PC, addresses and producers per load and store)
+/// instead of a 48-byte [`DynInst`] record beside the plan. Everything the simulators and
 /// analyzers replay reads the plan. [`Trace::records`] re-emulates the
 /// stored program on first use, for the consumers that want records
 /// (debug rendering, the scratch Multiscalar engine, tests); the records

@@ -3,81 +3,74 @@
 //! A trace is captured by feeding the emulator's commit stream into a
 //! [`PlanBuilder`] one record at a time, and no records are kept. These
 //! properties pin that single lowering path over random record streams —
-//! random task boundaries, byte and word accesses over a small colliding
-//! address pool, unaligned words included:
+//! a random static program of 32 instructions, random task boundaries,
+//! byte and word accesses over a small colliding address pool, unaligned
+//! words included:
 //!
 //! - streaming records into a builder equals [`ReplayPlan::build`] over
 //!   the collected stream;
 //! - every plan row reads back as the record it came from;
 //! - the pre-resolved producers equal a brute-force scan.
+//!
+//! Over real programs — the 23 hand-written workloads and sampled members
+//! of the example WDL families — the per-PC decoded table agrees with
+//! every record's static instruction, and the per-load and per-store
+//! address arrays list the accesses in stream order.
 
-use mds_emu::plan::NONE;
-use mds_emu::{BranchOutcome, DynInst, MemAccess, PlanBuilder, ReplayPlan, Row};
+use mds_emu::plan::{Decoded, F_BYTE, F_MEM, F_STORE, NONE};
+use mds_emu::{BranchOutcome, DynInst, MemAccess, PlanBuilder, ReplayPlan, Row, Trace};
 use mds_harness::prelude::*;
-use mds_isa::{Instruction, Opcode, Pc, Reg};
+use mds_isa::{Instruction, Opcode, Pc, Program, Reg};
+use mds_workloads::Scale;
 
-/// Synthesizes one committed record from a `(kind, sel)` pair. Addresses
-/// come from a 20-byte pool, so 8-byte accesses are often unaligned and
-/// partially overlap byte and word accesses in neighbouring tasks.
-fn record(i: usize, kind: usize, sel: u16) -> DynInst {
+/// Number of static instructions in a synthetic program.
+const CODE: usize = 32;
+
+/// Synthesizes the static instruction at one PC from a `(kind, sel)`
+/// pair.
+fn instruction(kind: usize, sel: u16) -> Instruction {
     let sel = sel as usize;
-    let pc = ((i * 5 + sel) % 32) as Pc;
-    let addr = 0x1000_0000u64 + (sel % 20) as u64;
     let byte = sel.is_multiple_of(3);
-    let size = if byte { 1 } else { 8 };
     let xr = |n: usize| Reg::x((n % 32) as u8);
     let fr = |n: usize| Reg::f((n % 32) as u8);
-    let (inst, mem, branch) = match kind {
-        0 => (
-            Instruction::rrr(Opcode::Add, xr(sel), xr(sel / 3), xr(sel / 7)),
-            None,
-            None,
+    match kind {
+        0 => Instruction::rrr(Opcode::Add, xr(sel), xr(sel / 3), xr(sel / 7)),
+        1 => Instruction::rrr(Opcode::FMul, fr(sel), fr(sel / 3), fr(sel / 7)),
+        2 => Instruction::branch(Opcode::Beq, xr(sel), xr(sel / 5), (sel % 32) as i32),
+        3 | 4 => Instruction::load(
+            if byte { Opcode::Lb } else { Opcode::Ld },
+            xr(sel),
+            xr(sel / 3),
+            0,
         ),
-        1 => (
-            Instruction::rrr(Opcode::FMul, fr(sel), fr(sel / 3), fr(sel / 7)),
-            None,
-            None,
+        _ => Instruction::store(
+            if byte { Opcode::Sb } else { Opcode::Sd },
+            xr(sel),
+            xr(sel / 3),
+            0,
         ),
-        2 => (
-            Instruction::branch(Opcode::Beq, xr(sel), xr(sel / 5), (sel % 32) as i32),
-            None,
-            Some(BranchOutcome {
-                taken: sel.is_multiple_of(2),
-                next_pc: (sel % 32) as Pc,
-            }),
-        ),
-        3 | 4 => (
-            Instruction::load(
-                if byte { Opcode::Lb } else { Opcode::Ld },
-                xr(sel),
-                xr(sel / 3),
-                0,
-            ),
-            Some(MemAccess {
-                addr,
-                size,
-                is_store: false,
-            }),
-            None,
-        ),
-        _ => (
-            Instruction::store(
-                if byte { Opcode::Sb } else { Opcode::Sd },
-                xr(sel),
-                xr(sel / 3),
-                0,
-            ),
-            Some(MemAccess {
-                addr,
-                size,
-                is_store: true,
-            }),
-            None,
-        ),
-    };
+    }
+}
+
+/// Synthesizes one committed record of the instruction at `pc`; `sel`
+/// picks its address, branch outcome and task marker. Addresses come
+/// from a 20-byte pool, so 8-byte accesses are often unaligned and
+/// partially overlap byte and word accesses in neighbouring tasks.
+fn record(i: usize, pc: usize, inst: Instruction, sel: u16) -> DynInst {
+    let sel = sel as usize;
+    let op = inst.op;
+    let mem = op.is_mem().then(|| MemAccess {
+        addr: 0x1000_0000u64 + (sel % 20) as u64,
+        size: op.access_bytes(),
+        is_store: op.is_store(),
+    });
+    let branch = op.is_control().then(|| BranchOutcome {
+        taken: sel.is_multiple_of(2),
+        next_pc: (sel % CODE) as Pc,
+    });
     DynInst {
         seq: i as u64,
-        pc,
+        pc: pc as Pc,
         inst,
         mem,
         branch,
@@ -85,12 +78,19 @@ fn record(i: usize, kind: usize, sel: u16) -> DynInst {
     }
 }
 
-fn stream(cells: &[(usize, u16)]) -> Vec<DynInst> {
+/// A committed stream over the program `code`: each cell names a PC and
+/// the record's dynamic selector.
+fn stream(code: &[(usize, u16)], cells: &[(usize, u16)]) -> Vec<DynInst> {
+    let insts: Vec<Instruction> = code.iter().map(|&(k, s)| instruction(k, s)).collect();
     cells
         .iter()
         .enumerate()
-        .map(|(i, &(kind, sel))| record(i, kind, sel))
+        .map(|(i, &(pc, sel))| record(i, pc, insts[pc], sel))
         .collect()
+}
+
+fn code_strategy() -> impl Strategy<Value = Vec<(usize, u16)>> {
+    vec_of((0usize..7, any::<u16>()), CODE..CODE + 1)
 }
 
 properties! {
@@ -101,9 +101,10 @@ properties! {
     /// row of it reads back as its record.
     #[test]
     fn streamed_builder_equals_build_and_rows_read_back(
-        cells in vec_of((0usize..7, any::<u16>()), 0..200),
+        code in code_strategy(),
+        cells in vec_of((0usize..CODE, any::<u16>()), 0..200),
     ) {
-        let records = stream(&cells);
+        let records = stream(&code, &cells);
         let mut builder = PlanBuilder::new();
         for d in &records {
             builder.push(d);
@@ -122,10 +123,12 @@ properties! {
     /// equal a brute-force scan for the youngest conflicting store.
     #[test]
     fn producers_match_a_brute_force_scan(
-        cells in vec_of((0usize..7, any::<u16>()), 1..200),
+        code in code_strategy(),
+        cells in vec_of((0usize..CODE, any::<u16>()), 1..200),
     ) {
-        let records = stream(&cells);
+        let records = stream(&code, &cells);
         let plan = ReplayPlan::build(&records);
+        let ord = ordinals(&records);
         let mut task_of = Vec::with_capacity(records.len());
         let mut task = 0usize;
         for (i, d) in records.iter().enumerate() {
@@ -136,6 +139,7 @@ properties! {
         }
         for (lo, &rec) in plan.load_rec.iter().enumerate() {
             let i = rec as usize;
+            prop_assert_eq!(ord[i] as usize, lo);
             let load = records[i].mem.expect("a load record");
             let (mut intra, mut inter) = (NONE, NONE);
             for (j, d) in records[..i].iter().enumerate() {
@@ -144,15 +148,91 @@ properties! {
                     continue;
                 }
                 if task_of[j] == task_of[i] {
-                    intra = plan.mem_ord[j];
+                    intra = ord[j];
                 } else {
-                    inter = plan.mem_ord[j];
+                    inter = ord[j];
                 }
             }
             prop_assert_eq!(plan.load_intra[lo], intra);
             prop_assert_eq!(plan.load_inter[lo], inter);
         }
     }
+
+    /// Sampled members of the example WDL families lower into a plan
+    /// whose decoded table and address arrays agree with the records.
+    #[test]
+    fn wdl_members_decode_once_per_pc(
+        family in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let name = ["compress_like", "fpppp_like", "swim_like"][family];
+        let path = format!("{}/../../examples/{name}.wdl", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect("example spec");
+        let spec = mds_wdl::parse_spec(&src).expect("example spec parses");
+        for inst in mds_wdl::expand(&spec.scenarios[0], seed, 1) {
+            check_decoded_table(&mds_wdl::compile(&inst, Scale::Tiny));
+        }
+    }
+}
+
+/// The 23 hand-written workloads lower into a plan whose decoded table
+/// and address arrays agree with the records.
+#[test]
+fn workloads_decode_once_per_pc() {
+    for wl in mds_workloads::all() {
+        check_decoded_table(&wl.build(Scale::Tiny));
+    }
+}
+
+/// Captures `program` and checks its plan against the re-emulated
+/// records: `code[pc]` is each record's static instruction (opcode,
+/// operands, memory kind and access size), and the load and store
+/// address arrays list the accesses in stream order.
+fn check_decoded_table(program: &Program) {
+    let trace = Trace::capture(program).expect("program runs");
+    let plan = trace.replay_plan();
+    let records = trace.records();
+    assert_eq!(plan.pc.len(), records.len());
+    let (mut loads, mut stores) = (Vec::new(), Vec::new());
+    for (d, &pc) in records.iter().zip(&plan.pc) {
+        assert_eq!(pc, d.pc);
+        let c = plan.code[pc as usize];
+        assert_eq!(c, Decoded::of(&d.inst), "pc {pc}");
+        let row = Row::from(d);
+        assert_eq!((c.op, c.src, c.dst), (row.op, row.src, row.dst), "pc {pc}");
+        assert_eq!(c.flags & F_MEM != 0, d.mem.is_some(), "pc {pc}");
+        if let Some(m) = d.mem {
+            assert_eq!(c.flags & F_STORE != 0, m.is_store, "pc {pc}");
+            assert_eq!(c.flags & F_BYTE != 0, m.size == 1, "pc {pc}");
+            if m.is_store {
+                stores.push(m.addr);
+            } else {
+                loads.push(m.addr);
+            }
+        }
+    }
+    assert_eq!(plan.load_addr, loads);
+    assert_eq!(plan.store_addr, stores);
+}
+
+/// Global load and store ordinals of every record, counted along the
+/// stream (`NONE` for non-memory records).
+fn ordinals(records: &[DynInst]) -> Vec<u32> {
+    let (mut loads, mut stores) = (0, 0);
+    records
+        .iter()
+        .map(|d| match d.mem {
+            Some(m) if m.is_store => {
+                stores += 1;
+                stores - 1
+            }
+            Some(_) => {
+                loads += 1;
+                loads - 1
+            }
+            None => NONE,
+        })
+        .collect()
 }
 
 /// Whether `store` is a producer candidate for `load` under the plan's

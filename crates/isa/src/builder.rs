@@ -92,6 +92,11 @@ impl std::error::Error for BuildError {}
 
 /// Builds a [`Program`] instruction by instruction.
 ///
+/// Data writes ([`alloc_init`](Self::alloc_init),
+/// [`init_word`](Self::init_word)) are appended in program order and
+/// sorted by address once, at [`build`](Self::build); when two writes hit
+/// the same address, the later one wins.
+///
 /// See the [module documentation](self) for an example.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramBuilder {
@@ -101,7 +106,8 @@ pub struct ProgramBuilder {
     labels: HashMap<String, Pc>,
     duplicate_label: Option<String>,
     duplicate_symbol: Option<String>,
-    data: BTreeMap<Addr, u64>,
+    /// Data writes in program order; sorted at `build`.
+    data: Vec<(Addr, u64)>,
     symbols: BTreeMap<String, Addr>,
     task_heads: BTreeSet<Pc>,
     next_data: Addr,
@@ -150,7 +156,7 @@ impl ProgramBuilder {
         let base = self.alloc(name, values.len());
         for (i, &v) in values.iter().enumerate() {
             if v != 0 {
-                self.data.insert(base + (i as Addr) * 8, v);
+                self.data.push((base + (i as Addr) * 8, v));
             }
         }
         base
@@ -163,7 +169,7 @@ impl ProgramBuilder {
 
     /// Writes an initial value at an absolute data address.
     pub fn init_word(&mut self, addr: Addr, value: u64) -> &mut Self {
-        self.data.insert(addr, value);
+        self.data.push((addr, value));
         self
     }
 
@@ -215,6 +221,16 @@ impl ProgramBuilder {
                 .ok_or_else(|| BuildError::UnknownLabel(label.clone()))?;
             self.insts[*idx].imm = pc as i32;
         }
+        // A stable sort keeps same-address writes in program order, so
+        // folding each run into its first slot leaves the last write.
+        self.data.sort_by_key(|&(addr, _)| addr);
+        self.data.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
         Ok(Program::from_parts(
             self.insts,
             self.data,
@@ -422,6 +438,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mds_harness::prelude::*;
 
     #[test]
     fn forward_and_backward_labels_resolve() {
@@ -481,6 +498,54 @@ mod tests {
         let p = b.build().unwrap();
         let data: Vec<(u64, u64)> = p.initial_data().collect();
         assert_eq!(data, vec![(base + 8, 7), (base + 24, 9)]);
+    }
+
+    /// One data-segment call: 0 = `alloc`, 1 = `alloc_init`, 2 =
+    /// `init_word` at `DATA_BASE + 4 * slot` (so writes collide with each
+    /// other and with earlier allocations).
+    type DataOp = (usize, u64, Vec<u64>);
+
+    properties! {
+        /// Any interleaving of `alloc`, `alloc_init` and `init_word` gives
+        /// the data a map model gives: the last write to an address wins,
+        /// `alloc_init` skips zero words, and the words come out in address
+        /// order. The program still round-trips through the assembler.
+        #[test]
+        fn data_matches_a_map_model_and_round_trips(
+            ops in vec_of((0usize..3, 0u64..24, vec_of(0u64..4, 0..4)), 0..24),
+        ) {
+            let ops: Vec<DataOp> = ops;
+            let mut b = ProgramBuilder::new();
+            let mut model = BTreeMap::new();
+            for (i, (kind, slot, values)) in ops.iter().enumerate() {
+                let name = format!("s{i}");
+                match kind {
+                    0 => {
+                        b.alloc(&name, values.len());
+                    }
+                    1 => {
+                        let base = b.alloc_init(&name, values);
+                        for (w, &v) in values.iter().enumerate() {
+                            if v != 0 {
+                                model.insert(base + w as Addr * 8, v);
+                            }
+                        }
+                    }
+                    _ => {
+                        let addr = DATA_BASE + slot * 4;
+                        let value = values.first().copied().unwrap_or(0);
+                        b.init_word(addr, value);
+                        model.insert(addr, value);
+                    }
+                }
+            }
+            b.halt();
+            let p = b.build().unwrap();
+            let data: Vec<(Addr, u64)> = p.initial_data().collect();
+            prop_assert_eq!(data, model.into_iter().collect::<Vec<_>>());
+            let p2 = crate::asm::assemble(&p.disassemble()).unwrap();
+            prop_assert_eq!(p2, p);
+        }
     }
 
     #[test]

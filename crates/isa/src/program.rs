@@ -67,21 +67,27 @@ pub const STACK_BASE: Addr = 0x7fff_f000;
 /// of **task head** PCs — the Multiscalar task annotations that the
 /// emulator turns into task-boundary events.
 ///
+/// Initialized data is a `Vec` of `(address, value)` pairs sorted by
+/// address with one entry per address, so cloning a program and loading
+/// it into an emulator are flat copies.
+///
 /// Programs are built with [`crate::ProgramBuilder`] or parsed from text by
 /// [`crate::asm::assemble`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     insts: Vec<Instruction>,
-    data: BTreeMap<Addr, u64>,
+    /// Sorted by address, one entry per address.
+    data: Vec<(Addr, u64)>,
     symbols: BTreeMap<String, Addr>,
     task_heads: BTreeSet<Pc>,
     entry: Pc,
 }
 
 impl Program {
+    /// `data` must be sorted by address with no address repeated.
     pub(crate) fn from_parts(
         insts: Vec<Instruction>,
-        data: BTreeMap<Addr, u64>,
+        data: Vec<(Addr, u64)>,
         symbols: BTreeMap<String, Addr>,
         task_heads: BTreeSet<Pc>,
         entry: Pc,
@@ -122,7 +128,7 @@ impl Program {
 
     /// Initialized data words as `(address, value)` pairs in address order.
     pub fn initial_data(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        self.data.iter().map(|(&a, &v)| (a, v))
+        self.data.iter().copied()
     }
 
     /// Looks up a data-segment symbol.
@@ -173,7 +179,7 @@ impl Program {
         for (name, addr) in &self.symbols {
             out.push_str(&format!(".sym {name} {addr:#x}\n"));
         }
-        for (&addr, &value) in &self.data {
+        for &(addr, value) in &self.data {
             out.push_str(&format!(".word {addr:#x} {value}\n"));
         }
         for (pc, inst) in self.insts.iter().enumerate() {
@@ -207,8 +213,7 @@ mod tests {
                 ..Instruction::NOP
             },
         ];
-        let mut data = BTreeMap::new();
-        data.insert(DATA_BASE, 99);
+        let data = vec![(DATA_BASE, 99)];
         let mut symbols = BTreeMap::new();
         symbols.insert("tbl".to_string(), DATA_BASE);
         let mut heads = BTreeSet::new();

@@ -122,6 +122,8 @@ struct PScratch {
     store_vecs: Vec<Vec<u64>>,
     /// Pool backing `PAttempt::load_events`.
     event_vecs: Vec<Vec<LoadEvent>>,
+    /// Pool backing `LoadEvent::edges` of predicted SYNC/ESYNC loads.
+    edge_vecs: Vec<Vec<(DepEdge, bool, bool)>>,
 }
 
 impl Default for PScratch {
@@ -144,6 +146,7 @@ impl Default for PScratch {
             reg_epoch: 0,
             store_vecs: Vec::new(),
             event_vecs: Vec::new(),
+            edge_vecs: Vec::new(),
         }
     }
 }
@@ -211,8 +214,15 @@ impl PScratch {
         self.event_vecs.pop().unwrap_or_default()
     }
 
+    /// Returns an event vector and every edge vector in it to the pools.
     fn put_event_vec(&mut self, mut v: Vec<LoadEvent>) {
-        v.clear();
+        for event in v.drain(..) {
+            let mut edges = event.edges;
+            if edges.capacity() != 0 {
+                edges.clear();
+                self.edge_vecs.push(edges);
+            }
+        }
         self.event_vecs.push(v);
     }
 }
@@ -300,6 +310,7 @@ fn planned_attempt(
         synced_edges,
         entries,
         violations,
+        edge_vecs,
         last_write: local_write,
         write_epoch,
         cross_cache,
@@ -328,35 +339,24 @@ fn planned_attempt(
     let mut synchronized_loads = 0u64;
     let mut false_dep_releases = 0u64;
 
-    // Hoist the task's slice of every plan array once; indexing by the
-    // local offset `j` lets the per-record loop run bounds-check-free.
-    let range = plan.task_range(k);
-    let n = range.len();
-    let flags_a = &plan.flags[range.clone()];
-    let pc_a = &plan.pc[range.clone()];
-    let op_a = &plan.op[range.clone()];
-    let fu_a = &plan.fu[range.clone()];
-    let src1_a = &plan.src1[range.clone()];
-    let src2_a = &plan.src2[range.clone()];
-    let dst_a = &plan.dst[range.clone()];
-    let addr_a = &plan.addr[range.clone()];
-    let mem_ord_a = &plan.mem_ord[range];
-    assert!(
-        pc_a.len() == n
-            && op_a.len() == n
-            && fu_a.len() == n
-            && src1_a.len() == n
-            && src2_a.len() == n
-            && dst_a.len() == n
-            && addr_a.len() == n
-            && mem_ord_a.len() == n
-    );
+    // Hoist the task's slice of every per-record, per-load and per-store
+    // array once. Loads and stores are numbered by counting them along
+    // the task, and each record's static facts come from `code[pc]`.
+    let code = &plan.code[..];
+    let pc_a = &plan.pc[plan.task_range(k)];
+    let load_range = plan.task_load_range(k);
+    let load_addr_a = &plan.load_addr[load_range.clone()];
+    let load_intra_a = &plan.load_intra[load_range.clone()];
+    let load_inter_a = &plan.load_inter[load_range];
+    let store_addr_a = &plan.store_addr[plan.task_store_range(k)];
+    let mut nl = 0usize;
 
-    for j in 0..n {
-        let flags = flags_a[j];
+    for &pc in pc_a {
+        let d = &code[pc as usize];
+        let flags = d.flags;
 
         // ---- Fetch through the per-unit I-cache ------------------------
-        let block = ((pc_a[j] as u64) * 4) & !63;
+        let block = ((pc as u64) * 4) & !63;
         if cur_block != block || in_group >= config.fetch_width {
             if cur_block != NO_BLOCK {
                 fetch_clock += 1;
@@ -378,7 +378,7 @@ fn planned_attempt(
         // ---- Operand readiness (intra-task dataflow + ring) ------------
         let mut ready = dispatch;
         let mut base_ready = dispatch; // address operand only (for stores)
-        let s1 = src1_a[j];
+        let [s1, s2] = d.src;
         if s1 != NO_REG {
             let avail = operand_avail(
                 s1 as usize,
@@ -396,7 +396,6 @@ fn planned_attempt(
             ready = ready.max(avail);
             base_ready = base_ready.max(avail);
         }
-        let s2 = src2_a[j];
         if s2 != NO_REG {
             let avail = operand_avail(
                 s2 as usize,
@@ -416,8 +415,8 @@ fn planned_attempt(
 
         // ---- Schedule on the functional units --------------------------
         let complete = if flags & F_MEM != 0 {
-            let addr = addr_a[j];
             if flags & F_STORE != 0 {
+                let addr = store_addr_a[store_complete.len()];
                 intra_addr_ready = intra_addr_ready.max(base_ready);
                 max_store_addr_ready = max_store_addr_ready.max(base_ready);
                 let start = mem_ports.claim(issue_ports.claim(ready));
@@ -426,16 +425,15 @@ fn planned_attempt(
                 complete
             } else {
                 // ---- Load: pre-resolved intra forwarding ---------------
-                let lo = mem_ord_a[j] as usize;
+                let (addr, intra, inter) = (load_addr_a[nl], load_intra_a[nl], load_inter_a[nl]);
+                nl += 1;
                 let mut ready_mem = ready.max(intra_addr_ready);
-                let intra = plan.load_intra[lo];
                 if intra != NONE {
                     ready_mem = ready_mem.max(store_complete[intra as usize - store_base]);
                 }
 
                 // Pre-resolved inter-task producer, if still in window:
                 // `(task index, store completion, store pc)`.
-                let inter = plan.load_inter[lo];
                 let producer: Option<(usize, u64, Pc)> = if inter != NONE {
                     let pt = plan.store_task[inter as usize] as usize;
                     if pt >= win_base {
@@ -483,12 +481,12 @@ fn planned_attempt(
                                 .then(|| plan.task_start_pc[seq as usize])
                         };
                         let unit = shared.unit.as_mut().expect("sync policy has a unit");
-                        unit.predicted_entries_for_load(pc_a[j], k as u64, Some(&lookup), entries);
+                        unit.predicted_entries_for_load(pc, k as u64, Some(&lookup), entries);
                         entries.retain(|e| synced_edges.insert(e.edge));
                         if entries.is_empty() {
                             may_violate = true;
                         } else {
-                            let mut edges = Vec::with_capacity(entries.len());
+                            let mut edges = edge_vecs.pop().unwrap_or_default();
                             let mut wait_until = ready_mem;
                             let mut any_missing = false;
                             for e in entries.iter() {
@@ -563,7 +561,7 @@ fn planned_attempt(
                         if pcomplete > start {
                             violations.push(Violation {
                                 edge: DepEdge {
-                                    load_pc: pc_a[j],
+                                    load_pc: pc,
                                     store_pc: ppc,
                                 },
                                 producer_task: pt as u64,
@@ -596,8 +594,8 @@ fn planned_attempt(
                 complete
             }
         } else {
-            let latency = lat[op_a[j] as usize];
-            let class_ports = match fu_a[j] {
+            let latency = lat[d.op as usize];
+            let class_ports = match d.fu {
                 FU_COMPLEX => &mut *complex_ports,
                 FU_FP => &mut *fp_ports,
                 FU_BRANCH => &mut *branch_ports,
@@ -610,7 +608,7 @@ fn planned_attempt(
         if flags & F_CONTROL != 0 {
             last_branch_completion = last_branch_completion.max(complete);
         }
-        let dst = dst_a[j];
+        let dst = d.dst;
         if dst != NO_REG {
             local_write[dst as usize] = complete;
             write_epoch[dst as usize] = epoch;

@@ -3,8 +3,8 @@
 //!
 //! For any randomized committed instruction stream — random task
 //! boundaries, mixed word/byte loads and stores over a small colliding
-//! address pool, ALU/FP/branch filler, recycled PCs so the MDPT actually
-//! trains — [`mds_multiscalar::run_planned`] under each of the six
+//! address pool, ALU/FP/branch filler, a random 40-instruction program
+//! whose PCs recur so the MDPT actually trains — [`mds_multiscalar::run_planned`] under each of the six
 //! speculation policies must produce a result byte-identical to
 //! [`Multiscalar::run_trace`] over the same records: cycles, violation
 //! counts, synchronization counts, and the full serialized result
@@ -17,82 +17,60 @@ use mds_harness::prelude::*;
 use mds_isa::{Instruction, Opcode, Pc, Reg};
 use mds_multiscalar::{run_planned, MsConfig, Multiscalar};
 
-/// Synthesizes one committed record from a `(kind, sel)` pair.
+/// Number of static instructions in a synthetic program.
+const CODE: usize = 40;
+
+/// Synthesizes the static instruction at one PC from a `(kind, sel)`
+/// pair.
+fn instruction(kind: usize, sel: u16) -> Instruction {
+    let sel = sel as usize;
+    let byte = sel.is_multiple_of(3);
+    let xr = |n: usize| Reg::x((n % 32) as u8);
+    let fr = |n: usize| Reg::f((n % 32) as u8);
+    match kind {
+        0 => Instruction::rrr(Opcode::Add, xr(sel), xr(sel / 3), xr(sel / 7)),
+        1 => Instruction::rri(Opcode::Addi, xr(sel), xr(sel / 5), sel as i32),
+        2 => Instruction::rrr(Opcode::Mul, xr(sel), xr(sel / 3), xr(sel / 7)),
+        3 => Instruction::rrr(Opcode::FAdd, fr(sel), fr(sel / 3), fr(sel / 7)),
+        4 => Instruction::branch(Opcode::Bne, xr(sel), xr(sel / 3), (sel % CODE) as i32),
+        5 | 6 => Instruction::load(
+            if byte { Opcode::Lb } else { Opcode::Ld },
+            xr(sel),
+            xr(sel / 3),
+            0,
+        ),
+        _ => Instruction::store(
+            if byte { Opcode::Sb } else { Opcode::Sd },
+            xr(sel),
+            xr(sel / 3),
+            0,
+        ),
+    }
+}
+
+/// Synthesizes one committed record of `inst` at `pc`; `sel` picks its
+/// address, branch outcome and task marker.
 ///
 /// The stream is deliberately adversarial for the replay plan: addresses
 /// come from a 24-byte pool so word and byte accesses partially overlap
-/// across tasks, PCs recycle every 40 slots so dependence predictors see
-/// repeated static instructions, and task boundaries arrive at irregular
-/// intervals.
-fn record(i: usize, kind: usize, sel: u16) -> DynInst {
+/// across tasks, records revisit the program's 40 PCs so dependence
+/// predictors see repeated static instructions, and task boundaries
+/// arrive at irregular intervals.
+fn record(i: usize, pc: usize, inst: Instruction, sel: u16) -> DynInst {
     let sel = sel as usize;
-    let pc = ((i * 7 + sel) % 40) as Pc;
-    let base = 0x1000_0000u64;
-    let addr = base + (sel % 24) as u64;
-    let size = if sel.is_multiple_of(3) { 1 } else { 8 };
-    let xr = |n: usize| Reg::x((n % 32) as u8);
-    let fr = |n: usize| Reg::f((n % 32) as u8);
-    let (inst, mem, branch) = match kind {
-        0 => (
-            Instruction::rrr(Opcode::Add, xr(sel), xr(sel / 3), xr(sel / 7)),
-            None,
-            None,
-        ),
-        1 => (
-            Instruction::rri(Opcode::Addi, xr(sel), xr(sel / 5), sel as i32),
-            None,
-            None,
-        ),
-        2 => (
-            Instruction::rrr(Opcode::Mul, xr(sel), xr(sel / 3), xr(sel / 7)),
-            None,
-            None,
-        ),
-        3 => (
-            Instruction::rrr(Opcode::FAdd, fr(sel), fr(sel / 3), fr(sel / 7)),
-            None,
-            None,
-        ),
-        4 => (
-            Instruction::branch(Opcode::Bne, xr(sel), xr(sel / 3), (sel % 40) as i32),
-            None,
-            Some(BranchOutcome {
-                taken: sel.is_multiple_of(2),
-                next_pc: ((sel * 3) % 40) as Pc,
-            }),
-        ),
-        5 | 6 => (
-            Instruction::load(
-                if size == 1 { Opcode::Lb } else { Opcode::Ld },
-                xr(sel),
-                xr(sel / 3),
-                0,
-            ),
-            Some(MemAccess {
-                addr,
-                size,
-                is_store: false,
-            }),
-            None,
-        ),
-        _ => (
-            Instruction::store(
-                if size == 1 { Opcode::Sb } else { Opcode::Sd },
-                xr(sel),
-                xr(sel / 3),
-                0,
-            ),
-            Some(MemAccess {
-                addr,
-                size,
-                is_store: true,
-            }),
-            None,
-        ),
-    };
+    let op = inst.op;
+    let mem = op.is_mem().then(|| MemAccess {
+        addr: 0x1000_0000u64 + (sel % 24) as u64,
+        size: op.access_bytes(),
+        is_store: op.is_store(),
+    });
+    let branch = op.is_control().then(|| BranchOutcome {
+        taken: sel.is_multiple_of(2),
+        next_pc: ((sel * 3) % CODE) as Pc,
+    });
     DynInst {
         seq: i as u64,
-        pc,
+        pc: pc as Pc,
         inst,
         mem,
         branch,
@@ -107,12 +85,14 @@ properties! {
     /// 8 stages, over randomized traces.
     #[test]
     fn planned_replay_equals_scratch_replay(
-        cells in vec_of((0usize..9, any::<u16>()), 20..250),
+        code in vec_of((0usize..9, any::<u16>()), CODE..CODE + 1),
+        cells in vec_of((0usize..CODE, any::<u16>()), 20..250),
     ) {
+        let insts: Vec<Instruction> = code.iter().map(|&(k, s)| instruction(k, s)).collect();
         let records: Vec<DynInst> = cells
             .iter()
             .enumerate()
-            .map(|(i, &(kind, sel))| record(i, kind, sel))
+            .map(|(i, &(pc, sel))| record(i, pc, insts[pc], sel))
             .collect();
         let trace = Trace::from_parts(records, TraceSummary::default());
 

@@ -60,66 +60,54 @@ fn assert_feeds_agree(trace: &Trace, what: &str) {
     }
 }
 
-/// Synthesizes one committed record. Addresses come from a 20-byte pool,
-/// so word accesses are often unaligned and overlap byte accesses; PCs
-/// recycle so the dependence predictors train.
-fn record(i: usize, kind: usize, sel: u16) -> DynInst {
+/// Number of static instructions in a synthetic program.
+const CODE: usize = 24;
+
+/// Synthesizes the static instruction at one PC from a `(kind, sel)`
+/// pair.
+fn instruction(kind: usize, sel: u16) -> Instruction {
     let sel = sel as usize;
     let byte = sel.is_multiple_of(3);
-    let mem = |is_store| {
-        Some(MemAccess {
-            addr: 0x1000_0000 + (sel % 20) as u64,
-            size: if byte { 1 } else { 8 },
-            is_store,
-        })
-    };
     let xr = |n: usize| Reg::x((n % 32) as u8);
-    let (inst, mem, branch) = match kind {
-        0 => (
-            Instruction::rrr(Opcode::Add, xr(sel), xr(sel / 3), xr(sel / 7)),
-            None,
-            None,
+    match kind {
+        0 => Instruction::rrr(Opcode::Add, xr(sel), xr(sel / 3), xr(sel / 7)),
+        1 => Instruction::rrr(Opcode::Div, xr(sel), xr(sel / 3), xr(sel / 7)),
+        2 => Instruction::branch(Opcode::Bne, xr(sel), xr(sel / 5), 0),
+        3 | 4 => Instruction::load(
+            if byte { Opcode::Lb } else { Opcode::Ld },
+            xr(sel),
+            xr(sel / 3),
+            0,
         ),
-        1 => (
-            Instruction::rrr(Opcode::Div, xr(sel), xr(sel / 3), xr(sel / 7)),
-            None,
-            None,
+        _ => Instruction::store(
+            if byte { Opcode::Sb } else { Opcode::Sd },
+            xr(sel),
+            xr(sel / 3),
+            0,
         ),
-        2 => (
-            Instruction::branch(Opcode::Bne, xr(sel), xr(sel / 5), 0),
-            None,
-            Some(BranchOutcome {
-                taken: sel.is_multiple_of(2),
-                next_pc: 0,
-            }),
-        ),
-        3 | 4 => (
-            Instruction::load(
-                if byte { Opcode::Lb } else { Opcode::Ld },
-                xr(sel),
-                xr(sel / 3),
-                0,
-            ),
-            mem(false),
-            None,
-        ),
-        _ => (
-            Instruction::store(
-                if byte { Opcode::Sb } else { Opcode::Sd },
-                xr(sel),
-                xr(sel / 3),
-                0,
-            ),
-            mem(true),
-            None,
-        ),
-    };
+    }
+}
+
+/// Synthesizes one committed record of `inst` at `pc`. Addresses come
+/// from a 20-byte pool, so word accesses are often unaligned and overlap
+/// byte accesses; records revisit the program's PCs so the dependence
+/// predictors train.
+fn record(i: usize, pc: usize, inst: Instruction, sel: u16) -> DynInst {
+    let sel = sel as usize;
+    let op = inst.op;
     DynInst {
         seq: i as u64,
-        pc: ((i * 3 + sel) % 24) as Pc,
+        pc: pc as Pc,
         inst,
-        mem,
-        branch,
+        mem: op.is_mem().then(|| MemAccess {
+            addr: 0x1000_0000 + (sel % 20) as u64,
+            size: op.access_bytes(),
+            is_store: op.is_store(),
+        }),
+        branch: op.is_control().then(|| BranchOutcome {
+            taken: sel.is_multiple_of(2),
+            next_pc: 0,
+        }),
         new_task: sel.is_multiple_of(5),
     }
 }
@@ -130,12 +118,14 @@ properties! {
     /// Plan-fed analyzers equal record-fed ones on random streams.
     #[test]
     fn plan_rows_and_records_feed_identically(
-        cells in vec_of((0usize..7, any::<u16>()), 1..300),
+        code in vec_of((0usize..7, any::<u16>()), CODE..CODE + 1),
+        cells in vec_of((0usize..CODE, any::<u16>()), 1..300),
     ) {
+        let insts: Vec<Instruction> = code.iter().map(|&(k, s)| instruction(k, s)).collect();
         let records: Vec<DynInst> = cells
             .iter()
             .enumerate()
-            .map(|(i, &(kind, sel))| record(i, kind, sel))
+            .map(|(i, &(pc, sel))| record(i, pc, insts[pc], sel))
             .collect();
         let trace = Trace::from_parts(records, Default::default());
         assert_feeds_agree(&trace, "random stream");
