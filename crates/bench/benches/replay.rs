@@ -12,13 +12,20 @@
 //! - `scratch_x6` vs `planned_x6` — the paper's actual workload shape: all
 //!   six speculation policies over one trace, as six scratch replays or
 //!   six planned replays (one runner cell each). The CI bench gate
-//!   enforces `planned_x6` ≥ 2× `scratch_x6` at 8 stages.
+//!   enforces `planned_x6` ≥ 2× `scratch_x6` at 8 stages;
+//! - `paper_cells_tiny_planned` — one `run_planned` per Multiscalar cell
+//!   of the tiny-scale paper grid (`repro all`), over traces captured
+//!   beforehand, whatever `--scale` says: the replay layer of a cold
+//!   reproduction, fixed costs per cell included.
 
+use mds_bench::PAPER_IDS;
 use mds_core::Policy;
 use mds_emu::{Emulator, Trace};
 use mds_harness::bench::Harness;
 use mds_multiscalar::{run_planned, MsConfig, Multiscalar};
+use mds_runner::JobKind;
 use mds_workloads::{by_name, Scale};
+use std::collections::HashMap;
 use std::hint::black_box;
 
 fn main() {
@@ -94,6 +101,31 @@ fn main() {
             );
         }
     }
+
+    // Every Multiscalar cell of the tiny paper grid, paired with its
+    // workload's trace (each workload captured once, before timing).
+    let ids: Vec<String> = PAPER_IDS.iter().map(|id| id.to_string()).collect();
+    let mut traces: HashMap<&str, Trace> = HashMap::new();
+    let mut cells: Vec<(&str, MsConfig)> = Vec::new();
+    for cell in mds_bench::grid::cells(&ids, Scale::Tiny) {
+        if let JobKind::Multiscalar(config) = cell.job.kind {
+            let wl = cell.job.workload;
+            traces
+                .entry(wl.name)
+                .or_insert_with(|| Trace::capture(&wl.build(Scale::Tiny)).unwrap());
+            cells.push((wl.name, config));
+        }
+    }
+    let instructions: u64 = cells.iter().map(|(wl, _)| traces[wl].len() as u64).sum();
+    h.bench_with_throughput("multiscalar/paper_cells_tiny_planned", instructions, |b| {
+        b.iter(|| {
+            let total: u64 = cells
+                .iter()
+                .map(|(wl, config)| run_planned(&traces[wl], config).cycles)
+                .sum();
+            black_box(total)
+        });
+    });
 
     h.finish();
 }

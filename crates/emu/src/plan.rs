@@ -50,6 +50,18 @@
 //!   pre-resolved ordinal answers the producer query for every window
 //!   size.
 //!
+//! # Memoized sequencer outcomes
+//!
+//! The Multiscalar sequencer (next-task predictor and task-descriptor
+//! cache) sees only the sequence of task start PCs, so what it decides
+//! for each task depends on the trace and the sequencer's configuration,
+//! never on the speculation policy or the timing. The plan keeps one
+//! [`SequencerOutcome`] per configuration it has been asked for
+//! ([`ReplayPlan::sequencer`]): the first replay computes it, and every
+//! later replay of the trace under that configuration shares it. The
+//! outcomes are counted by [`ReplayPlan::resident_bytes`] and ignored by
+//! equality, since they are a function of the rest of the plan.
+//!
 //! # Reading records back
 //!
 //! [`ReplayPlan::rows`] yields one [`Row`] per record — sequence number,
@@ -61,6 +73,7 @@
 use crate::dyninst::{DynInst, MemAccess};
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, FuClass, Instruction, Opcode, Pc};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Sentinel ordinal: "no such store".
 pub const NONE: u32 = u32::MAX;
@@ -207,6 +220,51 @@ pub struct ReplayPlan {
     /// Per load: youngest earlier-task overlapping store (global store
     /// ordinal), or [`NONE`].
     pub load_inter: Vec<u32>,
+    /// Sequencer outcomes computed so far (see module docs).
+    sequencer: SequencerMemo,
+}
+
+/// What the Multiscalar sequencer decided for every task of one trace
+/// under one sequencer configuration, plus its control-prediction
+/// counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SequencerOutcome {
+    /// Per task: [`MISPREDICTED`] and [`DESCRIPTOR_HIT`] bits.
+    pub task_flags: Vec<u8>,
+    /// Next-task predictions made (one per task after the first).
+    pub control_predictions: u64,
+    /// Of those, the mispredicted ones.
+    pub control_mispredicts: u64,
+}
+
+/// [`SequencerOutcome::task_flags`] bit: the task's start PC was not the
+/// one predicted from its predecessor (never set for task 0).
+pub const MISPREDICTED: u8 = 1 << 0;
+/// [`SequencerOutcome::task_flags`] bit: the task's descriptor was cached.
+pub const DESCRIPTOR_HIT: u8 = 1 << 1;
+
+/// Memoized outcomes keyed by sequencer configuration, `(path_depth,
+/// descriptor_cache)`.
+type SequencerEntries = Vec<((usize, usize), Arc<SequencerOutcome>)>;
+
+/// The plan's memo of [`SequencerOutcome`]s, one per configuration, shared
+/// by the plan's clones. It is derived from the plan's other fields, so
+/// two plans compare equal whatever their memos hold.
+#[derive(Debug, Clone, Default)]
+struct SequencerMemo(Arc<Mutex<SequencerEntries>>);
+
+impl SequencerMemo {
+    fn entries(&self) -> std::sync::MutexGuard<'_, SequencerEntries> {
+        // An entry is pushed whole, so a panic elsewhere cannot leave a
+        // half-written memo behind.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl PartialEq for SequencerMemo {
+    fn eq(&self, _: &SequencerMemo) -> bool {
+        true
+    }
 }
 
 /// One committed instruction as the stream consumers read it: a plan row
@@ -313,6 +371,7 @@ impl PlanBuilder {
                 load_addr: Vec::new(),
                 load_intra: Vec::new(),
                 load_inter: Vec::new(),
+                sequencer: SequencerMemo::default(),
             },
             decoded: Vec::new(),
             word: FxHashMap::default(),
@@ -531,11 +590,40 @@ impl ReplayPlan {
         self.task_load_start[k + 1] - self.task_load_start[k]
     }
 
+    /// The sequencer's outcome for every task under the configuration
+    /// `(path_depth, descriptor_cache)`: computed by `resolve` over the
+    /// task start PCs on the first call for that configuration, and
+    /// shared by every later call, so every caller must resolve a
+    /// configuration the same way. Concurrent first calls wait for one
+    /// computation, so all callers get the same outcome.
+    pub fn sequencer(
+        &self,
+        path_depth: usize,
+        descriptor_cache: usize,
+        resolve: impl FnOnce(&[Pc]) -> SequencerOutcome,
+    ) -> Arc<SequencerOutcome> {
+        let key = (path_depth, descriptor_cache);
+        let mut entries = self.sequencer.entries();
+        if let Some((_, outcome)) = entries.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(outcome);
+        }
+        let outcome = Arc::new(resolve(&self.task_start_pc));
+        entries.push((key, Arc::clone(&outcome)));
+        outcome
+    }
+
     /// Approximate resident size of the plan in bytes (for trace-cache
-    /// budgeting).
+    /// budgeting), memoized sequencer outcomes included.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.code.len() * size_of::<Decoded>()
+        let sequencer: usize = self
+            .sequencer
+            .entries()
+            .iter()
+            .map(|(_, outcome)| size_of::<SequencerOutcome>() + outcome.task_flags.len())
+            .sum();
+        sequencer
+            + self.code.len() * size_of::<Decoded>()
             + self.pc.len() * size_of::<Pc>()
             + (self.task_start.len() + self.task_store_start.len() + self.task_load_start.len()) * 4
             + self.task_start_pc.len() * size_of::<Pc>()

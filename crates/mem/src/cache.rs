@@ -1,6 +1,7 @@
 //! A set-associative cache model with LRU replacement.
 
 use mds_harness::json::{Json, ToJson};
+use mds_sim::ConfigError;
 
 type Addr = u64;
 
@@ -20,22 +21,58 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (non-power-of-two block, or
-    /// size not divisible by `ways * block_bytes`).
+    /// Panics if the geometry is inconsistent (non-power-of-two block or
+    /// set count, size not divisible by `ways * block_bytes`, or one byte
+    /// per way).
     pub fn sets(&self) -> usize {
-        assert!(
-            self.block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        assert!(self.ways > 0, "associativity must be positive");
+        self.geometry()
+            .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// Largest `size_bytes` that [`CacheConfig::validate`] accepts: 128
+    /// times the paper's 32 KiB instruction cache.
+    const MAX_SIZE_BYTES: usize = 4 << 20;
+
+    /// Checks that a cache of this geometry can be built and holds at most
+    /// 4 MiB; an error names `field`.
+    pub fn validate(&self, field: &'static str) -> Result<(), ConfigError> {
+        let message = if self.size_bytes > Self::MAX_SIZE_BYTES {
+            format!(
+                "size_bytes must be at most {}, found {}",
+                Self::MAX_SIZE_BYTES,
+                self.size_bytes
+            )
+        } else {
+            match self.geometry() {
+                Ok(_) => return Ok(()),
+                Err(message) => message.to_string(),
+            }
+        };
+        Err(ConfigError { field, message })
+    }
+
+    /// The set count, or why the geometry is inconsistent.
+    fn geometry(&self) -> Result<usize, &'static str> {
+        if !self.block_bytes.is_power_of_two() {
+            return Err("block size must be a power of two");
+        }
+        if self.ways == 0 {
+            return Err("associativity must be positive");
+        }
         let per_way = self.size_bytes / self.ways;
-        assert!(
-            per_way.is_multiple_of(self.block_bytes) && per_way > 0,
-            "cache size must be divisible by ways * block"
-        );
+        if per_way == 0 || !per_way.is_multiple_of(self.block_bytes) {
+            return Err("cache size must be divisible by ways * block");
+        }
+        if per_way == 1 {
+            // Tags would span every `u64`, leaving none to mark a line
+            // invalid.
+            return Err("a cache must hold more than one byte per way");
+        }
         let sets = per_way / self.block_bytes;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        Ok(sets)
     }
 }
 
@@ -82,15 +119,16 @@ impl ToJson for CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: Addr,
-    valid: bool,
-    last_use: u64,
-}
-
 /// A behavioral set-associative cache: tags and LRU state only (data lives
 /// in the functional emulator). Misses allocate on both reads and writes.
+///
+/// The state is two zero-initialized `u64` arrays, one slot per line:
+/// `tags` holds the block tag plus one (0 marks an invalid line, so tag 0
+/// stays representable) and `last_use` the tick of the line's latest
+/// access (0 for a line never used since the last flush; a direct-mapped
+/// cache, with no victim to choose, leaves it 0). A new cache is
+/// therefore one zeroed allocation, and the pages of sets a run never
+/// touches are never written.
 ///
 /// Latency is the caller's concern — see [`crate::BankedCache`] for the
 /// timed wrapper.
@@ -107,8 +145,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// All lines, flattened: set `s` occupies `lines[s*ways .. (s+1)*ways]`.
-    lines: Vec<Line>,
+    /// Per line, flattened (set `s` occupies `[s*ways .. (s+1)*ways]`):
+    /// block tag + 1, or 0 when the line is invalid.
+    tags: Vec<u64>,
+    /// Per line: tick of the latest access, 0 when invalid (always 0 in a
+    /// direct-mapped cache).
+    last_use: Vec<u64>,
     ways: usize,
     set_mask: Addr,
     set_shift: u32,
@@ -125,16 +167,11 @@ impl Cache {
     /// Panics on an inconsistent [`CacheConfig`] (see [`CacheConfig::sets`]).
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let lines = sets * config.ways;
         Cache {
             config,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    last_use: 0
-                };
-                sets * config.ways
-            ],
+            tags: vec![0; lines],
+            last_use: vec![0; lines],
             ways: config.ways,
             set_mask: (sets - 1) as Addr,
             set_shift: sets.trailing_zeros(),
@@ -167,60 +204,71 @@ impl Cache {
         self.tick += 1;
         let block = addr >> self.block_shift;
         let set_idx = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
+        let tag = (block >> self.set_shift) + 1;
         if self.ways != 1 {
             return self.access_set(set_idx, tag);
         }
-        let line = &mut self.lines[set_idx];
-        if line.valid && line.tag == tag {
-            line.last_use = self.tick;
+        if self.tags[set_idx] == tag {
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        *line = Line {
-            tag,
-            valid: true,
-            last_use: self.tick,
-        };
+        self.tags[set_idx] = tag;
         false
     }
 
     /// The associative half of [`Cache::access`]: searches set `set_idx`
-    /// for `tag`, and on a miss replaces its least recently used line.
-    fn access_set(&mut self, set_idx: usize, tag: Addr) -> bool {
-        let set = &mut self.lines[set_idx * self.ways..][..self.ways];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = self.tick;
+    /// for the stored tag `tag` (block tag + 1), and on a miss replaces
+    /// the set's first invalid line, else its first least recently used
+    /// one.
+    fn access_set(&mut self, set_idx: usize, tag: u64) -> bool {
+        let base = set_idx * self.ways;
+        let tags = &mut self.tags[base..][..self.ways];
+        let last_use = &mut self.last_use[base..][..self.ways];
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            last_use[way] = self.tick;
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_use } else { 0 })
-            .expect("ways > 0");
-        victim.tag = tag;
-        victim.valid = true;
-        victim.last_use = self.tick;
+        // Invalid lines have `last_use` 0 and valid ones a positive tick,
+        // so the first minimum is the first invalid line if there is one.
+        let mut victim = 0;
+        for way in 1..self.ways {
+            if last_use[way] < last_use[victim] {
+                victim = way;
+            }
+        }
+        tags[victim] = tag;
+        last_use[victim] = self.tick;
         false
+    }
+
+    /// Counts a hit on the block of the previous [`Cache::access`],
+    /// without searching for it.
+    ///
+    /// The caller guarantees that its previous access to this cache was to
+    /// the same block. That block is then resident and the most recently
+    /// used line of its set, so the access is a hit that leaves the set's
+    /// recency order as it is: only the tick and the hit count advance.
+    #[inline]
+    pub fn repeat_hit(&mut self) {
+        self.tick += 1;
+        self.stats.hits += 1;
     }
 
     /// Probes without modifying state; returns `true` if `addr` is present.
     pub fn probe(&self, addr: Addr) -> bool {
         let block = addr >> self.block_shift;
         let set_idx = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
-        self.lines[set_idx * self.ways..][..self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let tag = (block >> self.set_shift) + 1;
+        self.tags[set_idx * self.ways..][..self.ways].contains(&tag)
     }
 
     /// Invalidates everything (e.g. between independent simulations).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(0);
+        self.last_use.fill(0);
     }
 }
 
@@ -272,6 +320,25 @@ mod tests {
         assert!(!c.access(32, false)); // same set, evicts
         assert!(!c.access(0, false)); // conflict miss
         assert_eq!(c.stats().hits, 0);
+    }
+
+    #[test]
+    fn block_tag_zero_starts_invalid() {
+        for ways in [1, 2] {
+            let mut c = Cache::new(CacheConfig {
+                size_bytes: 64,
+                ways,
+                block_bytes: 16,
+            });
+            assert!(!c.probe(0));
+            assert!(
+                !c.access(0, false),
+                "{ways}-way: a fresh cache holds nothing"
+            );
+            assert!(c.access(8, false));
+            c.repeat_hit();
+            assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1 });
+        }
     }
 
     #[test]
@@ -339,10 +406,14 @@ mod tests {
         }
 
         /// `access` (the inlined direct-mapped path and the out-of-line
-        /// associative search alike) agrees with a reference LRU model —
-        /// per set, tags in recency order — on every hit, on residency
-        /// (`probe`), and on the final stats, for 1-, 2- and 4-way
-        /// geometries. Operations are `(flush?, address)`.
+        /// associative search alike) and `repeat_hit` agree with a
+        /// reference LRU model — per set, tags in recency order — on every
+        /// hit, on residency (`probe`), and on the final stats, for 1-, 2-
+        /// and 4-way geometries. Operations are `(kind, address)`: kind 0
+        /// flushes, kind 1 repeats the previous access through
+        /// `repeat_hit`, kind 2 accesses address 0 (block tag 0, which an
+        /// encoding where 0 means "invalid" gets wrong), and any other
+        /// kind accesses the address.
         #[test]
         fn access_matches_a_reference_lru_model(
             ways_log in 0u32..3,
@@ -354,12 +425,20 @@ mod tests {
             // model[set]: resident tags, most recently used first.
             let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets];
             let mut want = CacheStats::default();
+            let mut prev: Option<u64> = None;
             for (kind, addr) in ops {
                 if kind == 0 {
                     c.flush();
                     model.iter_mut().for_each(Vec::clear);
+                    prev = None;
                     continue;
                 }
+                let repeat = kind == 1 && prev.is_some();
+                let addr = match kind {
+                    1 => prev.unwrap_or(addr),
+                    2 => 0,
+                    _ => addr,
+                };
                 let blk = addr / block as u64;
                 let (set, tag) = ((blk % sets as u64) as usize, blk / sets as u64);
                 let lru = &mut model[set];
@@ -375,7 +454,13 @@ mod tests {
                 };
                 lru.insert(0, tag);
                 if hit { want.hits += 1 } else { want.misses += 1 }
-                prop_assert_eq!(c.access(addr, kind % 2 == 0), hit, "access({:#x})", addr);
+                if repeat {
+                    prop_assert!(hit, "a repeated block is resident");
+                    c.repeat_hit();
+                } else {
+                    prop_assert_eq!(c.access(addr, kind % 2 == 0), hit, "access({:#x})", addr);
+                }
+                prev = Some(addr);
                 let other = addr ^ (block * sets) as u64;
                 let other_tag = (other / block as u64) / sets as u64;
                 prop_assert_eq!(c.probe(other), model[set].contains(&other_tag));

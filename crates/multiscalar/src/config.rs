@@ -3,6 +3,16 @@
 use mds_core::{MdptConfig, Policy, TagScheme};
 use mds_isa::Opcode;
 use mds_mem::{BankedCacheConfig, CacheConfig};
+use mds_sim::ConfigError;
+
+/// Largest latency, penalty or fill size, in cycles or words, that
+/// [`MsConfig::validate`] accepts. An attempt's port ledgers hold one slot
+/// per cycle it spans, so unbounded latencies could exhaust memory.
+const MAX_CYCLES: u64 = 1024;
+
+/// Largest entry count [`MsConfig::validate`] accepts for a table the
+/// simulator allocates up front (descriptor cache, MDPT, DDCs, window).
+const MAX_ENTRIES: u64 = 1 << 16;
 
 /// Functional-unit latencies in cycles — the paper's table 2 (the exact
 /// table is OCR-garbled in the source; these are the values legible there
@@ -186,6 +196,88 @@ impl MsConfig {
         }
     }
 
+    /// Checks that the simulators can run this configuration: every count
+    /// they divide by or size a structure with is positive, the cache
+    /// geometries are consistent, and no size or latency is large enough
+    /// to exhaust memory. The bounds leave at least 4× room over every
+    /// value the experiments use.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of bounds.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let check = ConfigError::check_range;
+        check("stages", self.stages as u64, 1..=64)?;
+        for (field, count) in [
+            ("issue_width", self.issue_width),
+            ("fetch_width", self.fetch_width),
+            ("simple_int_units", self.simple_int_units),
+            ("complex_int_units", self.complex_int_units),
+            ("fp_units", self.fp_units),
+            ("branch_units", self.branch_units),
+            ("mem_units", self.mem_units),
+        ] {
+            check(field, count.into(), 1..=256)?;
+        }
+        check("window", self.window as u64, 1..=MAX_ENTRIES)?;
+        let l = &self.latencies;
+        for latency in [
+            l.simple_int,
+            l.int_mul,
+            l.int_div,
+            l.fp_add,
+            l.fp_mul,
+            l.fp_div,
+            l.fp_sqrt,
+            l.fp_misc,
+            l.branch,
+        ] {
+            check("latencies", latency, 0..=MAX_CYCLES)?;
+        }
+        self.icache.validate("icache")?;
+        let banks = self.dcache.banks;
+        check("dcache.banks", banks as u64, 1..=256)?;
+        if !banks.is_power_of_two() {
+            return Err(ConfigError {
+                field: "dcache.banks",
+                message: format!("must be a power of two, found {banks}"),
+            });
+        }
+        self.dcache.bank_config.validate("dcache.bank_config")?;
+        check(
+            "dcache.hit_latency",
+            self.dcache.hit_latency,
+            0..=MAX_CYCLES,
+        )?;
+        check("dcache.fill_words", self.dcache.fill_words, 0..=MAX_CYCLES)?;
+        for (field, cycles) in [
+            ("ring_latency", self.ring_latency),
+            ("squash_penalty", self.squash_penalty),
+            ("mispredict_penalty", self.mispredict_penalty),
+            ("descriptor_miss_penalty", self.descriptor_miss_penalty),
+            ("signal_latency", self.signal_latency),
+        ] {
+            check(field, cycles, 0..=MAX_CYCLES)?;
+        }
+        check(
+            "descriptor_cache",
+            self.descriptor_cache as u64,
+            1..=MAX_ENTRIES,
+        )?;
+        check("path_depth", self.path_depth as u64, 1..=64)?;
+        let m = &self.mdpt;
+        check("mdpt.capacity", m.capacity as u64, 1..=MAX_ENTRIES)?;
+        check("mdpt.counter_bits", m.counter_bits.into(), 1..=16)?;
+        let max = (1u64 << m.counter_bits) - 1;
+        check("mdpt.threshold", m.threshold.into(), 0..=max)?;
+        check("mdpt.initial", m.initial.into(), 0..=max)?;
+        check("ddc_sizes", self.ddc_sizes.len() as u64, 0..=64)?;
+        for &size in &self.ddc_sizes {
+            check("ddc_sizes", size as u64, 1..=MAX_ENTRIES)?;
+        }
+        Ok(())
+    }
+
     /// Enables DDC measurement at the given sizes.
     pub fn with_ddc_sizes(mut self, sizes: &[usize]) -> Self {
         self.ddc_sizes = sizes.to_vec();
@@ -235,6 +327,23 @@ mod tests {
         assert_eq!(c4.dcache.banks, 8);
         assert_eq!(c8.dcache.banks, 16);
         assert_eq!(c4.issue_width, 2);
+    }
+
+    #[test]
+    fn paper_configs_validate_and_bad_values_do_not() {
+        for stages in [1, 4, 8] {
+            let c = MsConfig::paper(stages, Policy::Esync).with_ddc_sizes(&[16, 64, 256]);
+            assert_eq!(c.validate(), Ok(()));
+        }
+        let rejects = |field: &str, edit: fn(&mut MsConfig)| {
+            let mut c = MsConfig::default();
+            edit(&mut c);
+            assert_eq!(c.validate().unwrap_err().field, field);
+        };
+        rejects("path_depth", |c| c.path_depth = 0);
+        rejects("dcache.banks", |c| c.dcache.banks = 6);
+        rejects("icache", |c| c.icache.size_bytes = 1 << 34);
+        rejects("mdpt.threshold", |c| c.mdpt.threshold = 8);
     }
 
     #[test]

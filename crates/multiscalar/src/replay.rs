@@ -19,6 +19,23 @@
 //! nothing: every workload has an in-window store→load pair within its
 //! first few tasks, so the policies diverge almost at once.
 //!
+//! # What a replay does not redo
+//!
+//! - **The sequencer.** Next-task prediction and task-descriptor hits
+//!   depend only on the task start PCs and the sequencer configuration
+//!   (`path_depth`, `descriptor_cache`). The first replay of a trace under
+//!   a sequencer configuration resolves them for every task and memoizes
+//!   them in the plan ([`ReplayPlan::sequencer`]); every other cell of the
+//!   trace, whatever its policy or stage count, reads one flag byte per
+//!   task.
+//! - **Cross-task register resolution.** The engine keeps a register
+//!   frontier: for each register, the youngest in-window task that wrote
+//!   it and the time it did. A committing task becomes the writer of the
+//!   registers in its write mask; when the oldest task leaves the window,
+//!   the registers it was still the writer of have none left. An attempt
+//!   seeds its register availability from the frontier, and the task's
+//!   own writes overwrite it, so no attempt walks the window.
+//!
 //! Equivalence with the legacy engine is enforced by unit tests here, a
 //! `properties!` fuzz test over random traces (all policies), and an
 //! in-tree test that compares both engines on every paper grid cell.
@@ -28,7 +45,8 @@ use crate::exec::{LoadEvent, Ports, Shared, Violation, REGS};
 use crate::result::MsResult;
 use mds_core::{Ddc, DepEdge, MdptEntry, Policy, SyncUnit, SyncUnitConfig, TagScheme};
 use mds_emu::plan::{
-    ReplayPlan, FU_BRANCH, FU_COMPLEX, FU_FP, F_CONTROL, F_MEM, F_STORE, NONE, NO_REG,
+    ReplayPlan, SequencerOutcome, DESCRIPTOR_HIT, FU_BRANCH, FU_COMPLEX, FU_FP, F_CONTROL, F_MEM,
+    F_STORE, MISPREDICTED, NONE, NO_REG,
 };
 use mds_emu::Trace;
 use mds_harness::hash::FxHashSet;
@@ -36,58 +54,92 @@ use mds_isa::{Opcode, Pc};
 use mds_mem::{BankedCache, Bus, Cache};
 use mds_predict::{LruTable, PathHistory, PathPredictor};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The finalized timing state of a window task, planned-engine edition.
 ///
 /// Everything the legacy `TaskRecord` kept in hash maps lives in the
 /// [`ReplayPlan`] instead; the record only carries what depends on
-/// timing: final register write times, per-store completion times (in
-/// task store order), and the store address-ready bound. Task identity,
-/// stage, and start PC are recovered from the record's window position.
+/// timing: per-store completion times (in task store order) and the store
+/// address-ready bound, plus the registers the task wrote (their final
+/// write times live in the [`Frontier`]). Task identity, stage, and start
+/// PC are recovered from the record's window position.
 #[derive(Debug, Clone)]
 struct PRecord {
-    /// Final write time per dense register index, or [`NO_TIME`].
-    last_write: [u64; REGS],
+    /// Bit `r` set when the task wrote dense register `r`.
+    written: u64,
     /// Completion time per store, indexed by within-task store ordinal.
     store_complete: Vec<u64>,
     max_store_addr_ready: u64,
 }
 
-/// Sentinel for "this register was never written" / "not yet computed".
-/// Real completion times are cycle counts and never reach `u64::MAX`;
-/// a plain sentinel keeps the per-attempt register arrays half the size
-/// of `[Option<u64>; REGS]`, and these arrays are copied per task.
-const NO_TIME: u64 = u64::MAX;
-
 /// Sentinel for "no fetch block yet". Real blocks are `(pc * 4) & !63`
 /// with a 32-bit `pc`, far below `u64::MAX`.
 const NO_BLOCK: u64 = u64::MAX;
 
-/// Availability time of operand `di`: the intra-task write if this
-/// attempt produced one, else the memoized cross-task resolution.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn operand_avail(
-    di: usize,
-    epoch: u32,
-    local_write: &[u64; REGS],
-    write_epoch: &[u32; REGS],
-    cross_cache: &mut [u64; REGS],
-    cross_epoch: &mut [u32; REGS],
-    window: &VecDeque<PRecord>,
-    win_base: usize,
-    stage: usize,
-    stages: usize,
-    ring_latency: u64,
-) -> u64 {
-    if write_epoch[di] == epoch {
-        local_write[di]
-    } else {
-        if cross_epoch[di] != epoch {
-            cross_epoch[di] = epoch;
-            cross_cache[di] = resolve_cross(window, di, win_base, stage, stages, ring_latency);
+/// Sentinel task index: "no in-window writer".
+const NO_TASK: usize = usize::MAX;
+
+/// The cross-task register frontier: for each dense register, the
+/// youngest in-window task that wrote it and the final time it did.
+///
+/// The window holds at most `stages - 1` tasks older than the consumer,
+/// so a producer `j` is `k - j < stages` tasks behind consumer `k`, and
+/// that difference is exactly the number of ring hops between their
+/// stages.
+#[derive(Debug)]
+struct Frontier {
+    time: [u64; REGS],
+    task: [usize; REGS],
+}
+
+impl Default for Frontier {
+    fn default() -> Frontier {
+        Frontier {
+            time: [0; REGS],
+            task: [NO_TASK; REGS],
         }
-        cross_cache[di]
+    }
+}
+
+impl Frontier {
+    /// Task `k` committed: it is now the youngest writer of every
+    /// register in `written`, with final write times from `avail`.
+    fn commit(&mut self, k: usize, written: u64, avail: &[u64; REGS]) {
+        let mut bits = written;
+        while bits != 0 {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.time[r] = avail[r];
+            self.task[r] = k;
+        }
+    }
+
+    /// Task `j`, the oldest in the window, left it: the registers it was
+    /// still the youngest writer of have no in-window writer left.
+    fn evict(&mut self, j: usize, written: u64) {
+        let mut bits = written;
+        while bits != 0 {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.task[r] == j {
+                self.task[r] = NO_TASK;
+            }
+        }
+    }
+
+    /// Fills `avail` with the time each register's value reaches task
+    /// `k`: its youngest in-window write plus one ring hop per task
+    /// between them, or 0 when no task in the window wrote it.
+    #[inline]
+    fn seed(&self, k: usize, ring_latency: u64, avail: &mut [u64; REGS]) {
+        for ((slot, &time), &task) in avail.iter_mut().zip(&self.time).zip(&self.task) {
+            *slot = if task == NO_TASK {
+                0
+            } else {
+                time + (k - task) as u64 * ring_latency
+            };
+        }
     }
 }
 
@@ -105,19 +157,10 @@ struct PScratch {
     /// The predicting MDPT entries of the current load (SYNC/ESYNC).
     entries: Vec<MdptEntry>,
     violations: Vec<Violation>,
-    /// Register write times of the most recent attempt (copied into the
-    /// committed `PRecord`; living here avoids moving 512 B through the
-    /// attempt's return value on every task). An entry is valid only when
-    /// its `write_epoch` tag matches `reg_epoch` — epoch-tagging lets an
-    /// attempt start without zeroing a kilobyte of register arrays.
-    last_write: [u64; REGS],
-    write_epoch: [u32; REGS],
-    /// Memoized cross-task resolution for the current attempt, tagged by
-    /// `cross_epoch` the same way.
-    cross_cache: [u64; REGS],
-    cross_epoch: [u32; REGS],
-    /// Live epoch for the register arrays; bumped once per attempt.
-    reg_epoch: u32,
+    /// Register availability in the current attempt: seeded from the
+    /// [`Frontier`], then overwritten by the task's own writes. After the
+    /// committed attempt it holds the task's final write times.
+    avail: [u64; REGS],
     /// Pool backing `PRecord::store_complete`.
     store_vecs: Vec<Vec<u64>>,
     /// Pool backing `PAttempt::load_events`.
@@ -139,11 +182,7 @@ impl Default for PScratch {
             synced_edges: FxHashSet::default(),
             entries: Vec::new(),
             violations: Vec::new(),
-            last_write: [NO_TIME; REGS],
-            write_epoch: [0; REGS],
-            cross_cache: [NO_TIME; REGS],
-            cross_epoch: [0; REGS],
-            reg_epoch: 0,
+            avail: [0; REGS],
             store_vecs: Vec::new(),
             event_vecs: Vec::new(),
             edge_vecs: Vec::new(),
@@ -228,8 +267,10 @@ impl PScratch {
 }
 
 /// The result of one planned execution attempt (mirrors `AttemptOutcome`).
-/// Register write times stay behind in [`PScratch::last_write`].
+/// Register write times stay behind in [`PScratch::avail`].
 struct PAttempt {
+    /// Bit `r` set when the attempt wrote dense register `r`.
+    written: u64,
     max_completion: u64,
     last_branch_completion: u64,
     store_complete: Vec<u64>,
@@ -240,28 +281,6 @@ struct PAttempt {
     false_dep_releases: u64,
 }
 
-/// Cross-task register resolution over planned window records. The
-/// producer's stage is derived from its window position (task indices in
-/// the window are consecutive, ending at `win_base + window.len()`).
-fn resolve_cross(
-    window: &VecDeque<PRecord>,
-    dense: usize,
-    win_base: usize,
-    consumer_stage: usize,
-    stages: usize,
-    ring_latency: u64,
-) -> u64 {
-    for (j, rec) in window.iter().enumerate().rev() {
-        let t = rec.last_write[dense];
-        if t != NO_TIME {
-            let producer_stage = (win_base + j) % stages;
-            let hops = (consumer_stage + stages - producer_stage) % stages;
-            return t + hops as u64 * ring_latency;
-        }
-    }
-    0
-}
-
 /// One timing attempt of task `k`, scheduled over the plan's arrays.
 /// Replicates `exec::execute_attempt` decision-for-decision; see that
 /// function for the architectural commentary.
@@ -270,14 +289,13 @@ fn planned_attempt(
     plan: &ReplayPlan,
     k: usize,
     t0: u64,
-    stage: usize,
     window: &VecDeque<PRecord>,
+    frontier: &Frontier,
     shared: &mut Shared<'_>,
     scratch: &mut PScratch,
     lat: &[u64],
 ) -> PAttempt {
     let config = shared.config;
-    let stages = config.stages;
     let win_base = k - window.len();
 
     scratch.issue.reset(config.issue_width, t0);
@@ -289,14 +307,7 @@ fn planned_attempt(
     scratch.retire.reset(config.window);
     scratch.synced_edges.clear();
     scratch.violations.clear();
-    scratch.reg_epoch = scratch.reg_epoch.wrapping_add(1);
-    if scratch.reg_epoch == 0 {
-        // Epoch wrapped (after 2^32 attempts): stale tags could alias the
-        // new epoch, so hard-clear once and restart from 1.
-        scratch.write_epoch = [0; REGS];
-        scratch.cross_epoch = [0; REGS];
-        scratch.reg_epoch = 1;
-    }
+    frontier.seed(k, config.ring_latency, &mut scratch.avail);
     let mut store_complete = scratch.take_store_vec();
     let mut load_events = scratch.take_event_vec();
     let PScratch {
@@ -311,15 +322,13 @@ fn planned_attempt(
         entries,
         violations,
         edge_vecs,
-        last_write: local_write,
-        write_epoch,
-        cross_cache,
-        cross_epoch,
-        reg_epoch,
+        avail,
         ..
     } = scratch;
-    let epoch = *reg_epoch;
+    let mut written = 0u64;
 
+    // Only this attempt touches its stage's I-cache, so `cur_block` is
+    // also the block of that cache's previous access.
     let mut fetch_clock = t0;
     let mut cur_block: u64 = NO_BLOCK;
     let mut in_group: u32 = 0;
@@ -357,7 +366,7 @@ fn planned_attempt(
 
         // ---- Fetch through the per-unit I-cache ------------------------
         let block = ((pc as u64) * 4) & !63;
-        if cur_block != block || in_group >= config.fetch_width {
+        if cur_block != block {
             if cur_block != NO_BLOCK {
                 fetch_clock += 1;
             }
@@ -365,6 +374,11 @@ fn planned_attempt(
                 fetch_clock = shared.bus.request(fetch_clock, 16);
             }
             cur_block = block;
+            in_group = 0;
+        } else if in_group >= config.fetch_width {
+            // A new fetch group in the block just fetched: a certain hit.
+            fetch_clock += 1;
+            shared.icache.repeat_hit();
             in_group = 0;
         }
         in_group += 1;
@@ -380,37 +394,11 @@ fn planned_attempt(
         let mut base_ready = dispatch; // address operand only (for stores)
         let [s1, s2] = d.src;
         if s1 != NO_REG {
-            let avail = operand_avail(
-                s1 as usize,
-                epoch,
-                local_write,
-                write_epoch,
-                cross_cache,
-                cross_epoch,
-                window,
-                win_base,
-                stage,
-                stages,
-                config.ring_latency,
-            );
-            ready = ready.max(avail);
-            base_ready = base_ready.max(avail);
+            ready = ready.max(avail[s1 as usize]);
+            base_ready = base_ready.max(avail[s1 as usize]);
         }
         if s2 != NO_REG {
-            let avail = operand_avail(
-                s2 as usize,
-                epoch,
-                local_write,
-                write_epoch,
-                cross_cache,
-                cross_epoch,
-                window,
-                win_base,
-                stage,
-                stages,
-                config.ring_latency,
-            );
-            ready = ready.max(avail);
+            ready = ready.max(avail[s2 as usize]);
         }
 
         // ---- Schedule on the functional units --------------------------
@@ -610,8 +598,8 @@ fn planned_attempt(
         }
         let dst = d.dst;
         if dst != NO_REG {
-            local_write[dst as usize] = complete;
-            write_epoch[dst as usize] = epoch;
+            avail[dst as usize] = complete;
+            written |= 1 << dst;
         }
         retire.push(complete);
         max_completion = max_completion.max(complete);
@@ -619,6 +607,7 @@ fn planned_attempt(
 
     let violation = violations.iter().copied().min_by_key(|v| v.detect);
     PAttempt {
+        written,
         max_completion,
         last_branch_completion,
         store_complete,
@@ -639,15 +628,13 @@ struct PSim {
     bus: Bus,
     icaches: Vec<Cache>,
     unit: Option<SyncUnit>,
-    predictor: PathPredictor,
-    history: PathHistory,
-    descriptor_cache: LruTable<Pc, ()>,
+    sequencer: Arc<SequencerOutcome>,
     window: VecDeque<PRecord>,
+    frontier: Frontier,
     scratch: PScratch,
     stage_free: Vec<u64>,
     prev_assign: u64,
     prev_commit: u64,
-    prev_task_pc: Option<Pc>,
     prev_last_branch: u64,
     ddcs: Vec<(usize, Ddc)>,
     result: MsResult,
@@ -664,8 +651,45 @@ fn sync_unit_for(config: &MsConfig) -> Option<SyncUnit> {
     })
 }
 
+/// Entries of the sequencer's next-task prediction table.
+const PREDICTOR_ENTRIES: usize = 4096;
+
+/// Walks the sequencer over a trace's task start PCs: for each task, the
+/// next-task prediction made from its predecessor and whether its
+/// descriptor was cached. `PSim` replays these decisions from the memo.
+fn resolve_sequencer(
+    start_pcs: &[Pc],
+    path_depth: usize,
+    descriptor_cache: usize,
+) -> SequencerOutcome {
+    let mut predictor = PathPredictor::new(PREDICTOR_ENTRIES, path_depth);
+    let mut history = PathHistory::new(path_depth);
+    let mut descriptors: LruTable<Pc, ()> = LruTable::new(descriptor_cache);
+    let mut outcome = SequencerOutcome::default();
+    let mut prev_pc = None;
+    for &start_pc in start_pcs {
+        let mut flags = 0;
+        if let Some(prev_pc) = prev_pc {
+            outcome.control_predictions += 1;
+            if predictor.predict(prev_pc, history.hash()) != Some(start_pc) {
+                outcome.control_mispredicts += 1;
+                flags |= MISPREDICTED;
+            }
+            predictor.update(prev_pc, history.hash(), start_pc);
+        }
+        history.push(start_pc);
+        if descriptors.get(&start_pc).is_some() {
+            flags |= DESCRIPTOR_HIT;
+        }
+        descriptors.insert(start_pc, ());
+        outcome.task_flags.push(flags);
+        prev_pc = Some(start_pc);
+    }
+    outcome
+}
+
 impl PSim {
-    fn new(config: MsConfig) -> PSim {
+    fn new(config: MsConfig, plan: &ReplayPlan) -> PSim {
         let mut lat = vec![0u64; 256];
         for &op in Opcode::ALL {
             lat[op as usize] = config.latencies.of(op);
@@ -678,15 +702,15 @@ impl PSim {
                 .map(|_| Cache::new(config.icache))
                 .collect(),
             unit: sync_unit_for(&config),
-            predictor: PathPredictor::new(4096, config.path_depth),
-            history: PathHistory::new(config.path_depth),
-            descriptor_cache: LruTable::new(config.descriptor_cache),
+            sequencer: plan.sequencer(config.path_depth, config.descriptor_cache, |pcs| {
+                resolve_sequencer(pcs, config.path_depth, config.descriptor_cache)
+            }),
             window: VecDeque::with_capacity(config.stages),
+            frontier: Frontier::default(),
             scratch: PScratch::default(),
             stage_free: vec![0; config.stages],
             prev_assign: 0,
             prev_commit: 0,
-            prev_task_pc: None,
             prev_last_branch: 0,
             ddcs: config.ddc_sizes.iter().map(|&s| (s, Ddc::new(s))).collect(),
             result: MsResult::default(),
@@ -696,30 +720,14 @@ impl PSim {
 
     fn on_task(&mut self, plan: &ReplayPlan, k: usize) {
         let stage = k % self.config.stages;
-        let start_pc = plan.task_start_pc[k];
 
-        // --- Sequencer: next-task prediction and descriptor fetch -------
-        let mut mispredicted = false;
-        if let Some(prev_pc) = self.prev_task_pc {
-            self.result.control_predictions += 1;
-            let predicted = self.predictor.predict(prev_pc, self.history.hash());
-            if predicted != Some(start_pc) {
-                self.result.control_mispredicts += 1;
-                mispredicted = true;
-            }
-            self.predictor
-                .update(prev_pc, self.history.hash(), start_pc);
-        }
-        self.history.push(start_pc);
-        let descriptor_hit = self.descriptor_cache.get(&start_pc).is_some();
-        self.descriptor_cache.insert(start_pc, ());
-
-        // --- Task start time ---------------------------------------------
+        // --- Task start time (sequencer decisions from the memo) ---------
+        let flags = self.sequencer.task_flags[k];
         let mut t0 = self.stage_free[stage].max(self.prev_assign + 1);
-        if mispredicted {
+        if flags & MISPREDICTED != 0 {
             t0 = t0.max(self.prev_last_branch + self.config.mispredict_penalty);
         }
-        if !descriptor_hit {
+        if flags & DESCRIPTOR_HIT == 0 {
             t0 += self.config.descriptor_miss_penalty;
         }
 
@@ -737,8 +745,8 @@ impl PSim {
                 plan,
                 k,
                 t0,
-                stage,
                 &self.window,
+                &self.frontier,
                 &mut shared,
                 &mut self.scratch,
                 &self.lat,
@@ -767,7 +775,6 @@ impl PSim {
         self.stage_free[stage] = commit + 1;
         self.prev_assign = t0;
         self.prev_last_branch = outcome.last_branch_completion;
-        self.prev_task_pc = Some(start_pc);
 
         // --- Non-speculative prediction updates at commit ----------------
         if let Some(unit) = &mut self.unit {
@@ -790,19 +797,17 @@ impl PSim {
         self.result.instructions += plan.task_range(k).len() as u64;
         self.result.committed_loads += plan.task_loads(k) as u64;
         self.result.committed_stores += plan.task_stores(k) as u64;
-        let mut last_write = [NO_TIME; REGS];
-        for (di, slot) in last_write.iter_mut().enumerate() {
-            if self.scratch.write_epoch[di] == self.scratch.reg_epoch {
-                *slot = self.scratch.last_write[di];
-            }
-        }
+        self.frontier
+            .commit(k, outcome.written, &self.scratch.avail);
         self.window.push_back(PRecord {
-            last_write,
+            written: outcome.written,
             store_complete: outcome.store_complete,
             max_store_addr_ready: outcome.max_store_addr_ready,
         });
         while self.window.len() >= self.config.stages.max(1) {
+            let oldest = k + 1 - self.window.len();
             if let Some(evicted) = self.window.pop_front() {
+                self.frontier.evict(oldest, evicted.written);
                 self.scratch.put_store_vec(evicted.store_complete);
             }
         }
@@ -810,6 +815,8 @@ impl PSim {
 
     fn finish(mut self) -> MsResult {
         self.result.cycles = self.prev_commit;
+        self.result.control_predictions = self.sequencer.control_predictions;
+        self.result.control_mispredicts = self.sequencer.control_mispredicts;
         self.result.dcache = self.dcache.stats();
         let mut ic = mds_mem::CacheStats::default();
         for c in &self.icaches {
@@ -832,11 +839,12 @@ impl PSim {
 /// Produces a result identical to
 /// [`Multiscalar::run_trace`](crate::Multiscalar::run_trace) over the
 /// same records (enforced by tests), at a fraction of the cost: the
-/// trace's [`ReplayPlan`] is built once, at capture, and the replay
-/// itself is a flat scan over its arrays.
+/// trace's [`ReplayPlan`] is built once, at capture, its sequencer
+/// outcomes once per sequencer configuration, at the first replay, and
+/// the replay itself is a flat scan over its arrays.
 pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
     let plan = trace.replay_plan().clone();
-    let mut sim = PSim::new(config.clone());
+    let mut sim = PSim::new(config.clone(), &plan);
     for k in 0..plan.tasks() {
         sim.on_task(&plan, k);
     }
@@ -906,6 +914,7 @@ mod tests {
     use super::*;
     use crate::sim::Multiscalar;
     use mds_harness::json::ToJson;
+    use mds_harness::prelude::*;
     use mds_isa::{Program, ProgramBuilder, Reg};
 
     fn capture(p: &Program) -> Trace {
@@ -1111,6 +1120,194 @@ mod tests {
         let mut d = MsConfig::paper(4, Policy::Always);
         d.squash_penalty += 1;
         assert!(!forkable_twins(&a, &d));
+    }
+
+    /// `last_write` sentinel: the task did not write the register.
+    const NO_TIME: u64 = u64::MAX;
+
+    /// The reverse window walk the [`Frontier`] replaced, kept as its
+    /// oracle: the youngest window record (`last_write[r]`, or `NO_TIME`)
+    /// that wrote `dense`, plus one ring hop per stage between producer
+    /// and consumer; 0 when no record wrote it.
+    fn resolve_cross(
+        window: &VecDeque<(u64, [u64; REGS])>,
+        dense: usize,
+        win_base: usize,
+        consumer_stage: usize,
+        stages: usize,
+        ring_latency: u64,
+    ) -> u64 {
+        for (j, (_, last_write)) in window.iter().enumerate().rev() {
+            let t = last_write[dense];
+            if t != NO_TIME {
+                let producer_stage = (win_base + j) % stages;
+                let hops = (consumer_stage + stages - producer_stage) % stages;
+                return t + hops as u64 * ring_latency;
+            }
+        }
+        0
+    }
+
+    /// The sequencer walked one task at a time, as the engine did before
+    /// the memo: per task `(mispredicted, descriptor_hit)`, then the
+    /// prediction and misprediction counts.
+    fn step_by_step_sequencer(
+        start_pcs: &[Pc],
+        path_depth: usize,
+        descriptor_cache: usize,
+    ) -> (Vec<(bool, bool)>, u64, u64) {
+        let mut predictor = PathPredictor::new(PREDICTOR_ENTRIES, path_depth);
+        let mut history = PathHistory::new(path_depth);
+        let mut descriptors: LruTable<Pc, ()> = LruTable::new(descriptor_cache);
+        let (mut bits, mut predictions, mut mispredicts) = (Vec::new(), 0, 0);
+        let mut prev_task_pc: Option<Pc> = None;
+        for &start_pc in start_pcs {
+            let mut mispredicted = false;
+            if let Some(prev_pc) = prev_task_pc {
+                predictions += 1;
+                if predictor.predict(prev_pc, history.hash()) != Some(start_pc) {
+                    mispredicts += 1;
+                    mispredicted = true;
+                }
+                predictor.update(prev_pc, history.hash(), start_pc);
+            }
+            history.push(start_pc);
+            let hit = descriptors.get(&start_pc).is_some();
+            descriptors.insert(start_pc, ());
+            bits.push((mispredicted, hit));
+            prev_task_pc = Some(start_pc);
+        }
+        (bits, predictions, mispredicts)
+    }
+
+    /// A plan of one-instruction tasks starting at `start_pcs`.
+    fn plan_with_task_starts(start_pcs: &[Pc]) -> ReplayPlan {
+        let records: Vec<mds_emu::DynInst> = start_pcs
+            .iter()
+            .enumerate()
+            .map(|(i, &pc)| mds_emu::DynInst {
+                seq: i as u64,
+                pc,
+                inst: mds_isa::Instruction::NOP,
+                mem: None,
+                branch: None,
+                new_task: true,
+            })
+            .collect();
+        ReplayPlan::build(&records)
+    }
+
+    properties! {
+        /// The frontier seeds every register exactly as the reverse
+        /// window walk resolves it, over random commits (random write
+        /// masks and times) and random early evictions of the oldest
+        /// task, at 1 to 8 stages.
+        #[test]
+        fn frontier_matches_the_reverse_window_walk(
+            stages in 1usize..9,
+            ring_latency in 0u64..4,
+            ops in vec_of(
+                (any::<u64>(), any::<u64>(), 0u64..1000, 0u8..5),
+                1..120,
+            )
+        ) {
+            let mut frontier = Frontier::default();
+            // Per window task: its write mask and `last_write` array.
+            let mut window: VecDeque<(u64, [u64; REGS])> = VecDeque::new();
+            let mut k = 0usize;
+            for (a, b, time, kind) in ops {
+                if kind == 0 && !window.is_empty() {
+                    let (written, _) = window.pop_front().unwrap();
+                    frontier.evict(k - window.len() - 1, written);
+                } else {
+                    let written = a & b;
+                    let mut last_write = [NO_TIME; REGS];
+                    let mut avail = [0; REGS];
+                    for r in (0..REGS).filter(|r| written >> r & 1 != 0) {
+                        last_write[r] = time + r as u64;
+                        avail[r] = time + r as u64;
+                    }
+                    frontier.commit(k, written, &avail);
+                    window.push_back((written, last_write));
+                    k += 1;
+                    while window.len() >= stages {
+                        let (written, _) = window.pop_front().unwrap();
+                        frontier.evict(k - window.len() - 1, written);
+                    }
+                }
+                let mut seeded = [u64::MAX; REGS];
+                frontier.seed(k, ring_latency, &mut seeded);
+                let win_base = k - window.len();
+                for (r, &got) in seeded.iter().enumerate() {
+                    let want = resolve_cross(&window, r, win_base, k % stages, stages, ring_latency);
+                    prop_assert_eq!(got, want, "register {} for task {}", r, k);
+                }
+            }
+        }
+
+        /// The memoized sequencer bits and counters equal a step-by-step
+        /// walk of the predictor, path history and descriptor cache, for
+        /// two configurations memoized side by side on one plan; a repeat
+        /// request is served from the memo.
+        #[test]
+        fn memoized_sequencer_matches_a_step_by_step_walk(
+            start_pcs in vec_of(0u32..24, 1..300),
+            depth_a in 1usize..6,
+            cache_a in 1usize..32,
+            depth_b in 1usize..6,
+            cache_b in 1usize..32
+        ) {
+            let plan = plan_with_task_starts(&start_pcs);
+            let configs = [(depth_a, cache_a), (depth_b, cache_b)];
+            let first: Vec<Arc<SequencerOutcome>> = configs
+                .iter()
+                .map(|&(d, c)| plan.sequencer(d, c, |pcs| resolve_sequencer(pcs, d, c)))
+                .collect();
+            for (&(d, c), outcome) in configs.iter().zip(&first) {
+                let (bits, predictions, mispredicts) = step_by_step_sequencer(&start_pcs, d, c);
+                for (k, &want) in bits.iter().enumerate() {
+                    prop_assert_eq!(
+                        (
+                            outcome.task_flags[k] & MISPREDICTED != 0,
+                            outcome.task_flags[k] & DESCRIPTOR_HIT != 0
+                        ),
+                        want,
+                        "task {} under ({}, {})", k, d, c
+                    );
+                }
+                prop_assert_eq!(outcome.control_predictions, predictions);
+                prop_assert_eq!(outcome.control_mispredicts, mispredicts);
+                let again = plan.sequencer(d, c, |_| panic!("resolved twice"));
+                prop_assert!(Arc::ptr_eq(outcome, &again));
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_replays_share_one_sequencer_outcome() {
+        let trace = capture(&distant_recurrence_tasks(80));
+        let config = MsConfig::paper(4, Policy::Always);
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<(MsResult, Arc<SequencerOutcome>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let result = run_planned(&trace, &config);
+                        let outcome = trace.replay_plan().sequencer(
+                            config.path_depth,
+                            config.descriptor_cache,
+                            |_| panic!("already memoized"),
+                        );
+                        (result, outcome)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_same(&results[0].0, &results[1].0, "racing replays");
+        assert!(Arc::ptr_eq(&results[0].1, &results[1].1));
+        assert_same(&legacy(&trace, &config), &results[0].0, "legacy");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use mds_emu::plan::NO_REG;
 use mds_emu::{MemAccess, Row};
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, FuClass, Opcode, Pc};
+use mds_sim::ConfigError;
 use std::collections::VecDeque;
 
 /// Configuration of the superscalar model.
@@ -40,6 +41,26 @@ pub struct OooConfig {
     pub policy: Policy,
     /// MDPT entries for predictor-driven policies.
     pub mdpt_entries: usize,
+}
+
+impl OooConfig {
+    /// Checks that [`OooSim`] can run this configuration: positive widths
+    /// and table sizes, and no size or latency large enough to exhaust
+    /// memory. The bounds leave at least 4× room over every value the
+    /// experiments use.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of bounds.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let check = ConfigError::check_range;
+        check("window", self.window as u64, 1..=1 << 16)?;
+        check("dispatch_width", self.dispatch_width.into(), 1..=256)?;
+        check("mem_ports", self.mem_ports.into(), 1..=256)?;
+        check("mem_latency", self.mem_latency, 0..=1024)?;
+        check("squash_penalty", self.squash_penalty, 0..=1024)?;
+        check("mdpt_entries", self.mdpt_entries as u64, 1..=1 << 16)
+    }
 }
 
 impl Default for OooConfig {

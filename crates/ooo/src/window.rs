@@ -5,6 +5,7 @@ use mds_emu::Row;
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, Pc};
 use mds_sim::stats::{Histogram, Percent};
+use mds_sim::ConfigError;
 
 /// Configuration for a [`WindowAnalyzer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,6 +14,29 @@ pub struct WindowConfig {
     pub window_sizes: Vec<u32>,
     /// DDC sizes to evaluate per window size (paper: 32, 128, 512).
     pub ddc_sizes: Vec<usize>,
+}
+
+impl WindowConfig {
+    /// Checks that [`WindowAnalyzer`] can run this configuration: at least
+    /// one window size, positive sizes, and DDCs small enough to allocate.
+    /// The bounds leave at least 4× room over every value the experiments
+    /// use.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of bounds.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let check = ConfigError::check_range;
+        check("window_sizes", self.window_sizes.len() as u64, 1..=64)?;
+        for &size in &self.window_sizes {
+            check("window_sizes", size.into(), 1..=1 << 16)?;
+        }
+        check("ddc_sizes", self.ddc_sizes.len() as u64, 0..=64)?;
+        for &size in &self.ddc_sizes {
+            check("ddc_sizes", size as u64, 1..=1 << 16)?;
+        }
+        Ok(())
+    }
 }
 
 impl Default for WindowConfig {

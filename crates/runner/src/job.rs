@@ -82,30 +82,6 @@ impl JobOutput {
             _ => None,
         }
     }
-
-    /// The window report, if this was a window-analysis job.
-    pub fn as_window(&self) -> Option<&WindowReport> {
-        match self {
-            JobOutput::Window(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The superscalar result, if this was a superscalar job.
-    pub fn as_superscalar(&self) -> Option<&OooResult> {
-        match self {
-            JobOutput::Superscalar(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The trace summary, if this was a summary job.
-    pub fn as_summary(&self) -> Option<&TraceSummary> {
-        match self {
-            JobOutput::Summary(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl ToJson for JobOutput {
@@ -238,23 +214,6 @@ impl Grid {
     pub fn multiscalar(&mut self, workload: &Workload, config: MsConfig) -> &mut Self {
         let detail = format!("s{}/{}", config.stages, config.policy);
         self.derived(workload, JobKind::Multiscalar(config), detail)
-    }
-
-    /// Adds a Multiscalar cell under an explicit id (for sweeps whose
-    /// cells differ in more than stages/policy).
-    pub fn multiscalar_with_id(
-        &mut self,
-        id: impl Into<String>,
-        workload: &Workload,
-        config: MsConfig,
-    ) -> &mut Self {
-        let scale = self.scale.expect("Grid::new sets a default scale");
-        self.push(Job {
-            id: id.into(),
-            workload: *workload,
-            scale,
-            kind: JobKind::Multiscalar(config),
-        })
     }
 
     /// Adds a window-analysis cell.

@@ -30,6 +30,7 @@ use mds_mem::{BankedCacheConfig, CacheConfig, CacheStats};
 use mds_multiscalar::{FuLatencies, MsConfig, MsResult};
 use mds_ooo::{OooConfig, OooResult, WindowConfig, WindowReport, WindowStats};
 use mds_sim::stats::Histogram;
+use mds_sim::ConfigError;
 use mds_workloads::Scale;
 
 /// Wire name of a [`Scale`] (`mds-bench` uses the same names).
@@ -69,7 +70,8 @@ pub fn encode_job(job: &Job) -> Json {
 /// Decodes a job encoded by [`encode_job`]. The workload is resolved
 /// through the registry by name, so decoding also validates that this
 /// process knows the workload (static suites and WDL registrations
-/// alike).
+/// alike), and the config must pass its `validate`, so a decoded job
+/// never hands a simulator a value it cannot run.
 pub fn decode_job(v: &Json) -> Result<Job, DecodeError> {
     let id: String = v.field_as("id")?;
     let workload_name: String = v.field_as("workload")?;
@@ -99,6 +101,17 @@ pub fn decode_job(v: &Json) -> Result<Job, DecodeError> {
             .in_field("kind"))
         }
     };
+    let checked = match &kind {
+        JobKind::Multiscalar(c) => c.validate(),
+        JobKind::Window(c) => c.validate(),
+        JobKind::Superscalar(c) => c.validate(),
+        JobKind::Summary => Ok(()),
+    };
+    checked.map_err(|e: ConfigError| {
+        DecodeError::new(e.message)
+            .in_field(e.field)
+            .in_field("config")
+    })?;
     Ok(Job {
         id,
         workload,
@@ -217,11 +230,21 @@ fn decode_ms_config(v: &Json) -> Result<MsConfig, DecodeError> {
             DecodeError::new(format!("expected 4 mdpt fields, found {}", m.len())).in_field("mdpt"),
         );
     }
+    let narrow = |i: usize, name: &str, max: u64| {
+        if m[i] <= max {
+            Ok(m[i])
+        } else {
+            Err(
+                DecodeError::new(format!("{name} must be at most {max}, found {}", m[i]))
+                    .in_field("mdpt"),
+            )
+        }
+    };
     let mdpt = MdptConfig {
-        capacity: m[0] as usize,
-        counter_bits: m[1] as u8,
-        threshold: m[2] as u16,
-        initial: m[3] as u16,
+        capacity: narrow(0, "capacity", usize::MAX as u64)? as usize,
+        counter_bits: narrow(1, "counter_bits", u8::MAX.into())? as u8,
+        threshold: narrow(2, "threshold", u16::MAX.into())? as u16,
+        initial: narrow(3, "initial", u16::MAX.into())? as u16,
     };
     let tagging_str: String = v.field_as("tagging")?;
     let tagging = match tagging_str.as_str() {
@@ -577,6 +600,106 @@ mod tests {
             let err = decode_job(&Json::parse(&bad).unwrap()).unwrap_err();
             assert_eq!(err.path, path, "{err}");
         }
+    }
+
+    /// Every config field a simulator would panic on, or allocate in
+    /// proportion to, is rejected at decode with its path.
+    #[test]
+    fn decode_rejects_configs_the_simulators_cannot_run() {
+        const HUGE: usize = 1 << 34;
+        let ms = MsConfig::paper(8, Policy::Esync);
+        let ooo = OooConfig::default();
+        let window = WindowConfig::default();
+        let mut cases: Vec<(JobKind, &str)> = Vec::new();
+        let mut bad_ms = |path: &'static str, edit: &dyn Fn(&mut MsConfig)| {
+            let mut c = ms.clone();
+            edit(&mut c);
+            cases.push((JobKind::Multiscalar(c), path));
+        };
+        bad_ms("stages", &|c| c.stages = 0);
+        bad_ms("stages", &|c| c.stages = HUGE);
+        bad_ms("issue_width", &|c| c.issue_width = 0);
+        bad_ms("fetch_width", &|c| c.fetch_width = 0);
+        bad_ms("window", &|c| c.window = 0);
+        bad_ms("window", &|c| c.window = HUGE);
+        bad_ms("simple_int_units", &|c| c.simple_int_units = 0);
+        bad_ms("complex_int_units", &|c| c.complex_int_units = 0);
+        bad_ms("fp_units", &|c| c.fp_units = 0);
+        bad_ms("branch_units", &|c| c.branch_units = 0);
+        bad_ms("mem_units", &|c| c.mem_units = 0);
+        bad_ms("latencies", &|c| c.latencies.fp_sqrt = 1 << 40);
+        bad_ms("icache", &|c| c.icache.size_bytes = HUGE);
+        bad_ms("icache", &|c| c.icache.ways = 0);
+        bad_ms("dcache.banks", &|c| c.dcache.banks = 0);
+        bad_ms("dcache.banks", &|c| c.dcache.banks = 3);
+        bad_ms("dcache.bank_config", &|c| {
+            c.dcache.bank_config.block_bytes = 24
+        });
+        bad_ms("dcache.hit_latency", &|c| c.dcache.hit_latency = 1 << 40);
+        bad_ms("dcache.fill_words", &|c| c.dcache.fill_words = 1 << 40);
+        bad_ms("ring_latency", &|c| c.ring_latency = 1 << 40);
+        bad_ms("squash_penalty", &|c| c.squash_penalty = 1 << 40);
+        bad_ms("mispredict_penalty", &|c| c.mispredict_penalty = 1 << 40);
+        bad_ms("descriptor_cache", &|c| c.descriptor_cache = 0);
+        bad_ms("descriptor_cache", &|c| c.descriptor_cache = HUGE);
+        bad_ms("descriptor_miss_penalty", &|c| {
+            c.descriptor_miss_penalty = 1 << 40
+        });
+        bad_ms("path_depth", &|c| c.path_depth = 0);
+        bad_ms("mdpt.capacity", &|c| c.mdpt.capacity = 0);
+        bad_ms("mdpt.counter_bits", &|c| c.mdpt.counter_bits = 17);
+        bad_ms("mdpt.threshold", &|c| c.mdpt.threshold = 8);
+        bad_ms("mdpt.initial", &|c| c.mdpt.initial = 8);
+        bad_ms("signal_latency", &|c| c.signal_latency = 1 << 40);
+        bad_ms("ddc_sizes", &|c| c.ddc_sizes = vec![0]);
+        bad_ms("ddc_sizes", &|c| c.ddc_sizes = vec![HUGE]);
+        let mut bad_ooo = |path: &'static str, edit: &dyn Fn(&mut OooConfig)| {
+            let mut c = ooo;
+            edit(&mut c);
+            cases.push((JobKind::Superscalar(c), path));
+        };
+        bad_ooo("window", &|c| c.window = 0);
+        bad_ooo("window", &|c| c.window = HUGE);
+        bad_ooo("dispatch_width", &|c| c.dispatch_width = 0);
+        bad_ooo("mem_ports", &|c| c.mem_ports = 0);
+        bad_ooo("mem_latency", &|c| c.mem_latency = 1 << 40);
+        bad_ooo("squash_penalty", &|c| c.squash_penalty = 1 << 40);
+        bad_ooo("mdpt_entries", &|c| c.mdpt_entries = HUGE);
+        let mut bad_window = |path: &'static str, edit: &dyn Fn(&mut WindowConfig)| {
+            let mut c = window.clone();
+            edit(&mut c);
+            cases.push((JobKind::Window(c), path));
+        };
+        bad_window("window_sizes", &|c| c.window_sizes.clear());
+        bad_window("window_sizes", &|c| c.window_sizes = vec![0]);
+        bad_window("ddc_sizes", &|c| c.ddc_sizes = vec![0]);
+        bad_window("ddc_sizes", &|c| c.ddc_sizes = vec![HUGE]);
+
+        let compress = by_name("compress").unwrap();
+        for (kind, field) in cases {
+            let label = format!("{kind:?}");
+            let job = Job {
+                id: "x".to_string(),
+                workload: compress,
+                scale: Scale::Tiny,
+                kind,
+            };
+            let err = decode_job(&encode_job(&job)).expect_err(&label);
+            assert_eq!(err.path, format!("$.config.{field}"), "{label}: {err}");
+        }
+
+        // Wire values wider than their field are rejected, not truncated.
+        let good = encode_job(&Job {
+            id: "x".to_string(),
+            workload: compress,
+            scale: Scale::Tiny,
+            kind: JobKind::Multiscalar(ms),
+        })
+        .to_string();
+        let wide = good.replace("\"mdpt\":[64,3,3,3]", "\"mdpt\":[64,259,3,3]");
+        assert_ne!(wide, good);
+        let err = decode_job(&Json::parse(&wide).unwrap()).unwrap_err();
+        assert_eq!(err.path, "$.config.mdpt", "{err}");
     }
 
     #[test]

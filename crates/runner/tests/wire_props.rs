@@ -3,9 +3,10 @@
 //! The serving tier caches grid-cell outputs under the compact encoding
 //! of the job that produced them, so the encoding must be canonical: a
 //! job decoded from the wire and encoded again must produce the same
-//! bytes, whatever field values it carries. The same holds for outputs,
-//! which travel between backends and the gateway and sit in the result
-//! cache in encoded form.
+//! bytes, whatever field values it carries within the bounds its
+//! config's `validate` accepts (values outside them are rejected at
+//! decode). The same holds for outputs, which travel between backends
+//! and the gateway and sit in the result cache in encoded form.
 
 use mds_core::{DepEdge, MdptConfig, Policy, PredictionBreakdown, TagScheme};
 use mds_emu::TraceSummary;
@@ -31,68 +32,87 @@ fn id(rng: &mut Rng) -> String {
         .collect()
 }
 
-fn usizes(rng: &mut Rng) -> Vec<usize> {
-    (0..rng.gen_range(0..5)).map(|_| rng.gen()).collect()
+/// Table sizes (DDCs): 0 to 4 of them, each a valid entry count.
+fn sizes(rng: &mut Rng) -> Vec<usize> {
+    (0..rng.gen_range(0..5))
+        .map(|_| rng.gen_range(1..(1usize << 16) + 1))
+        .collect()
 }
 
+/// A latency or penalty `validate` accepts.
+fn cycles(rng: &mut Rng) -> u64 {
+    rng.gen_range(0..1025u64)
+}
+
+/// A unit count or issue width `validate` accepts.
+fn width(rng: &mut Rng) -> u32 {
+    rng.gen_range(1..257u32)
+}
+
+/// A consistent geometry: power-of-two sets and blocks, any way count.
 fn cache_config(rng: &mut Rng) -> CacheConfig {
+    let ways = rng.gen_range(1..9usize);
+    let block_bytes = 1usize << rng.gen_range(1..8u32);
+    let sets = 1usize << rng.gen_range(0..8u32);
     CacheConfig {
-        size_bytes: rng.gen(),
-        ways: rng.gen(),
-        block_bytes: rng.gen(),
+        size_bytes: ways * block_bytes * sets,
+        ways,
+        block_bytes,
     }
 }
 
 fn ms_config(rng: &mut Rng) -> MsConfig {
     let policy = Policy::ALL[rng.gen_range(0..Policy::ALL.len())];
+    let counter_bits = rng.gen_range(1..17u8);
+    let counter_max = ((1u32 << counter_bits) - 1) as u16;
     MsConfig {
-        stages: rng.gen(),
+        stages: rng.gen_range(1..65),
         policy,
-        issue_width: rng.gen(),
-        fetch_width: rng.gen(),
-        window: rng.gen(),
-        simple_int_units: rng.gen(),
-        complex_int_units: rng.gen(),
-        fp_units: rng.gen(),
-        branch_units: rng.gen(),
-        mem_units: rng.gen(),
+        issue_width: width(rng),
+        fetch_width: width(rng),
+        window: rng.gen_range(1..(1 << 16) + 1),
+        simple_int_units: width(rng),
+        complex_int_units: width(rng),
+        fp_units: width(rng),
+        branch_units: width(rng),
+        mem_units: width(rng),
         latencies: FuLatencies {
-            simple_int: rng.gen(),
-            int_mul: rng.gen(),
-            int_div: rng.gen(),
-            fp_add: rng.gen(),
-            fp_mul: rng.gen(),
-            fp_div: rng.gen(),
-            fp_sqrt: rng.gen(),
-            fp_misc: rng.gen(),
-            branch: rng.gen(),
+            simple_int: cycles(rng),
+            int_mul: cycles(rng),
+            int_div: cycles(rng),
+            fp_add: cycles(rng),
+            fp_mul: cycles(rng),
+            fp_div: cycles(rng),
+            fp_sqrt: cycles(rng),
+            fp_misc: cycles(rng),
+            branch: cycles(rng),
         },
         icache: cache_config(rng),
         dcache: BankedCacheConfig {
-            banks: rng.gen(),
+            banks: 1 << rng.gen_range(0..9u32),
             bank_config: cache_config(rng),
-            hit_latency: rng.gen(),
-            fill_words: rng.gen(),
+            hit_latency: cycles(rng),
+            fill_words: cycles(rng),
         },
-        ring_latency: rng.gen(),
-        squash_penalty: rng.gen(),
-        mispredict_penalty: rng.gen(),
-        descriptor_cache: rng.gen(),
-        descriptor_miss_penalty: rng.gen(),
-        path_depth: rng.gen(),
+        ring_latency: cycles(rng),
+        squash_penalty: cycles(rng),
+        mispredict_penalty: cycles(rng),
+        descriptor_cache: rng.gen_range(1..(1 << 16) + 1),
+        descriptor_miss_penalty: cycles(rng),
+        path_depth: rng.gen_range(1..65),
         mdpt: MdptConfig {
-            capacity: rng.gen(),
-            counter_bits: rng.gen(),
-            threshold: rng.gen(),
-            initial: rng.gen(),
+            capacity: rng.gen_range(1..(1 << 16) + 1),
+            counter_bits,
+            threshold: rng.gen_range(0..u32::from(counter_max) + 1) as u16,
+            initial: rng.gen_range(0..u32::from(counter_max) + 1) as u16,
         },
         tagging: if rng.gen() {
             TagScheme::DependenceDistance
         } else {
             TagScheme::DataAddress
         },
-        signal_latency: rng.gen(),
-        ddc_sizes: usizes(rng),
+        signal_latency: cycles(rng),
+        ddc_sizes: sizes(rng),
     }
 }
 
@@ -103,17 +123,19 @@ fn random_job(kind: u8, seed: u64) -> Job {
     let kind = match kind {
         0 => JobKind::Multiscalar(ms_config(&mut rng)),
         1 => JobKind::Window(WindowConfig {
-            window_sizes: (0..rng.gen_range(0..5)).map(|_| rng.gen()).collect(),
-            ddc_sizes: usizes(&mut rng),
+            window_sizes: (0..rng.gen_range(1..5))
+                .map(|_| rng.gen_range(1..(1u32 << 16) + 1))
+                .collect(),
+            ddc_sizes: sizes(&mut rng),
         }),
         2 => JobKind::Superscalar(OooConfig {
-            window: rng.gen(),
-            dispatch_width: rng.gen(),
-            mem_ports: rng.gen(),
-            mem_latency: rng.gen(),
-            squash_penalty: rng.gen(),
+            window: rng.gen_range(1..(1 << 16) + 1),
+            dispatch_width: width(&mut rng),
+            mem_ports: width(&mut rng),
+            mem_latency: cycles(&mut rng),
+            squash_penalty: cycles(&mut rng),
             policy,
-            mdpt_entries: rng.gen(),
+            mdpt_entries: rng.gen_range(1..(1 << 16) + 1),
         }),
         _ => JobKind::Summary,
     };

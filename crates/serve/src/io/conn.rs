@@ -88,7 +88,6 @@ pub struct Conn<S> {
     out_at: usize,
     state: ConnState,
     served: usize,
-    flushed: u64,
     close_after_flush: bool,
     /// Keep-alive decision frozen when a request was deferred, applied
     /// when its completion arrives.
@@ -105,7 +104,6 @@ impl<S: Stream> Conn<S> {
             out_at: 0,
             state: ConnState::Idle,
             served: 0,
-            flushed: 0,
             close_after_flush: false,
             deferred_keep_alive: false,
         }
@@ -130,11 +128,6 @@ impl<S: Stream> Conn<S> {
     /// phase the total header deadline covers.
     pub fn head_pending(&self) -> bool {
         self.reader.head_pending()
-    }
-
-    /// Response bytes accepted by the kernel so far for this connection.
-    pub fn bytes_flushed(&self) -> u64 {
-        self.flushed
     }
 
     /// Whether unflushed response bytes remain.
@@ -287,7 +280,6 @@ impl<S: Stream> Conn<S> {
                 }
                 Ok(n) => {
                     self.out_at += n;
-                    self.flushed += n as u64;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e)

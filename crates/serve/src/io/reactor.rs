@@ -675,14 +675,6 @@ impl<P: Poller, S: Stream> Core<P, S> {
     pub fn timers_armed(&self) -> usize {
         self.wheel.armed()
     }
-
-    /// The token for a live slot index (tests).
-    pub fn token_for(&self, index: usize) -> Option<u64> {
-        self.slots
-            .get(index)
-            .and_then(Option::as_ref)
-            .map(|slot| token_of(index, slot.generation))
-    }
 }
 
 /// The running event engine for real sockets: reactor thread + workers.

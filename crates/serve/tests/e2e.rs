@@ -767,3 +767,51 @@ fn cell_batches_rebuild_the_document_and_hit_the_cell_cache() {
     }
     server.shutdown();
 }
+
+#[test]
+fn cells_the_simulators_cannot_run_get_400_and_the_backend_stays_up() {
+    let server = start(2, 8);
+    let ids = vec!["fig5".to_string()];
+    let cells = mds_bench::grid::cells(&ids, Scale::Tiny);
+    let (ms, stages) = cells
+        .iter()
+        .find_map(|c| match &c.job.kind {
+            mds_runner::JobKind::Multiscalar(config) => Some((c, config.stages)),
+            _ => None,
+        })
+        .expect("fig5 has Multiscalar cells");
+    let job = mds_runner::wire::encode_job(&ms.job).to_string();
+    let stages = format!(r#""stages":{stages}"#);
+    // Zero counts the simulators divide by or assert on, and sizes they
+    // would allocate in proportion to (2^34 entries).
+    for (field, good, bad) in [
+        ("stages", stages.as_str(), r#""stages":0"#),
+        ("path_depth", r#""path_depth":4"#, r#""path_depth":0"#),
+        (
+            "descriptor_cache",
+            r#""descriptor_cache":1024"#,
+            r#""descriptor_cache":0"#,
+        ),
+        (
+            "descriptor_cache",
+            r#""descriptor_cache":1024"#,
+            r#""descriptor_cache":17179869184"#,
+        ),
+        ("window", r#""window":32"#, r#""window":17179869184"#),
+        ("icache", r#""icache":[32768"#, r#""icache":[17179869184"#),
+    ] {
+        assert!(job.contains(good), "{field}: {job}");
+        let body = format!(r#"{{"jobs":[{}]}}"#, job.replacen(good, bad, 1));
+        let response = request(&server, "POST", "/v1/cells", body.as_bytes());
+        assert_eq!(response.status, 400, "{field}: {response:?}");
+        let text = String::from_utf8_lossy(&response.body);
+        assert!(
+            text.contains(&format!(".config.{field}")),
+            "{field}: {text}"
+        );
+        let live = request(&server, "GET", "/healthz", b"");
+        assert_eq!(live.status, 200, "after {field}");
+    }
+    assert_eq!(server.trace_cache().misses(), 0, "no rejected cell ran");
+    server.shutdown();
+}

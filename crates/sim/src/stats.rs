@@ -226,32 +226,6 @@ fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// Tracks the running maximum of a sequence of observations.
-///
-/// # Examples
-///
-/// ```
-/// use mds_sim::stats::MovingMax;
-/// let mut m = MovingMax::default();
-/// m.observe(3);
-/// m.observe(1);
-/// assert_eq!(m.get(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MovingMax(u64);
-
-impl MovingMax {
-    /// Feeds one observation.
-    pub fn observe(&mut self, v: u64) {
-        self.0 = self.0.max(v);
-    }
-
-    /// Returns the maximum observed so far (0 when none).
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
 impl ToJson for Counter {
     fn to_json(&self) -> Json {
         Json::object()
@@ -277,35 +251,6 @@ impl ToJson for Histogram {
             .field("mean", self.mean())
             .field("buckets", buckets)
     }
-}
-
-impl ToJson for MovingMax {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-/// Geometric mean of a slice of positive values; returns 0.0 for an empty
-/// slice and ignores non-positive entries (they would make the result
-/// meaningless for speedup aggregation).
-///
-/// # Examples
-///
-/// ```
-/// let g = mds_sim::stats::geometric_mean(&[1.0, 4.0]);
-/// assert!((g - 2.0).abs() < 1e-12);
-/// ```
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    let logs: Vec<f64> = values
-        .iter()
-        .copied()
-        .filter(|v| *v > 0.0)
-        .map(f64::ln)
-        .collect();
-    if logs.is_empty() {
-        return 0.0;
-    }
-    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
 /// Percentage speedup of `new` over `old` measured in cycles:
@@ -393,24 +338,6 @@ mod tests {
         assert_eq!(bucket_index(4), 2);
         assert_eq!(bucket_index(5), 3);
         assert_eq!(bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn moving_max_tracks_max() {
-        let mut m = MovingMax::default();
-        assert_eq!(m.get(), 0);
-        m.observe(5);
-        m.observe(2);
-        m.observe(9);
-        assert_eq!(m.get(), 9);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        // non-positive entries ignored
-        assert!((geometric_mean(&[2.0, 8.0, 0.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]
