@@ -3,12 +3,11 @@
 # replay, wdl, serve, and cluster suites fresh and compare them against
 # the committed BENCH_structures.json / BENCH_simulators.json /
 # BENCH_runner.json / BENCH_replay.json / BENCH_wdl.json /
-# BENCH_serve.json / BENCH_cluster.json baselines. Three suites
+# BENCH_serve.json / BENCH_cluster.json baselines. Two suites
 # additionally carry absolute, machine-independent claims checked within
-# the fresh report: six planned replays (one per policy) must stay >= 2x
-# faster than six scratch replays, restart-warm serving (cache prewarmed
-# from the durable store) must stay within 10x of steady-warm serving,
-# and both warm gateway grids must stay >= 3x faster than the cold grid:
+# the fresh report: restart-warm serving (cache prewarmed from the
+# durable store) must stay within 10x of steady-warm serving, and both
+# warm gateway grids must stay >= 3x faster than the cold grid:
 # a repeated grid (answered from the gateway's merged-document cache)
 # and a reordered grid (scattered, every cell answered from the
 # backends' per-cell result caches).
@@ -63,8 +62,7 @@ target/release/bench_gate BENCH_runner.json "$fresh_dir/BENCH_runner.json"
 
 # The replay suite's headline benchmarks run ~0.5s per iteration; give
 # the harness a longer wall-clock guard so each one collects its full 25
-# batches — the speedup check below compares fastest-batch times, and a
-# deep batch pool is what makes those robust on a noisy runner.
+# batches, which keeps the medians robust on a noisy runner.
 echo "==> measuring the replay suite (small scale)"
 MDS_BENCH_DIR="$fresh_dir" \
 MDS_BENCH_MAX_MS="${MDS_BENCH_REPLAY_MAX_MS:-12000}" \
@@ -72,12 +70,6 @@ MDS_BENCH_MAX_MS="${MDS_BENCH_REPLAY_MAX_MS:-12000}" \
 
 echo "==> comparing the replay suite against its committed baseline"
 target/release/bench_gate BENCH_replay.json "$fresh_dir/BENCH_replay.json"
-
-echo "==> checking the planned-replay speedup claim (planned >= 2x six scratch walks)"
-target/release/bench_gate --min-speedup "$fresh_dir/BENCH_replay.json" \
-  multiscalar/compress_small_8st_scratch_x6 \
-  multiscalar/compress_small_8st_planned_x6 \
-  2.0
 
 echo "==> measuring the wdl suite (spec parse, lowering, generated end-to-end)"
 MDS_BENCH_DIR="$fresh_dir" cargo bench -q --offline -p mds-bench \

@@ -1,18 +1,16 @@
-//! Benchmarks for the planned Multiscalar replay engine.
+//! Benchmarks for the Multiscalar replay engine.
 //!
 //! Run with `cargo bench --bench replay -- --scale small`; results are
 //! written to `BENCH_replay.json` at the workspace root. The suite
-//! measures what the planned engine buys over the scratch engine:
+//! measures:
 //!
 //! - `plan_build` — lowering a collected committed stream into the
 //!   structure-of-arrays [`mds_emu::ReplayPlan`] (capture runs the same
 //!   lowering while it emulates);
-//! - per-policy `scratch` vs `planned` replay — the SoA walk with
-//!   pre-resolved dependences against the legacy record-stream walk;
-//! - `scratch_x6` vs `planned_x6` — the paper's actual workload shape: all
-//!   six speculation policies over one trace, as six scratch replays or
-//!   six planned replays (one runner cell each). The CI bench gate
-//!   enforces `planned_x6` ≥ 2× `scratch_x6` at 8 stages;
+//! - per-policy `planned` replay of one captured trace;
+//! - `planned_x6` — the paper's actual workload shape: all six
+//!   speculation policies over one trace, six replays (one runner cell
+//!   each);
 //! - `paper_cells_tiny_planned` — one `run_planned` per Multiscalar cell
 //!   of the tiny-scale paper grid (`repro all`), over traces captured
 //!   beforehand, whatever `--scale` says: the replay layer of a cold
@@ -22,7 +20,7 @@ use mds_bench::PAPER_IDS;
 use mds_core::Policy;
 use mds_emu::{Emulator, Trace};
 use mds_harness::bench::Harness;
-use mds_multiscalar::{run_planned, MsConfig, Multiscalar};
+use mds_multiscalar::{run_planned, MsConfig};
 use mds_runner::JobKind;
 use mds_workloads::{by_name, Scale};
 use std::collections::HashMap;
@@ -57,21 +55,6 @@ fn main() {
             .collect();
 
         h.bench_with_throughput(
-            &format!("multiscalar/compress_{tag}_{stages}st_scratch_x6"),
-            n * configs.len() as u64,
-            |b| {
-                b.iter(|| {
-                    let mut cycles = 0u64;
-                    for config in &configs {
-                        let sim = Multiscalar::new(config.clone());
-                        cycles += sim.run_trace(records.iter().copied()).cycles;
-                    }
-                    black_box(cycles)
-                });
-            },
-        );
-
-        h.bench_with_throughput(
             &format!("multiscalar/compress_{tag}_{stages}st_planned_x6"),
             n * configs.len() as u64,
             |b| {
@@ -84,14 +67,6 @@ fn main() {
 
         for policy in [Policy::Always, Policy::Esync] {
             let config = MsConfig::paper(stages, policy);
-            h.bench_with_throughput(
-                &format!("multiscalar/compress_{tag}_{stages}st_{policy}_scratch"),
-                n,
-                |b| {
-                    let sim = Multiscalar::new(config.clone());
-                    b.iter(|| black_box(sim.run_trace(records.iter().copied()).cycles));
-                },
-            );
             h.bench_with_throughput(
                 &format!("multiscalar/compress_{tag}_{stages}st_{policy}_planned"),
                 n,

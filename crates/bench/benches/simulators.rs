@@ -1,6 +1,9 @@
 //! Benchmarks for the simulators themselves (throughput of the emulator,
 //! the window analyzer, and the Multiscalar timing model).
 //!
+//! The `multiscalar/*` series time `Multiscalar::run`: one trace capture
+//! (emulation lowered into the replay plan) followed by one replay.
+//!
 //! Run with `cargo bench --bench simulators -- --scale small`; results are
 //! written to `BENCH_simulators.json` at the workspace root. The `--scale`
 //! argument picks the workload scale (tiny/small/full, default tiny).

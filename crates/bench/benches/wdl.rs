@@ -53,7 +53,8 @@ fn main() {
     );
 
     // End-to-end: one generated member vs the hand-written workload its
-    // scenario imitates, both under the paper's 8-stage ESYNC machine.
+    // scenario imitates, both under the paper's 8-stage ESYNC machine
+    // (`Multiscalar::run`: one trace capture, then one replay).
     // Comparable per-instruction cost here means generated families are
     // as cheap to sweep as the built-in suites.
     let compress = by_name("compress").unwrap().build(scale);

@@ -40,6 +40,10 @@
 //! - [`PredictionBreakdown`]: the predicted-vs-actual accounting of
 //!   table 8.
 //!
+//! The model keeps one centralized [`SyncUnit`]. The distributed
+//! organization of §4.4.5 (a replicated table per processing unit, kept
+//! consistent by broadcasts) is not modeled.
+//!
 //! The structures are processor-agnostic: `mds-multiscalar` drives them
 //! from its timing model, and they are equally usable from a superscalar
 //! model (see `mds-ooo::timing`), mirroring the paper's claim of
@@ -76,7 +80,6 @@
 
 pub mod breakdown;
 pub mod ddc;
-pub mod distributed;
 pub mod edge;
 pub mod mdpt;
 pub mod mdst;
@@ -85,7 +88,6 @@ pub mod unit;
 
 pub use breakdown::PredictionBreakdown;
 pub use ddc::Ddc;
-pub use distributed::{BroadcastStats, DistributedSyncUnit};
 pub use edge::DepEdge;
 pub use mdpt::{Mdpt, MdptConfig, MdptEntry};
 pub use mdst::{LoadSync, Mdst, MdstReplacement, StoreSync};

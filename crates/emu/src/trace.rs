@@ -28,7 +28,7 @@ use std::sync::{Arc, OnceLock};
 /// instead of a 48-byte [`DynInst`] record beside the plan. Everything the simulators and
 /// analyzers replay reads the plan. [`Trace::records`] re-emulates the
 /// stored program on first use, for the consumers that want records
-/// (debug rendering, the scratch Multiscalar engine, tests); the records
+/// (debug rendering, the Multiscalar oracle and other tests); the records
 /// then stay resident with the trace.
 ///
 /// The type is immutable after capture and `Send + Sync`, so it can be

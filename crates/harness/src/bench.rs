@@ -503,7 +503,10 @@ impl Harness {
     }
 
     /// In measurement mode, writes `BENCH_<suite>.json` and prints its
-    /// path; in smoke mode, does nothing.
+    /// path; in smoke mode, does nothing. A report that cannot be written
+    /// (say, `MDS_BENCH_DIR` names a missing directory) ends the process
+    /// with exit status 1, so a caller that checks the status never takes
+    /// an unwritten baseline for a recorded one.
     pub fn finish(self) {
         if matches!(self.mode, Mode::Smoke) {
             return;
@@ -512,7 +515,10 @@ impl Harness {
         let text = self.report().to_json().pretty();
         match std::fs::write(&path, text) {
             Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
     }
 }

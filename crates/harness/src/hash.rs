@@ -1,5 +1,5 @@
-//! A fast, deterministic, non-cryptographic hasher and reusable
-//! scratch-container pool for simulator hot paths.
+//! A fast, deterministic, non-cryptographic hasher for simulator hot
+//! paths.
 //!
 //! The std `HashMap` defaults to SipHash-1-3 behind a per-process random
 //! seed. That is the right default for servers facing untrusted keys, but
@@ -23,12 +23,6 @@
 //! `pinned_hash_contract` test hard-codes known input/output pairs, and
 //! changing the constants or the mixing is a breaking change that must be
 //! made deliberately (update the pins in the same commit and say why).
-//!
-//! The second half of this module is [`Pool`]: an arena of reusable
-//! containers for code that would otherwise allocate fresh maps in a loop
-//! (the Multiscalar squash-and-replay path re-ran `HashMap::new` four
-//! times per task attempt before this existed). `Pool::take` hands out a
-//! recycled container, `Pool::put` clears and shelves it.
 //!
 //! This module is hot-path infrastructure; treat keys from untrusted
 //! clients (HTTP headers, JSON fields) with the std default instead.
@@ -121,85 +115,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed by [`FxHasher`] — drop-in for trusted hot-path keys.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// A container that can be wiped for reuse without releasing its
-/// allocation. Implemented for the std collections the simulators pool.
-pub trait Recycle: Default {
-    /// Clears contents; must leave the value equal to a fresh one while
-    /// retaining capacity.
-    fn recycle(&mut self);
-}
-
-impl<K, V, S: Default + std::hash::BuildHasher> Recycle for HashMap<K, V, S> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-}
-
-impl<T, S: Default + std::hash::BuildHasher> Recycle for HashSet<T, S> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-}
-
-impl<T> Recycle for Vec<T> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-}
-
-impl<T> Recycle for std::collections::VecDeque<T> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-}
-
-/// An arena of reusable containers: [`Pool::take`] pops a recycled value
-/// (or makes a fresh one), [`Pool::put`] wipes a value and shelves it for
-/// the next `take`.
-///
-/// Capacity is retained across the take/put cycle, so a steady-state loop
-/// performs zero allocation once its containers have grown to their
-/// working size — the whole point for squash-and-replay inner loops.
-///
-/// # Examples
-///
-/// ```
-/// use mds_harness::hash::{FxHashMap, Pool};
-/// let mut pool: Pool<FxHashMap<u64, u64>> = Pool::new();
-/// let mut m = pool.take();
-/// m.insert(1, 2);
-/// pool.put(m);
-/// let m = pool.take(); // same allocation, now empty
-/// assert!(m.is_empty());
-/// ```
-#[derive(Debug, Default)]
-pub struct Pool<T: Recycle> {
-    free: Vec<T>,
-}
-
-impl<T: Recycle> Pool<T> {
-    /// An empty pool.
-    pub fn new() -> Pool<T> {
-        Pool { free: Vec::new() }
-    }
-
-    /// A recycled container, or `T::default()` when the shelf is empty.
-    pub fn take(&mut self) -> T {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Wipes `value` and shelves it for the next [`Pool::take`].
-    pub fn put(&mut self, mut value: T) {
-        value.recycle();
-        self.free.push(value);
-    }
-
-    /// Containers currently shelved.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,25 +188,5 @@ mod tests {
             assert_eq!(m.get(&(i, i.wrapping_mul(7))), Some(&u64::from(i)));
         }
         assert_eq!(m.get(&(5, 0)), None);
-    }
-
-    #[test]
-    fn pool_recycles_allocations() {
-        let mut pool: Pool<Vec<u64>> = Pool::new();
-        let mut v = pool.take();
-        v.extend(0..100);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.idle(), 1);
-        let v = pool.take();
-        assert!(v.is_empty());
-        assert_eq!(v.capacity(), cap, "capacity must survive the recycle");
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn pool_take_on_empty_shelf_is_fresh_default() {
-        let mut pool: Pool<FxHashSet<u32>> = Pool::new();
-        assert!(pool.take().is_empty());
     }
 }

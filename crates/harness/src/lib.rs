@@ -15,8 +15,7 @@
 //! - [`json`] — a hand-rolled JSON value/writer/parser and the
 //!   [`json::ToJson`] trait (replaces `serde` derives),
 //! - [`hash`] — a deterministic FxHash-style hasher with a pinned
-//!   contract plus a reusable scratch-container [`hash::Pool`] (replaces
-//!   `rustc-hash`) for allocation-free simulator inner loops,
+//!   contract (replaces `rustc-hash`) for simulator inner loops,
 //! - [`stats`] — a lock-free fixed-bucket latency histogram with a
 //!   Prometheus text rendering, shared by every serving tier,
 //! - [`backoff`] — capped exponential backoff with deterministic jitter,

@@ -7,8 +7,8 @@
 //! units execute their tasks in parallel (2-way out-of-order issue each);
 //! register values flow between adjacent units on a unidirectional ring;
 //! memory accesses go through interleaved data banks; and cross-task
-//! memory dependence violations are detected ARB-style and repaired by
-//! squashing the offending task and everything younger.
+//! memory dependence violations are detected and repaired by squashing
+//! the offending task and everything younger.
 //!
 //! This crate reproduces that organization faithfully enough to compare
 //! the paper's speculation policies:
@@ -17,7 +17,8 @@
 //!   compiler's task boundaries), split out of the committed instruction
 //!   stream produced by `mds-emu`;
 //! - the sequencer uses a path-based next-task predictor with a
-//!   task-descriptor cache and charges a penalty on task mispredictions;
+//!   task-descriptor cache and charges a penalty on task mispredictions
+//!   (it has no return address stack);
 //! - each unit models fetch through a private I-cache, a bounded
 //!   instruction window, 2-wide issue over the paper's functional-unit mix
 //!   (2 simple integer, 1 complex integer, 1 FP, 1 branch, 1 memory), and
@@ -32,7 +33,10 @@
 //!   (selective), PSYNC (oracle), or the MDPT/MDST mechanism with the
 //!   SYNC/ESYNC predictors;
 //! - violations squash and replay the task (and delay everything younger),
-//!   charging the re-execution cost cycle by cycle.
+//!   charging the re-execution cost cycle by cycle. A violation is found
+//!   from the load's exact producer, which the trace's replay plan
+//!   resolved at capture; the model has no address resolution buffer
+//!   (ARB) and so no ARB capacity limits or overflow squashes.
 //!
 //! # Methodology note
 //!
@@ -76,14 +80,11 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod exec;
 pub mod replay;
 pub mod result;
-pub mod sim;
-pub mod task;
 
 pub use config::{FuLatencies, MsConfig};
-pub use replay::{forkable_twins, run_fused, run_planned};
+pub use replay::{forkable_twins, run_fused, run_planned, Multiscalar};
+#[doc(hidden)]
+pub use replay::{run_planned_with, ReplayObserver};
 pub use result::MsResult;
-pub use sim::Multiscalar;
-pub use task::{Task, TaskSplitter};

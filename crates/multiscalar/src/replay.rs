@@ -1,18 +1,21 @@
-//! The planned replay engine: branch-light Multiscalar replay over a
-//! [`ReplayPlan`].
+//! The Multiscalar replay engine: branch-light replay of a committed
+//! trace over its [`ReplayPlan`].
 //!
-//! # Why a second engine
+//! # How a replay works
 //!
 //! The paper's figures replay one committed trace under six speculation
-//! policies per grid cell. The legacy engine ([`crate::Multiscalar`])
-//! re-walks the raw [`DynInst`](mds_emu::DynInst) stream per policy:
-//! re-decoding operands, re-splitting tasks (cloning every record), and
-//! re-discovering store→load overlaps through per-task hash maps — all
-//! work that is a pure function of the trace, not of the policy or the
-//! timing. This engine replays the [`ReplayPlan`] instead: operands,
-//! task ranges, functional-unit classes, and memory dependences are
-//! pre-resolved into dense arrays, so an attempt is a sequential scan
-//! with array indexing where the legacy engine chases hash maps.
+//! policies per grid cell. Everything that is a pure function of the
+//! trace — operands, task ranges, functional-unit classes, store→load
+//! producers — is resolved once, at capture, into the plan's dense
+//! arrays, so an attempt is a sequential scan with array indexing.
+//!
+//! A task executes as one or more *attempts*. An attempt schedules the
+//! task's instructions on its processing unit from a start cycle, against
+//! the timing records of the older tasks in the window and the shared
+//! memory system; when it detects a memory dependence violation the task
+//! is squashed and re-run from scratch (squash & replay). The attempt
+//! state lives in a `PScratch` reused across attempts and tasks; reusing
+//! it is observationally identical to fresh allocation.
 //!
 //! Every configuration is one independent [`run_planned`]. Sharing a
 //! policy-independent replay prefix across policies was measured to save
@@ -36,31 +39,207 @@
 //!   seeds its register availability from the frontier, and the task's
 //!   own writes overwrite it, so no attempt walks the window.
 //!
-//! Equivalence with the legacy engine is enforced by unit tests here, a
-//! `properties!` fuzz test over random traces (all policies), and an
-//! in-tree test that compares both engines on every paper grid cell.
+//! # What checks it
+//!
+//! - `tests/oracle.rs` checks every load and store a replay reports
+//!   (through [`run_planned_with`]) against the paper's issue rule for
+//!   its policy, with producers from a brute-force scan of the records.
+//! - `tests/planned_equivalence.rs` pins exact result digests on
+//!   adversarial traces, recorded while an independently written engine
+//!   agreed with this one.
+//! - `ci/pinned/` pins the paper's result documents byte for byte.
 
 use crate::config::MsConfig;
-use crate::exec::{LoadEvent, Ports, Shared, Violation, REGS};
 use crate::result::MsResult;
 use mds_core::{Ddc, DepEdge, MdptEntry, Policy, SyncUnit, SyncUnitConfig, TagScheme};
 use mds_emu::plan::{
     ReplayPlan, SequencerOutcome, DESCRIPTOR_HIT, FU_BRANCH, FU_COMPLEX, FU_FP, F_CONTROL, F_MEM,
     F_STORE, MISPREDICTED, NONE, NO_REG,
 };
-use mds_emu::Trace;
+use mds_emu::{EmuError, Trace};
 use mds_harness::hash::FxHashSet;
-use mds_isa::{Opcode, Pc};
+use mds_isa::{Opcode, Pc, Program};
 use mds_mem::{BankedCache, Bus, Cache};
 use mds_predict::{LruTable, PathHistory, PathPredictor};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// The finalized timing state of a window task, planned-engine edition.
+/// Dense architectural register file size (see `RegRef::dense_index`).
+const REGS: usize = 64;
+
+/// What a replay reports about every attempt, load and store, for tests
+/// that check the engine from outside (`tests/oracle.rs`). Every method
+/// does nothing by default; [`run_planned`] passes [`NoObserver`], so the
+/// calls compile away.
+#[doc(hidden)]
+pub trait ReplayObserver {
+    /// An attempt of task `task` starts at cycle `t0`.
+    #[inline(always)]
+    fn attempt(&mut self, _task: usize, _t0: u64) {}
+
+    /// The store with global ordinal `store` (the plan's numbering) had
+    /// its address at `addr_ready` and its data in the cache at
+    /// `data_ready`.
+    #[inline(always)]
+    fn store(&mut self, _store: usize, _addr_ready: u64, _data_ready: u64) {}
+
+    /// The load with global ordinal `load` issued to memory at cycle
+    /// `issue`. `sync` holds the MDPT predictions it synchronized on
+    /// (SYNC/ESYNC only; empty when none matched).
+    #[inline(always)]
+    fn load(&mut self, _load: usize, _issue: u64, _sync: &[MdptEntry]) {}
+
+    /// The attempt just reported is squashed: its earliest violation was
+    /// detected at cycle `detect`.
+    #[inline(always)]
+    fn squash(&mut self, _detect: u64) {}
+}
+
+/// The observer production replays use: it observes nothing.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoObserver;
+
+impl ReplayObserver for NoObserver {}
+
+/// A detected cross-task memory dependence violation.
+#[derive(Debug, Clone, Copy)]
+struct Violation {
+    edge: DepEdge,
+    producer_task: u64,
+    producer_task_pc: Pc,
+    /// Cycle at which the older store executed (violation detection time).
+    detect: u64,
+    /// Whether the violated load had a (wrong) synchronization prediction.
+    predicted: bool,
+}
+
+/// Per-load prediction/synchronization record used for training and the
+/// table 8 breakdown.
+#[derive(Debug, Clone)]
+struct LoadEvent {
+    /// `(edge, signal_found, caused_wait)` per predicted dependence.
+    edges: Vec<(DepEdge, bool, bool)>,
+    /// Whether any prediction matched this load.
+    predicted: bool,
+    /// For predicted loads: the load had to wait for a signal. For
+    /// unpredicted loads: a violation occurred.
+    actual_dependence: bool,
+}
+
+/// Mutable processor-wide state an attempt executes against.
+struct Shared<'a> {
+    config: &'a MsConfig,
+    dcache: &'a mut BankedCache,
+    bus: &'a mut Bus,
+    icache: &'a mut Cache,
+    unit: Option<&'a mut SyncUnit>,
+}
+
+/// A "K issues per cycle" resource (fully pipelined units: occupancy is
+/// one cycle). Claims may arrive in any order relative to simulated time —
+/// an out-of-order core issues whatever is ready — so this counts usage
+/// per cycle instead of keeping a monotonic busy-until clock.
 ///
-/// Everything the legacy `TaskRecord` kept in hash maps lives in the
-/// [`ReplayPlan`] instead; the record only carries what depends on
-/// timing: per-store completion times (in task store order) and the store
+/// The ledger is a dense vector indexed by `cycle - base`: every claim in
+/// an attempt happens at or after the attempt's start cycle, so the
+/// offset stays small. Slots are epoch-tagged rather than zeroed: `reset`
+/// bumps the epoch in O(1), and a slot whose tag is stale counts as
+/// empty, so an attempt starts with no clearing.
+///
+/// `claim` runs twice per simulated instruction. It is `#[inline]`, so at
+/// each call site the common case — the slot at `ready` is in the ledger
+/// and free — is a load, a compare, and a store with no call. The two
+/// rare cases live out of line behind `#[cold]`: a claim before the base
+/// (`rebase`) and a claim past the ledger's end (`claim_past_end`, which
+/// grows the ledger in chunks).
+#[derive(Debug, Default)]
+struct Ports {
+    width: u32,
+    base: u64,
+    epoch: u32,
+    slots: Vec<PortSlot>,
+}
+
+/// One cycle of a [`Ports`] ledger: claims made in it, valid only while
+/// `epoch` is the ledger's live epoch.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSlot {
+    epoch: u32,
+    used: u32,
+}
+
+impl Ports {
+    fn reset(&mut self, width: u32, t0: u64) {
+        self.width = width.max(1);
+        self.base = t0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Epoch wrapped (after 2^32 attempts): stale tags could alias
+            // the new epoch, so hard-clear once and restart from 1.
+            self.slots.fill(PortSlot::default());
+            self.epoch = 1;
+        }
+    }
+
+    /// Claims the earliest cycle at or after `ready` with a free slot.
+    #[inline]
+    fn claim(&mut self, ready: u64) -> u64 {
+        if ready < self.base {
+            self.rebase(ready);
+        }
+        let mut idx = (ready - self.base) as usize;
+        loop {
+            let Some(slot) = self.slots.get_mut(idx) else {
+                return self.claim_past_end(idx);
+            };
+            if slot.epoch != self.epoch {
+                *slot = PortSlot {
+                    epoch: self.epoch,
+                    used: 1,
+                };
+                return self.base + idx as u64;
+            }
+            if slot.used < self.width {
+                slot.used += 1;
+                return self.base + idx as u64;
+            }
+            idx += 1;
+        }
+    }
+
+    /// Moves the base down to `ready`. Claims before the base cannot happen
+    /// in an attempt (readiness is bounded below by the start cycle), but
+    /// the ledger stays correct if one does.
+    #[cold]
+    #[inline(never)]
+    fn rebase(&mut self, ready: u64) {
+        let shift = (self.base - ready) as usize;
+        // Tag 0 is never the live epoch (reset skips it), so these slots
+        // read as empty.
+        self.slots
+            .splice(0..0, std::iter::repeat_n(PortSlot::default(), shift));
+        self.base = ready;
+    }
+
+    /// Claims slot `idx`, which lies past the ledger's end and so is free.
+    /// Grows in chunks so the resize amortizes away.
+    #[cold]
+    #[inline(never)]
+    fn claim_past_end(&mut self, idx: usize) -> u64 {
+        self.slots.resize(idx + 64, PortSlot::default());
+        self.slots[idx] = PortSlot {
+            epoch: self.epoch,
+            used: 1,
+        };
+        self.base + idx as u64
+    }
+}
+
+/// The finalized timing state of a window task.
+///
+/// Everything that depends only on the trace lives in the [`ReplayPlan`];
+/// the record only carries what depends on timing: per-store completion times (in task store order) and the store
 /// address-ready bound, plus the registers the task wrote (their final
 /// write times live in the [`Frontier`]). Task identity, stage, and start
 /// PC are recovered from the record's window position.
@@ -143,7 +322,8 @@ impl Frontier {
     }
 }
 
-/// Reusable attempt-local state (the planned engine's `ExecScratch`).
+/// Reusable attempt-local state: port ledgers, the retire ring and
+/// pooled vectors, kept across attempts and tasks.
 #[derive(Debug)]
 struct PScratch {
     issue: Ports,
@@ -266,8 +446,8 @@ impl PScratch {
     }
 }
 
-/// The result of one planned execution attempt (mirrors `AttemptOutcome`).
-/// Register write times stay behind in [`PScratch::avail`].
+/// The result of one execution attempt. Register write times stay behind
+/// in [`PScratch::avail`].
 struct PAttempt {
     /// Bit `r` set when the attempt wrote dense register `r`.
     written: u64,
@@ -281,11 +461,16 @@ struct PAttempt {
     false_dep_releases: u64,
 }
 
-/// One timing attempt of task `k`, scheduled over the plan's arrays.
-/// Replicates `exec::execute_attempt` decision-for-decision; see that
-/// function for the architectural commentary.
+/// One timing attempt of task `k` starting at cycle `t0`, scheduled over
+/// the plan's arrays against the window's records and the shared memory
+/// system. The outcome is a pure function of those inputs, so a squashed
+/// task simply runs another attempt.
+///
+/// Intra-task memory dependences are never speculated; inter-task ones
+/// follow the configured [`Policy`]. The attempt reports the earliest
+/// violation it detected, if any, and leaves squashing to the caller.
 #[allow(clippy::too_many_arguments)]
-fn planned_attempt(
+fn planned_attempt<O: ReplayObserver>(
     plan: &ReplayPlan,
     k: usize,
     t0: u64,
@@ -294,6 +479,7 @@ fn planned_attempt(
     shared: &mut Shared<'_>,
     scratch: &mut PScratch,
     lat: &[u64],
+    observer: &mut O,
 ) -> PAttempt {
     let config = shared.config;
     let win_base = k - window.len();
@@ -358,6 +544,7 @@ fn planned_attempt(
     let load_intra_a = &plan.load_intra[load_range.clone()];
     let load_inter_a = &plan.load_inter[load_range];
     let store_addr_a = &plan.store_addr[plan.task_store_range(k)];
+    let load_base = plan.task_load_start[k] as usize;
     let mut nl = 0usize;
 
     for &pc in pc_a {
@@ -390,6 +577,8 @@ fn planned_attempt(
         }
 
         // ---- Operand readiness (intra-task dataflow + ring) ------------
+        // A register no window task wrote is architecturally available
+        // (its writer committed before this task started): `avail` is 0.
         let mut ready = dispatch;
         let mut base_ready = dispatch; // address operand only (for stores)
         let [s1, s2] = d.src;
@@ -405,14 +594,18 @@ fn planned_attempt(
         let complete = if flags & F_MEM != 0 {
             if flags & F_STORE != 0 {
                 let addr = store_addr_a[store_complete.len()];
+                // The address is known once the base register is ready.
                 intra_addr_ready = intra_addr_ready.max(base_ready);
                 max_store_addr_ready = max_store_addr_ready.max(base_ready);
                 let start = mem_ports.claim(issue_ports.claim(ready));
                 let complete = shared.dcache.access(start, addr, true, shared.bus).done_at;
+                observer.store(store_base + store_complete.len(), base_ready, complete);
                 store_complete.push(complete);
                 complete
             } else {
-                // ---- Load: pre-resolved intra forwarding ---------------
+                // ---- Load: intra-task disambiguation, never speculated --
+                // Wait for every earlier same-task store address, and
+                // forward from the youngest overlapping earlier store.
                 let (addr, intra, inter) = (load_addr_a[nl], load_intra_a[nl], load_inter_a[nl]);
                 nl += 1;
                 let mut ready_mem = ready.max(intra_addr_ready);
@@ -470,6 +663,9 @@ fn planned_attempt(
                         };
                         let unit = shared.unit.as_mut().expect("sync policy has a unit");
                         unit.predicted_entries_for_load(pc, k as u64, Some(&lookup), entries);
+                        // Combined-structure slot limit: one sync entry per
+                        // edge per stage; later instances in the same task
+                        // go unsynchronized.
                         entries.retain(|e| synced_edges.insert(e.edge));
                         if entries.is_empty() {
                             may_violate = true;
@@ -478,6 +674,11 @@ fn planned_attempt(
                             let mut wait_until = ready_mem;
                             let mut any_missing = false;
                             for e in entries.iter() {
+                                // The signalling store. Under distance
+                                // tagging: the store with this edge's PC in
+                                // the task at distance DIST. Under address
+                                // tagging: the load's producer, if it has
+                                // this edge's PC.
                                 let producer_seq = (k as u64).checked_sub(e.dist as u64);
                                 let signal = match config.tagging {
                                     TagScheme::DependenceDistance => producer_seq.and_then(|ps| {
@@ -503,6 +704,16 @@ fn planned_attempt(
                                         .filter(|&(_, _, pc)| pc == e.edge.store_pc)
                                         .map(|(_, c, _)| c),
                                 };
+                                // Commit-time training strengthens only
+                                // correct synchronizations: the signalling
+                                // store was this load's actual producer.
+                                // Waiting on a store that merely shares the
+                                // PC is a false dependence and must weaken
+                                // the prediction, or one hot store PC would
+                                // serialize every load that ever conflicted
+                                // with it. Whether the wait mattered this
+                                // instance is ignored on purpose: timing
+                                // jitter must not unlearn a real dependence.
                                 let is_producer = match config.tagging {
                                     TagScheme::DependenceDistance => {
                                         producer.is_some_and(|(pt, _, pc)| {
@@ -524,6 +735,10 @@ fn planned_attempt(
                                 }
                             }
                             if any_missing {
+                                // Incomplete synchronization (§4.4.2): the
+                                // load is released once every older store's
+                                // address is known, the condition that frees
+                                // loads under NEVER/WAIT.
                                 wait_until = wait_until.max(window_addr_ready);
                                 false_dep_releases += 1;
                             }
@@ -536,6 +751,8 @@ fn planned_attempt(
                                 actual_dependence: wait_until > ready_before_sync,
                             });
                             ready_mem = wait_until;
+                            // A dependence on a store the predictor did not
+                            // name can still violate.
                             may_violate = true;
                         }
                     }
@@ -543,7 +760,15 @@ fn planned_attempt(
 
                 let start = mem_ports.claim(issue_ports.claim(ready_mem));
                 let complete = shared.dcache.access(start, addr, false, shared.bus).done_at;
+                let sync = if config.policy.uses_predictor() {
+                    &entries[..]
+                } else {
+                    &[]
+                };
+                observer.load(load_base + nl - 1, start, sync);
 
+                // The producer's data arriving after the load read memory
+                // is a violation, found when the store executes.
                 if may_violate {
                     if let Some((pt, pcomplete, ppc)) = producer {
                         if pcomplete > start {
@@ -619,8 +844,9 @@ fn planned_attempt(
     }
 }
 
-/// The planned engine's simulator state; mirrors the legacy `SimState`,
-/// plus a pre-expanded opcode→latency table.
+/// The simulator state of one replay: the memory system, the per-stage
+/// I-caches, the MDPT/MDST unit, the window of older tasks' records, and a
+/// pre-expanded opcode→latency table.
 struct PSim {
     config: MsConfig,
     lat: Vec<u64>,
@@ -718,13 +944,17 @@ impl PSim {
         }
     }
 
-    fn on_task(&mut self, plan: &ReplayPlan, k: usize) {
+    /// Sequences, executes (squashing and re-running on violations) and
+    /// commits task `k`.
+    fn on_task<O: ReplayObserver>(&mut self, plan: &ReplayPlan, k: usize, observer: &mut O) {
         let stage = k % self.config.stages;
 
         // --- Task start time (sequencer decisions from the memo) ---------
         let flags = self.sequencer.task_flags[k];
         let mut t0 = self.stage_free[stage].max(self.prev_assign + 1);
         if flags & MISPREDICTED != 0 {
+            // The wrong task was fetched; the right one starts only after
+            // the previous task's last branch resolves, plus the penalty.
             t0 = t0.max(self.prev_last_branch + self.config.mispredict_penalty);
         }
         if flags & DESCRIPTOR_HIT == 0 {
@@ -741,6 +971,7 @@ impl PSim {
                 icache: &mut self.icaches[stage],
                 unit: self.unit.as_mut(),
             };
+            observer.attempt(k, t0);
             let outcome = planned_attempt(
                 plan,
                 k,
@@ -750,10 +981,12 @@ impl PSim {
                 &mut shared,
                 &mut self.scratch,
                 &self.lat,
+                observer,
             );
             let Some(v) = outcome.violation else {
                 break outcome;
             };
+            observer.squash(v.detect);
             self.scratch.put_store_vec(outcome.store_complete);
             self.scratch.put_event_vec(outcome.load_events);
             violated_edges.push(v.edge);
@@ -764,6 +997,8 @@ impl PSim {
             if let Some(unit) = &mut self.unit {
                 let dist = (k as u64 - v.producer_task).max(1) as u32;
                 unit.record_misspeculation(v.edge, dist, Some(v.producer_task_pc));
+                // The squashed load's prediction is counted once, as the
+                // paper does for loads issued from squashed tasks.
                 self.result.breakdown.record(v.predicted, true);
             }
             t0 = v.detect + self.config.squash_penalty;
@@ -783,6 +1018,10 @@ impl PSim {
                     .breakdown
                     .record(ev.predicted, ev.actual_dependence);
                 for &(edge, found, waited) in &ev.edges {
+                    // An edge that violated during any attempt of this task
+                    // carried a dependence: the committed attempt re-issued
+                    // the load after the store and saw no wait, which must
+                    // not weaken the prediction.
                     let had_dependence = (found && waited) || violated_edges.contains(&edge);
                     unit.train(edge, had_dependence);
                 }
@@ -834,21 +1073,66 @@ impl PSim {
     }
 }
 
-/// Replays `trace` under `config` on the planned engine.
+/// Replays `trace` under `config`.
 ///
-/// Produces a result identical to
-/// [`Multiscalar::run_trace`](crate::Multiscalar::run_trace) over the
-/// same records (enforced by tests), at a fraction of the cost: the
-/// trace's [`ReplayPlan`] is built once, at capture, its sequencer
-/// outcomes once per sequencer configuration, at the first replay, and
-/// the replay itself is a flat scan over its arrays.
+/// The trace's [`ReplayPlan`] was built once, at capture, and its
+/// sequencer outcomes are resolved once per sequencer configuration, at
+/// the first replay; the replay itself is a flat scan over the plan's
+/// arrays.
 pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
+    run_planned_with(trace, config, &mut NoObserver)
+}
+
+/// [`run_planned`], reporting every attempt, load and store to `observer`.
+#[doc(hidden)]
+pub fn run_planned_with<O: ReplayObserver>(
+    trace: &Trace,
+    config: &MsConfig,
+    observer: &mut O,
+) -> MsResult {
     let plan = trace.replay_plan().clone();
     let mut sim = PSim::new(config.clone(), &plan);
     for k in 0..plan.tasks() {
-        sim.on_task(&plan, k);
+        sim.on_task(&plan, k, observer);
     }
     sim.finish()
+}
+
+/// A configured Multiscalar processor model.
+///
+/// `Multiscalar` is stateless between runs: [`Multiscalar::run`] captures
+/// a program's committed trace (via `mds-emu`) and replays it with
+/// [`run_planned`] on a fresh timing state, so results are deterministic
+/// and runs are independent. To replay one program under several
+/// configurations, capture its [`Trace`] once and call [`run_planned`]
+/// per configuration.
+///
+/// See the [crate documentation](crate) for an example.
+#[derive(Debug, Clone)]
+pub struct Multiscalar {
+    config: MsConfig,
+}
+
+impl Multiscalar {
+    /// Creates a simulator with the given configuration.
+    pub fn new(config: MsConfig) -> Self {
+        Multiscalar { config }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &MsConfig {
+        &self.config
+    }
+
+    /// Runs `program` to completion and returns the timing result.
+    ///
+    /// # Errors
+    ///
+    /// Propagates functional-execution errors ([`EmuError`]) — wild PCs or
+    /// the instruction budget.
+    pub fn run(&self, program: &Program) -> Result<MsResult, EmuError> {
+        Ok(run_planned(&Trace::capture(program)?, &self.config))
+    }
 }
 
 /// `true` when two configurations model identical hardware up to the
@@ -912,7 +1196,7 @@ pub fn run_fused(trace: &Trace, configs: &[MsConfig]) -> Vec<MsResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Multiscalar;
+    use mds_harness::hash::FxHashMap;
     use mds_harness::json::ToJson;
     use mds_harness::prelude::*;
     use mds_isa::{Program, ProgramBuilder, Reg};
@@ -921,19 +1205,60 @@ mod tests {
         Trace::capture(p).unwrap()
     }
 
-    fn legacy(trace: &Trace, config: &MsConfig) -> MsResult {
-        Multiscalar::new(config.clone()).run_trace(trace.records().iter().copied())
-    }
-
     fn assert_same(a: &MsResult, b: &MsResult, label: &str) {
         assert_eq!(
             a.to_json().to_string(),
             b.to_json().to_string(),
-            "engines diverge: {label}"
+            "results diverge: {label}"
         );
     }
 
-    /// Cross-task recurrence through one cell (from the sim tests).
+    fn ports(width: u32, t0: u64) -> Ports {
+        let mut p = Ports::default();
+        p.reset(width, t0);
+        p
+    }
+
+    #[test]
+    fn ports_allow_width_per_cycle() {
+        let mut p = ports(2, 0);
+        assert_eq!(p.claim(10), 10);
+        assert_eq!(p.claim(10), 10);
+        assert_eq!(p.claim(10), 11); // third claim spills to the next cycle
+        assert_eq!(p.claim(11), 11); // cycle 11 has one free slot left
+        assert_eq!(p.claim(11), 12); // now it is full
+    }
+
+    #[test]
+    fn ports_are_order_insensitive() {
+        // A late-ready claim must not block an earlier-ready one issued
+        // after it — the OOO property the busy-until model got wrong.
+        let mut p = ports(1, 0);
+        assert_eq!(p.claim(100), 100);
+        assert_eq!(p.claim(5), 5);
+        assert_eq!(p.claim(5), 6);
+    }
+
+    #[test]
+    fn ports_tolerate_claims_before_the_base() {
+        // Cannot happen in an attempt, but the ledger must stay correct.
+        let mut p = ports(1, 50);
+        assert_eq!(p.claim(50), 50);
+        assert_eq!(p.claim(10), 10);
+        assert_eq!(p.claim(10), 11);
+        assert_eq!(p.claim(50), 51); // cycle 50 already claimed above
+    }
+
+    #[test]
+    fn ports_reset_clears_the_ledger() {
+        let mut p = ports(1, 0);
+        assert_eq!(p.claim(3), 3);
+        p.reset(1, 3);
+        assert_eq!(p.claim(3), 3); // claimable again after reset
+    }
+
+    /// Iterations-as-tasks loop with a cross-task recurrence through one
+    /// memory cell (every iteration loads what the previous one stored).
     fn recurrence_tasks(iters: i32) -> Program {
         let mut b = ProgramBuilder::new();
         b.alloc("cell", 1);
@@ -955,7 +1280,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Independent tasks with slow store addresses (from the sim tests).
+    /// Iterations-as-tasks loop whose loads never conflict with its
+    /// stores, but whose store addresses resolve slowly (through a
+    /// divide). Blind speculation sails through; refusing to speculate
+    /// (NEVER) stalls every load behind older tasks' unresolved stores.
     fn independent_tasks(iters: i32) -> Program {
         let mut b = ProgramBuilder::new();
         b.alloc("arr", 8192);
@@ -980,7 +1308,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Distance-5 recurrence through a ring buffer (from the sim tests).
+    /// A recurrence at task distance 5 through a 5-cell ring buffer: task
+    /// k loads what task k-5 stored. A 4-stage window (3 older tasks)
+    /// never sees the producer; an 8-stage window (7 older tasks) does —
+    /// the table 6 "bigger window, more mis-speculation" effect.
     fn distant_recurrence_tasks(iters: i32) -> Program {
         let mut b = ProgramBuilder::new();
         b.alloc("ring", 5);
@@ -1028,46 +1359,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_engine_matches_legacy_for_every_policy_and_stage_count() {
-        let programs = [
-            recurrence_tasks(60),
-            independent_tasks(60),
-            distant_recurrence_tasks(60),
-            byte_store_tasks(40),
-        ];
-        for (pi, p) in programs.iter().enumerate() {
-            let trace = capture(p);
-            for stages in [1, 4, 8] {
-                for policy in Policy::ALL {
-                    let config = MsConfig::paper(stages, policy);
-                    let a = legacy(&trace, &config);
-                    let b = run_planned(&trace, &config);
-                    assert_same(&a, &b, &format!("program {pi}, {stages} stages, {policy}"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn planned_engine_matches_legacy_with_ddcs_and_address_tagging() {
-        let trace = capture(&recurrence_tasks(80));
-        let mut config = MsConfig::paper(4, Policy::Always).with_ddc_sizes(&[16, 64]);
-        assert_same(
-            &legacy(&trace, &config),
-            &run_planned(&trace, &config),
-            "ddc",
-        );
-        config = MsConfig::paper(8, Policy::Sync);
-        config.tagging = TagScheme::DataAddress;
-        assert_same(
-            &legacy(&trace, &config),
-            &run_planned(&trace, &config),
-            "address tagging",
-        );
-    }
-
-    #[test]
-    fn fused_replay_matches_per_policy_scratch_runs() {
+    fn fused_replay_matches_per_policy_runs() {
         for p in [
             recurrence_tasks(80),
             independent_tasks(80),
@@ -1081,7 +1373,7 @@ mod tests {
                     .collect();
                 let fused = run_fused(&trace, &configs);
                 for (config, result) in configs.iter().zip(&fused) {
-                    let expect = legacy(&trace, config);
+                    let expect = run_planned(&trace, config);
                     assert_same(
                         &expect,
                         result,
@@ -1106,7 +1398,11 @@ mod tests {
         let fused = run_fused(&trace, &configs);
         assert_eq!(fused.len(), configs.len());
         for (i, config) in configs.iter().enumerate() {
-            assert_same(&legacy(&trace, config), &fused[i], &format!("config {i}"));
+            assert_same(
+                &run_planned(&trace, config),
+                &fused[i],
+                &format!("config {i}"),
+            );
         }
     }
 
@@ -1198,6 +1494,37 @@ mod tests {
     }
 
     properties! {
+        /// `Ports` agrees with a brute-force per-cycle ledger. Operations
+        /// are `(kind, x, width)`: kind 0 resets to `(width, x)`, kind 1
+        /// claims far past the ledger's end (`x * 64`), and every other
+        /// kind claims at `x`, which lands before the base whenever the
+        /// last reset started later.
+        #[test]
+        fn ports_match_a_brute_force_ledger(
+            t0 in 0u64..200,
+            width in 0u32..5,
+            ops in vec_of((0u8..8, 0u64..200, 0u32..5), 1..300)
+        ) {
+            let mut p = ports(width, t0);
+            let mut model_width = width.max(1);
+            let mut used: FxHashMap<u64, u32> = FxHashMap::default();
+            for (kind, x, w) in ops {
+                if kind == 0 {
+                    p.reset(w, x);
+                    model_width = w.max(1);
+                    used.clear();
+                    continue;
+                }
+                let ready = if kind == 1 { x * 64 } else { x };
+                let mut want = ready;
+                while used.get(&want).copied().unwrap_or(0) >= model_width {
+                    want += 1;
+                }
+                *used.entry(want).or_insert(0) += 1;
+                prop_assert_eq!(p.claim(ready), want, "claim({}) after {:?}", ready, (kind, x, w));
+            }
+        }
+
         /// The frontier seeds every register exactly as the reverse
         /// window walk resolves it, over random commits (random write
         /// masks and times) and random early evictions of the oldest
@@ -1307,7 +1634,209 @@ mod tests {
         });
         assert_same(&results[0].0, &results[1].0, "racing replays");
         assert!(Arc::ptr_eq(&results[0].1, &results[1].1));
-        assert_same(&legacy(&trace, &config), &results[0].0, "legacy");
+        let fresh = capture(&distant_recurrence_tasks(80));
+        assert_same(&run_planned(&fresh, &config), &results[0].0, "fresh trace");
+    }
+
+    fn run(p: &Program, stages: usize, policy: Policy) -> MsResult {
+        Multiscalar::new(MsConfig::paper(stages, policy))
+            .run(p)
+            .unwrap()
+    }
+
+    #[test]
+    fn committed_instructions_match_trace_for_every_policy() {
+        let p = recurrence_tasks(50);
+        let expected = {
+            let mut e = mds_emu::Emulator::new(&p);
+            e.run_with(|_| {}).unwrap().instructions
+        };
+        for policy in Policy::ALL {
+            let r = run(&p, 4, policy);
+            assert_eq!(r.instructions, expected, "{policy}");
+        }
+    }
+
+    #[test]
+    fn parallel_tasks_give_superscalar_ipc() {
+        let p = independent_tasks(400);
+        let r = run(&p, 4, Policy::Always);
+        assert!(r.ipc() > 1.2, "ipc = {}", r.ipc());
+        assert_eq!(r.misspeculations, 0);
+    }
+
+    #[test]
+    fn always_beats_never_on_independent_tasks() {
+        let p = independent_tasks(400);
+        let never = run(&p, 4, Policy::Never);
+        let always = run(&p, 4, Policy::Always);
+        assert!(
+            always.cycles < never.cycles,
+            "ALWAYS {} vs NEVER {}",
+            always.cycles,
+            never.cycles
+        );
+    }
+
+    #[test]
+    fn blind_speculation_misspeculates_on_recurrences() {
+        let p = recurrence_tasks(300);
+        let r = run(&p, 4, Policy::Always);
+        assert!(r.misspeculations > 50, "got {}", r.misspeculations);
+    }
+
+    #[test]
+    fn psync_eliminates_misspeculation_and_beats_blind() {
+        let p = recurrence_tasks(300);
+        let always = run(&p, 4, Policy::Always);
+        let psync = run(&p, 4, Policy::PSync);
+        assert_eq!(psync.misspeculations, 0);
+        assert!(
+            psync.cycles <= always.cycles,
+            "PSYNC {} vs ALWAYS {}",
+            psync.cycles,
+            always.cycles
+        );
+    }
+
+    #[test]
+    fn sync_cuts_misspeculations_by_an_order_of_magnitude() {
+        let p = recurrence_tasks(500);
+        let always = run(&p, 4, Policy::Always);
+        let sync = run(&p, 4, Policy::Sync);
+        assert!(
+            sync.misspeculations * 10 <= always.misspeculations,
+            "SYNC {} vs ALWAYS {}",
+            sync.misspeculations,
+            always.misspeculations
+        );
+        assert!(sync.synchronized_loads > 0);
+    }
+
+    #[test]
+    fn esync_matches_or_beats_sync_here() {
+        let p = recurrence_tasks(500);
+        let sync = run(&p, 4, Policy::Sync);
+        let esync = run(&p, 4, Policy::Esync);
+        assert!(
+            esync.misspeculations <= sync.misspeculations + 5,
+            "ESYNC {} vs SYNC {}",
+            esync.misspeculations,
+            sync.misspeculations
+        );
+    }
+
+    #[test]
+    fn more_stages_mean_more_misspeculations_under_blind() {
+        // Table 6's shape: a larger window exposes more violations. The
+        // recurrence sits at task distance 5 — invisible to a 4-stage
+        // window, violated constantly in an 8-stage one.
+        let p = distant_recurrence_tasks(400);
+        let four = run(&p, 4, Policy::Always);
+        let eight = run(&p, 8, Policy::Always);
+        assert!(
+            eight.misspeculations > four.misspeculations + 50,
+            "8-stage {} vs 4-stage {}",
+            eight.misspeculations,
+            four.misspeculations
+        );
+    }
+
+    #[test]
+    fn determinism() {
+        let p = recurrence_tasks(100);
+        let a = run(&p, 4, Policy::Esync);
+        let b = run(&p, 4, Policy::Esync);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.misspeculations, b.misspeculations);
+        assert_eq!(a.breakdown, b.breakdown);
+    }
+
+    #[test]
+    fn ddc_measurement_reports_rates() {
+        let p = recurrence_tasks(300);
+        let cfg = MsConfig::paper(4, Policy::Always).with_ddc_sizes(&[16, 64]);
+        let r = Multiscalar::new(cfg).run(&p).unwrap();
+        let small = r.ddc_miss_rate(16).unwrap();
+        let large = r.ddc_miss_rate(64).unwrap();
+        assert!(large.value() <= small.value() + 1e-9);
+        // One hot edge: nearly everything hits.
+        assert!(large.value() < 50.0);
+    }
+
+    #[test]
+    fn control_predictor_learns_the_loop() {
+        let p = independent_tasks(400);
+        let r = run(&p, 4, Policy::Always);
+        assert!(
+            r.control_accuracy().value() > 90.0,
+            "accuracy {}",
+            r.control_accuracy()
+        );
+    }
+
+    #[test]
+    fn single_stage_degenerates_to_serial_execution() {
+        let p = recurrence_tasks(50);
+        let r = run(&p, 1, Policy::Always);
+        assert_eq!(r.misspeculations, 0); // no cross-task window at all
+        assert!(r.ipc() <= 2.0 + 1e-9);
+    }
+
+    #[test]
+    fn breakdown_populated_only_for_predictor_policies() {
+        let p = recurrence_tasks(100);
+        assert_eq!(run(&p, 4, Policy::Always).breakdown.total(), 0);
+        let sync = run(&p, 4, Policy::Sync);
+        assert!(sync.breakdown.total() > 0);
+    }
+
+    #[test]
+    fn address_tagging_synchronizes_variable_distance_edges() {
+        // A recurrence whose distance alternates between 1 and 2: the
+        // distance-tagged scheme keeps guessing the wrong producer task,
+        // while address tagging identifies it exactly.
+        let mut b = ProgramBuilder::new();
+        b.alloc("cell", 1);
+        b.alloc("other", 1);
+        b.la(Reg::S0, "cell");
+        b.la(Reg::S1, "other");
+        b.li(Reg::T6, 3);
+        b.li(Reg::A3, 0);
+        b.li(Reg::T0, 400);
+        b.label("loop");
+        b.task();
+        b.ld(Reg::T1, Reg::S0, 0);
+        b.mul(Reg::T2, Reg::T1, Reg::T1);
+        b.addi(Reg::T1, Reg::T1, 1);
+        // Two of every three tasks write the cell; one writes elsewhere,
+        // so the consumer's true distance alternates 1, 1, 2, 1, 1, 2…
+        b.addi(Reg::A3, Reg::A3, 1);
+        b.bne(Reg::A3, Reg::T6, "write_cell");
+        b.mv(Reg::A3, Reg::ZERO);
+        b.sd(Reg::T1, Reg::S1, 0);
+        b.j("next");
+        b.label("write_cell");
+        b.sd(Reg::T1, Reg::S0, 0);
+        b.label("next");
+        b.addi(Reg::T0, Reg::T0, -1);
+        b.bne(Reg::T0, Reg::ZERO, "loop");
+        b.halt();
+        let p = b.build().unwrap();
+
+        let mut dist_cfg = MsConfig::paper(8, Policy::Sync);
+        dist_cfg.tagging = mds_core::TagScheme::DependenceDistance;
+        let dist = Multiscalar::new(dist_cfg).run(&p).unwrap();
+        let mut addr_cfg = MsConfig::paper(8, Policy::Sync);
+        addr_cfg.tagging = mds_core::TagScheme::DataAddress;
+        let addr = Multiscalar::new(addr_cfg).run(&p).unwrap();
+        assert!(
+            addr.misspeculations <= dist.misspeculations,
+            "address {} vs distance {}",
+            addr.misspeculations,
+            dist.misspeculations
+        );
+        assert!(addr.misspeculations < 20, "got {}", addr.misspeculations);
     }
 
     #[test]

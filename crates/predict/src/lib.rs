@@ -9,9 +9,10 @@
 //! - [`LruTable`]: a fixed-capacity associative table with true LRU
 //!   replacement (the MDPT, MDST, DDC, and task-descriptor caches are all
 //!   LRU-managed associative structures),
-//! - [`PathPredictor`] and [`ReturnAddressStack`]: the path-based next-task
-//!   prediction scheme (after Jacobson et al.) used by the Multiscalar
-//!   sequencer, including its 64-entry return address stack.
+//! - [`PathPredictor`]: the path-based next-task prediction scheme (after
+//!   Jacobson et al.) used by the Multiscalar sequencer. The paper's
+//!   sequencer also has a 64-entry return address stack; this model has
+//!   none, and predicts every task from its path history alone.
 //!
 //! # Examples
 //!
@@ -30,9 +31,7 @@
 pub mod counter;
 pub mod lru;
 pub mod path;
-pub mod ras;
 
 pub use counter::SatCounter;
 pub use lru::LruTable;
 pub use path::{PathHistory, PathPredictor};
-pub use ras::ReturnAddressStack;

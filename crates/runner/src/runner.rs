@@ -510,13 +510,13 @@ mod tests {
         assert_eq!(outcome.results.len(), grid.len());
         for (job, result) in grid.jobs().iter().zip(&outcome.results) {
             assert_eq!(result.id, job.id);
-            // The direct reference: the scratch engine over re-emulated
-            // records for Multiscalar cells, one plan walk for the rest.
+            // The direct reference: one replay of a fresh capture per
+            // cell, outside the runner and its trace cache.
             let trace = Trace::capture(&job.workload.build(job.scale)).unwrap();
             let direct = match &job.kind {
-                JobKind::Multiscalar(config) => JobOutput::Multiscalar(
-                    Multiscalar::new(config.clone()).run_trace(trace.records().iter().copied()),
-                ),
+                JobKind::Multiscalar(config) => {
+                    JobOutput::Multiscalar(mds_multiscalar::run_planned(&trace, config))
+                }
                 JobKind::Window(config) => {
                     let mut analyzer = WindowAnalyzer::new(config.clone());
                     for row in trace.replay_plan().rows() {

@@ -9,7 +9,7 @@
 //! | [`isa`] | `mds-isa` | the instruction set, assembler, program builder |
 //! | [`emu`] | `mds-emu` | the functional emulator / committed-trace source |
 //! | [`predict`] | `mds-predict` | saturating counters, LRU tables, path predictors |
-//! | [`mem`] | `mds-mem` | caches, banked caches, bus, ARB |
+//! | [`mem`] | `mds-mem` | caches, banked caches, bus |
 //! | [`core`] | `mds-core` | **the paper's contribution**: MDPT, MDST, DDC, policies |
 //! | [`ooo`] | `mds-ooo` | the "unrealistic OOO" window analyzer + superscalar model |
 //! | [`multiscalar`] | `mds-multiscalar` | the cycle-level Multiscalar timing model |
