@@ -6,11 +6,15 @@
 # request is a result-cache hit with bytes identical to the repro CLI's
 # RESULTS_fig5.json — no recompute, no emulation.
 #
-# Part 2 (cluster): front two stored backends with the gateway, warm a
-# key, kill -9 whichever backend owns it, let the prober eject it, then
-# restart a replacement on the same port with an EMPTY store: the
-# gateway's neighbor handoff must push the warm entry into it, so the
-# replacement answers identical bytes without recomputing anything.
+# Part 2 (cluster): front two stored backends with the gateway and warm
+# fig5, whose cells the gateway spreads over both backends by trace key.
+# kill -9 one of them: a fresh fig5 fails its batches over to the
+# survivor and still returns the CLI's bytes. Let the prober eject the
+# dead backend, then restart a replacement on the same port with an
+# EMPTY store: the gateway's neighbor handoff must push the cells it owns
+# into it, without recomputing anything, and a request that needs those
+# cells (table7, whose cells are a subset of fig5's) is then answered
+# with identical bytes and zero emulations on the replacement.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -103,23 +107,22 @@ target/release/mds-cluster --addr 127.0.0.1:7896 \
 pids+=("$!")
 wait_http http://127.0.0.1:7896/readyz
 
-echo "==> warm the key through the gateway, find its owner"
+echo "==> warm fig5 through the gateway: its cells spread over both backends"
 curl -fsS -X POST --data "$body" -o "$work/cluster_first.json" \
   http://127.0.0.1:7896/v1/experiments
 cmp "$work/RESULTS_fig5.json" "$work/cluster_first.json"
-if [ "$(metric 127.0.0.1:7894 mds_result_cache_entries)" = 1 ]; then
-  owner=127.0.0.1:7894
-else
-  [ "$(metric 127.0.0.1:7895 mds_result_cache_entries)" = 1 ]
-  owner=127.0.0.1:7895
-fi
-echo "    owner: $owner"
+[ "$(metric 127.0.0.1:7894 mds_result_cache_entries)" -ge 1 ]
+[ "$(metric 127.0.0.1:7895 mds_result_cache_entries)" -ge 1 ]
+owner=127.0.0.1:7894
+survivor=127.0.0.1:7895
 
-echo "==> kill -9 the owner; failover warms the survivor (the donor)"
+echo "==> kill -9 $owner; a fresh fig5 fails over to the survivor (the donor)"
 pkill -9 -f "mds-serve --addr $owner" || true
-curl -fsS -X POST --data "$body" -o "$work/failover.json" \
-  http://127.0.0.1:7896/v1/experiments
+curl -fsS -X POST --data '{"experiment":"fig5","scale":"tiny","fresh":true}' \
+  -o "$work/failover.json" http://127.0.0.1:7896/v1/experiments
 cmp "$work/RESULTS_fig5.json" "$work/failover.json"
+donated=$(metric "$survivor" mds_result_cache_entries)
+echo "    the survivor holds $donated cells"
 for _ in $(seq 100); do
   [ "$(metric 127.0.0.1:7896 "mds_gateway_backend_healthy{backend=\"$owner\"}")" = 0 ] && break
   sleep 0.1
@@ -131,16 +134,26 @@ restart_serve "$owner" "$work/replacement" "$work/replacement.log"
 [ "$(metric "$owner" mds_store_prewarmed_keys)" = 0 ]
 
 echo "==> the neighbor handoff warms the replacement without recompute"
+# Two replicas over two backends: the replacement owns every cell key.
 for _ in $(seq 100); do
-  [ "$(metric "$owner" mds_result_cache_entries)" = 1 ] && break
+  [ "$(metric 127.0.0.1:7896 mds_gateway_handoffs_total)" = 1 ] && break
   sleep 0.1
 done
-[ "$(metric "$owner" mds_result_cache_entries)" = 1 ]
-[ "$(metric "$owner" mds_trace_cache_misses_total)" = 0 ]
 [ "$(metric 127.0.0.1:7896 mds_gateway_handoffs_total)" = 1 ]
-curl -fsS -X POST --data "$body" -o "$work/handoff.json" "http://$owner/v1/experiments"
-cmp "$work/RESULTS_fig5.json" "$work/handoff.json"
+[ "$(metric "$owner" mds_result_cache_entries)" = "$donated" ]
 [ "$(metric "$owner" mds_trace_cache_misses_total)" = 0 ]
+
+echo "==> table7 (cells a subset of fig5's) is answered with zero emulations on the replacement"
+MDS_RESULTS_DIR="$work" target/release/repro table7 --scale tiny --json >/dev/null
+# The failed attempts after the kill may have opened the breaker; let its
+# first cooldown (250 ms before jitter) run out so the replacement is
+# back in rotation.
+sleep 1
+curl -fsS -X POST --data '{"experiment":"table7","scale":"tiny"}' \
+  -o "$work/handoff.json" http://127.0.0.1:7896/v1/experiments
+cmp "$work/RESULTS_table7.json" "$work/handoff.json"
+[ "$(metric "$owner" mds_trace_cache_misses_total)" = 0 ]
+[ "$(metric "$owner" mds_result_cache_hits_total)" -ge 1 ]
 
 curl -fsS -X POST http://127.0.0.1:7896/v1/shutdown >/dev/null || true
 curl -fsS -X POST http://127.0.0.1:7894/v1/shutdown >/dev/null || true

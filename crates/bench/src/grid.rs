@@ -49,10 +49,12 @@ pub struct GridRequest {
 }
 
 impl GridRequest {
-    /// Parses and validates a request body.
+    /// Parses and validates a request body (text, or raw bytes that must
+    /// be UTF-8).
     ///
     /// Errors are positioned messages suitable for a 400 response body.
-    pub fn from_body(body: &str) -> Result<GridRequest, String> {
+    pub fn from_body(body: impl AsRef<[u8]>) -> Result<GridRequest, String> {
+        let body = std::str::from_utf8(body.as_ref()).map_err(|_| "body is not UTF-8")?;
         let json = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
         let Json::Object(pairs) = &json else {
             return Err("request body must be a JSON object".to_string());

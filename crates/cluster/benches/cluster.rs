@@ -6,13 +6,16 @@
 //! the target smoke-runs with very short bursts and writes nothing.
 //!
 //! Each point starts a fresh in-process fleet and a gateway in front of
-//! it, then offers closed-loop load *through the gateway* with the same
-//! generator the `serve` suite uses — so the numbers are directly
+//! it, then offers closed-loop fig5 load *through the gateway* with the
+//! same generator the `serve` suite uses — so the numbers are directly
 //! comparable: the delta against `BENCH_serve.json` is the cost (and,
-//! at >1 backend, the win) of the cluster tier. "Cold" sends
-//! `"fresh": true` so every request pays simulation; "warm" measures
-//! the steady state where backends answer from their result caches and
-//! the gateway adds only its proxy hop.
+//! at >1 backend, the win) of the cluster tier. The gateway serves an
+//! experiment as a one-experiment grid. `cold` sends `"fresh": true`, so
+//! every request is planned, scattered as one cell batch per trace key
+//! (each backend recomputing its cells over a warm trace cache) and
+//! merged. `warm` measures the steady state, where every request is a
+//! hit in the gateway's merged-document cache and makes no upstream
+//! call.
 //!
 //! Three grid series time one whole `POST /v1/grids` each, against a
 //! fresh fleet per sample with one simulation thread per backend:

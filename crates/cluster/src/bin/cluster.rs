@@ -2,8 +2,10 @@
 //!
 //! Fronts a fleet of `mds-serve` backends (external via `--backend`, or
 //! a locally spawned in-process fleet via `--spawn N`) behind one
-//! address with consistent-hash routing, health probing, circuit
-//! breakers, and failover. Serves until a client posts `/v1/shutdown`,
+//! address. Every experiment or grid is scattered across the fleet as
+//! cell batches, routed by trace key on a consistent-hash ring, with
+//! health probing, circuit breakers, and failover, and merged into the
+//! CLI's bytes. Serves until a client posts `/v1/shutdown`,
 //! then drains and exits 0 (backends given via `--backend` are left
 //! running; a `--spawn`ed fleet is shut down with the gateway).
 //! Linux-only: the gateway runs on an `epoll` event loop.
@@ -26,17 +28,18 @@ options:
   --jobs N             simulation threads per spawned backend (default: MDS_JOBS or all cores)
   --workers N          gateway request-executing workers (default 4)
   --queue-depth N      gateway job queue capacity before 503 shedding (default 64)
-  --replicas N         distinct backends tried per keyed request (default 2)
+  --replicas N         distinct backends tried per cell batch (default 2)
   --vnodes N           virtual nodes per backend on the hash ring (default 64)
   --retry-burst N      retry-budget burst above the 20% steady-state ratio (default 16)
-  --hedge-ms MS        hedge a second request after MS of silence (default: off)
+  --hedge-ms MS        hedge a cell batch on the next replica after MS of silence (default: off)
   --probe-ms MS        readiness-probe interval in milliseconds (default 250)
   --quiet              discard the JSON event log (default: stderr)
   -h, --help           show this help
 
 routes:
-  POST /v1/experiments   proxy with consistent-hash routing and failover
-  GET  /v1/experiments   proxy (round-robin) listing experiment ids
+  POST /v1/experiments   one experiment, served as a one-experiment grid
+  POST /v1/grids         experiments scattered as cell batches by trace key, merged in order
+  GET  /v1/experiments   listing of experiment ids (answered by the gateway)
   GET  /healthz          gateway liveness probe
   GET  /readyz           gateway readiness (503 while draining, saturated, or no backend in rotation)
   GET  /metrics          Prometheus text metrics, per-backend and per-route

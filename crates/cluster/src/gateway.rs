@@ -1,50 +1,51 @@
 //! The failover gateway: an HTTP front door over N `mds-serve` backends.
 //!
-//! The gateway is the same kind of server as a backend, with a proxy
-//! where the simulation engine would be: it runs on `mds-serve`'s shared
-//! front ([`mds_serve::front`]), which owns connections, probes,
-//! shedding, drain and accounting, and adds only its own routes. The
-//! request path:
+//! The gateway is the same kind of server as a backend, with a
+//! scatter-gather engine where the simulation engine would be: it runs
+//! on `mds-serve`'s shared front ([`mds_serve::front`]), which owns
+//! connections, probes, shedding, drain and accounting, and adds only
+//! its own routes. It has one compute path. `POST /v1/grids` and
+//! `POST /v1/experiments` (parsed by the backend's own
+//! [`ExperimentRequest::from_body`], so a `400` carries the backend's
+//! bytes, and served as a one-experiment grid) both go through it:
 //!
-//! 1. The front reads requests on its event loop and queues the ones
-//!    that forward upstream for the worker pool (full job queue → `503`
-//!    + `Retry-After`, exactly like a backend).
-//! 2. A worker routes them. Keyed requests (`POST /v1/experiments`)
-//!    hash their canonical `(experiment, scale)` cache key onto the
-//!    consistent-hash [ring](crate::ring) so each backend serves a
-//!    stable shard; unkeyed proxy routes round-robin.
-//! 3. The failover loop walks the key's replica order (then any other
+//! 1. The front reads requests on its event loop and queues the two
+//!    computing routes for the worker pool (full job queue → `503` +
+//!    `Retry-After`, exactly like a backend). `GET /v1/experiments` is
+//!    a static listing, answered on the event loop with no upstream
+//!    call.
+//! 2. A worker reads the merged-document [`ResultCache`] (the backends'
+//!    default byte budget), keyed by [`GridRequest::cache_key`] under the
+//!    effective output epoch captured at start. A cached, non-`fresh`
+//!    request is answered with no planning, no upstream call and no
+//!    merge. Access records say `cache: hit|miss`.
+//! 3. On a miss the request is scattered ([`crate::grid`]): one
+//!    `POST /v1/cells` batch per `workload@scale` trace key, each sent
+//!    to its key's owner on the consistent-hash [ring](crate::ring). The
+//!    failover loop walks the key's replica order (then any other
 //!    backend as a last resort), skipping backends that are probed
 //!    unhealthy or whose [breaker](crate::breaker) is open. Transport
 //!    failures feed the breaker and fail over; `503` from a backend
 //!    (shedding or draining) fails over without tripping the breaker —
 //!    the prober handles load-driven ejection via `/readyz`. Every
 //!    attempt after the first consumes the global retry budget
-//!    (`retries < proxied/5 + burst`), which caps retry amplification
-//!    during a full-cluster outage.
-//! 4. Optionally ([`GatewayConfig::hedge_after`]) a hedged second
-//!    request races the next replica when the first is slow; the first
-//!    non-shed answer wins. Experiment execution is deterministic and
-//!    idempotent, so hedging is always safe.
-//!
-//! Successful backend responses pass through byte-for-byte: the gateway
-//! copies status, `content-type`, and body verbatim, so gateway-served
-//! experiment documents are identical to `repro <id> --json` output.
-//!
-//! `POST /v1/grids` is the one route the gateway answers itself: it
-//! scatters the grid's cells across the fleet and merges them
-//! ([`crate::grid`]). Merged documents are cached in a [`ResultCache`]
-//! (the backends' default byte budget) keyed by
-//! [`GridRequest::cache_key`], under the effective output epoch captured
-//! at start. A repeated grid is answered from that cache with no
-//! planning, no upstream call and no merge; `fresh` skips the read and
-//! refreshes the entry. Access records say `cache: hit|miss` for grids.
+//!    (`retries < batches/5 + burst`), which caps retry amplification
+//!    during a full-cluster outage. Optionally
+//!    ([`GatewayConfig::hedge_after`]) a hedged second attempt races the
+//!    next replica when the first is slow; the first non-shed answer
+//!    wins. Cell execution is deterministic and idempotent, so hedging
+//!    is always safe.
+//! 4. The merger folds the cell outputs into the response in request
+//!    order, byte-identical to a lone backend and to `repro <id>
+//!    --json`. A batch that every candidate fails is computed on the
+//!    gateway, so a dead or shedding fleet costs latency, never the
+//!    answer. Every successful merge fills the cache.
 //!
 //! A background prober drives per-backend health from `GET /readyz`
 //! (drain-aware: backends flip not-ready the moment shutdown begins),
 //! re-probing failed backends on a capped exponential backoff with
-//! jitter. Breaker transitions, health changes, and per-request proxy
-//! outcomes all land in the structured JSON event log.
+//! jitter. Breaker transitions, health changes, and upstream errors all
+//! land in the structured JSON event log.
 
 use crate::backend::Backend;
 use crate::breaker::BreakerConfig;
@@ -57,12 +58,11 @@ use mds_harness::json::Json;
 use mds_runner::Runner;
 use mds_serve::client::{self, Connection};
 use mds_serve::front::{Front, Running, Tier};
-use mds_serve::http::{ClientResponse, Limits, Request, Response, Version};
+use mds_serve::http::{ClientResponse, Limits, Request, Response};
 use mds_serve::io::reactor::{self, Outcome};
 use mds_serve::persist;
 use mds_serve::result_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
-use mds_serve::{ExperimentRequest, LogTarget};
-use std::cell::RefCell;
+use mds_serve::{ExperimentRequest, LogTarget, Service};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -78,21 +78,21 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Backend `host:port` addresses fronted by this gateway.
     pub backends: Vec<String>,
-    /// Request-executing worker threads (upstream forwarding and grid
+    /// Request-executing worker threads (merged-cache reads and grid
     /// scatter-gather).
     pub workers: usize,
     /// Job-queue capacity; requests deferred beyond it get `503`.
     pub queue_depth: usize,
-    /// Distinct backends tried per keyed request before falling back to
-    /// the rest of the fleet (primary + failover replicas on the ring).
+    /// Distinct backends tried per cell batch before falling back to the
+    /// rest of the fleet (primary + failover replicas on the ring).
     pub replicas: usize,
     /// Virtual nodes per backend on the ring.
     pub vnodes: usize,
     /// Retry-budget burst: attempts beyond the first are allowed while
-    /// `retries < proxied_requests / 5 + retry_burst`.
+    /// `retries < dispatched_batches / 5 + retry_burst`.
     pub retry_burst: u64,
-    /// When set, launch a hedged second request to the next replica if
-    /// the first has not answered within this duration.
+    /// When set, launch a hedged second attempt at a batch on the next
+    /// replica if the first has not answered within this duration.
     pub hedge_after: Option<Duration>,
     /// Readiness-probe interval for healthy backends; failed probes back
     /// off exponentially (capped at 8× this, jittered).
@@ -101,7 +101,7 @@ pub struct GatewayConfig {
     pub probe_timeout: Duration,
     /// Upstream connect timeout.
     pub connect_timeout: Duration,
-    /// Upstream read/write timeout (cold experiments can compute for a
+    /// Upstream read/write timeout (a cold cell batch can compute for a
     /// while, so this is generous).
     pub io_timeout: Duration,
     /// Client keep-alive idle window, and the per-request body deadline.
@@ -130,7 +130,7 @@ pub struct GatewayConfig {
     /// `503` immediately.
     pub max_connections: usize,
     /// Per-backend in-flight window for grid dispatch: how many cell
-    /// batches one `POST /v1/grids` keeps outstanding against each
+    /// batches one scattered request keeps outstanding against each
     /// backend. Sized to fill a backend's worker pool without tripping
     /// its admission shedding.
     pub grid_window: usize,
@@ -174,11 +174,8 @@ struct Shared {
     backends: Vec<Arc<Backend>>,
     ring: HashRing,
     metrics: GatewayMetrics,
-    /// Round-robin cursor for unkeyed proxy routes.
-    round_robin: AtomicU64,
-    /// Denominator of the retry budget (proxied requests so far).
-    proxied: AtomicU64,
-    /// Numerator of the retry budget (budgeted retries so far).
+    /// Numerator of the retry budget (budgeted retries so far); the
+    /// denominator is `metrics.proxied_total`, one per dispatched batch.
     retries: AtomicU64,
     /// Merged grid documents by [`GridRequest::cache_key`].
     merged: ResultCache,
@@ -245,8 +242,6 @@ impl Gateway {
             backends,
             ring,
             metrics: GatewayMetrics::default(),
-            round_robin: AtomicU64::new(0),
-            proxied: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             merged: ResultCache::new(DEFAULT_BUDGET_BYTES),
             epoch,
@@ -293,7 +288,7 @@ impl Gateway {
         &self.shared.metrics
     }
 
-    /// The merged grid-document cache.
+    /// The merged-document cache (grids and experiments alike).
     pub fn grid_cache(&self) -> &ResultCache {
         &self.shared.merged
     }
@@ -357,15 +352,8 @@ impl Drop for Gateway {
     }
 }
 
-/// Per-thread keep-alive connections, one per backend index.
+/// A dispatch lane's keep-alive connections, one per backend index.
 type ConnCache = HashMap<usize, Connection>;
-
-thread_local! {
-    /// Per-thread upstream keep-alive connections, one per backend. Each
-    /// pool worker (and the reactor thread, though it never forwards)
-    /// gets its own cache, so upstream pooling stays lock-free.
-    static UPSTREAM: RefCell<ConnCache> = RefCell::new(HashMap::new());
-}
 
 impl Tier for Shared {
     const PATHS: &'static [&'static str] = &["/v1/cluster", "/v1/experiments", "/v1/grids"];
@@ -374,36 +362,28 @@ impl Tier for Shared {
         &self.front
     }
 
-    /// Forwarding blocks on upstream sockets: pool work. A grid scatter
-    /// additionally blocks on the whole fan-out.
+    /// A scatter blocks on the whole fan-out: pool work. The listing
+    /// and the status page answer inline.
     fn defers(&self, request: &Request) -> bool {
-        matches!(
-            (request.method.as_str(), request.target.as_str()),
-            ("GET" | "POST", "/v1/experiments") | ("POST", "/v1/grids")
-        )
+        request.method == "POST"
+            && matches!(request.target.as_str(), "/v1/experiments" | "/v1/grids")
     }
 
     fn route(&self, request: &Request) -> Option<Outcome> {
         self.metrics.routes.count(&request.method, &request.target);
-        let proxy = |key: Option<String>| {
-            UPSTREAM.with(|conns| forward(self, &mut conns.borrow_mut(), request, key))
-        };
-        let response = match (request.method.as_str(), request.target.as_str()) {
-            ("GET", "/v1/cluster") => Response::json(200, cluster_status(self)),
-            ("GET", "/v1/experiments") => proxy(None),
-            // Parse only to derive the routing key; an unparsable body
-            // still goes upstream (unkeyed) so the client sees the
-            // backend's own positioned 400 — the gateway is a transport,
-            // not a second validator.
-            ("POST", "/v1/experiments") => proxy(
-                ExperimentRequest::from_body(&request.body)
-                    .ok()
-                    .map(|r| r.cache_key()),
+        let outcome = match (request.method.as_str(), request.target.as_str()) {
+            ("GET", "/v1/cluster") => Outcome::new(Response::json(200, cluster_status(self))),
+            ("GET", "/v1/experiments") => {
+                Outcome::new(Response::json(200, Service::experiments_json()))
+            }
+            ("POST", "/v1/experiments") => serve_grid(
+                self,
+                ExperimentRequest::from_body(&request.body).map(ExperimentRequest::into_grid),
             ),
-            ("POST", "/v1/grids") => return Some(serve_grid(self, &request.body)),
+            ("POST", "/v1/grids") => serve_grid(self, GridRequest::from_body(&request.body)),
             _ => return None,
         };
-        Some(Outcome::new(response))
+        Some(outcome)
     }
 
     /// Nothing upstream could answer while no backend is in rotation.
@@ -438,7 +418,7 @@ fn cluster_status(shared: &Shared) -> String {
         .field("backends", Json::Array(backends))
         .field("ring_points", shared.ring.points())
         .field("replicas", shared.config.replicas)
-        .field("proxied", load(&shared.proxied))
+        .field("proxied", load(&shared.metrics.proxied_total))
         .field("retries", load(&shared.retries))
         .field("grids", load(&shared.metrics.grids_total))
         .field(
@@ -455,19 +435,12 @@ fn cluster_status(shared: &Shared) -> String {
         .to_string()
 }
 
-/// The per-key (or round-robin) order in which backends are tried:
-/// ring replicas first, then every remaining backend as a last resort,
-/// so a request only fails once the whole fleet is unreachable.
-fn candidate_order(shared: &Shared, key: Option<&str>) -> Vec<usize> {
-    let n = shared.backends.len();
-    let mut order = match key {
-        Some(key) => shared.ring.replicas(key, shared.config.replicas),
-        None => {
-            let start = (shared.round_robin.fetch_add(1, Ordering::Relaxed) as usize) % n;
-            return (0..n).map(|j| (start + j) % n).collect();
-        }
-    };
-    for idx in 0..n {
+/// The order in which backends are tried for a `workload@scale` trace
+/// key: ring replicas first, then every remaining backend as a last
+/// resort, so a batch only fails once the whole fleet is unreachable.
+fn candidate_order(shared: &Shared, key: &str) -> Vec<usize> {
+    let mut order = shared.ring.replicas(key, shared.config.replicas);
+    for idx in 0..shared.backends.len() {
         if !order.contains(&idx) {
             order.push(idx);
         }
@@ -479,7 +452,7 @@ fn candidate_order(shared: &Shared, key: Option<&str>) -> Vec<usize> {
 /// probes have everyone out (e.g. right after startup against a
 /// slow-binding fleet), the optimistic full order: try everyone rather
 /// than fail from the armchair.
-fn rotation_order(shared: &Shared, key: Option<&str>) -> Vec<usize> {
+fn rotation_order(shared: &Shared, key: &str) -> Vec<usize> {
     let order = candidate_order(shared, key);
     let now = Instant::now();
     let rotation: Vec<usize> = order
@@ -494,9 +467,11 @@ fn rotation_order(shared: &Shared, key: Option<&str>) -> Vec<usize> {
     }
 }
 
-/// Takes one unit of the global retry budget, if any remains.
+/// Takes one unit of the global retry budget, if any remains: a fifth
+/// of the batches dispatched so far, plus the burst.
 fn take_retry(shared: &Shared) -> bool {
-    let allowed = shared.proxied.load(Ordering::Relaxed) / 5 + shared.config.retry_burst;
+    let allowed =
+        shared.metrics.proxied_total.load(Ordering::Relaxed) / 5 + shared.config.retry_burst;
     let mut current = shared.retries.load(Ordering::Relaxed);
     loop {
         if current >= allowed {
@@ -529,18 +504,21 @@ fn log_transition(shared: &Shared, backend: &Backend, t: Option<crate::breaker::
     }
 }
 
-/// One upstream exchange over the worker's pooled connection (fresh
+/// The one upstream route: a cell batch.
+const CELLS: &str = "/v1/cells";
+
+/// One upstream exchange over the lane's pooled connection (fresh
 /// reconnect if the pooled one was idled out by the backend).
 fn attempt(
     shared: &Shared,
     conns: &mut ConnCache,
     idx: usize,
-    request: &Request,
+    body: &[u8],
 ) -> Result<ClientResponse, String> {
     let backend = &shared.backends[idx];
     backend.stats.attempts.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
-    let result = send_pooled(shared, conns, idx, request);
+    let result = send_pooled(shared, conns, idx, body);
     let us = started.elapsed().as_micros() as u64;
     backend.stats.latency.observe_us(us);
     shared.metrics.upstream_latency.observe_us(us);
@@ -551,107 +529,44 @@ fn send_pooled(
     shared: &Shared,
     conns: &mut ConnCache,
     idx: usize,
-    request: &Request,
+    body: &[u8],
 ) -> Result<ClientResponse, String> {
     // A reused keep-alive connection failing usually means the backend
     // idled it out between requests; fall through to a fresh connection
     // before declaring a real failure.
-    if let Some(mut conn) = conns.remove(&idx) {
-        if let Ok(response) = conn.send(&request.method, &request.target, &request.body) {
-            if !Connection::must_close(&response) {
-                conns.insert(idx, conn);
-            }
-            return Ok(response);
+    let reused = conns
+        .remove(&idx)
+        .and_then(|mut conn| Some((conn.send("POST", CELLS, body).ok()?, conn)));
+    let (response, conn) = match reused {
+        Some(exchange) => exchange,
+        None => {
+            let mut conn = Connection::connect(
+                &shared.backends[idx].addr,
+                shared.config.connect_timeout,
+                shared.config.io_timeout,
+            )
+            .map_err(|e| format!("connect: {e}"))?;
+            let response = conn.send("POST", CELLS, body).map_err(|e| e.to_string())?;
+            (response, conn)
         }
-    }
-    let mut conn = Connection::connect(
-        &shared.backends[idx].addr,
-        shared.config.connect_timeout,
-        shared.config.io_timeout,
-    )
-    .map_err(|e| format!("connect: {e}"))?;
-    match conn.send(&request.method, &request.target, &request.body) {
-        Ok(response) => {
-            if !Connection::must_close(&response) {
-                conns.insert(idx, conn);
-            }
-            Ok(response)
-        }
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// Copies a backend response through verbatim: status, body bytes, and
-/// the headers that matter to clients. This is where the byte-identity
-/// guarantee lives — the body is never re-encoded.
-fn passthrough(upstream: ClientResponse) -> Response {
-    let mut response = Response::new(upstream.status);
-    for name in ["content-type", "retry-after"] {
-        if let Some(value) = upstream.header(name) {
-            response = response.header(name, value);
-        }
-    }
-    response.body(upstream.body)
-}
-
-/// The failover proxy path shared by keyed and unkeyed routes.
-fn forward(
-    shared: &Shared,
-    conns: &mut ConnCache,
-    request: &Request,
-    key: Option<String>,
-) -> Response {
-    let started = Instant::now();
-    shared.metrics.proxied_total.fetch_add(1, Ordering::Relaxed);
-    shared.proxied.fetch_add(1, Ordering::Relaxed);
-    let rotation = rotation_order(shared, key.as_deref());
-    let answer = match (shared.config.hedge_after, key) {
-        (Some(hedge_after), Some(_)) => failover_hedged(shared, &rotation, request, hedge_after),
-        _ => failover_serial(shared, conns, &rotation, request, None),
     };
-    let response = match answer {
-        Ok(upstream) => passthrough(upstream),
-        Err(last_shed) => exhausted(shared, last_shed),
-    };
-    shared
-        .metrics
-        .proxy_latency
-        .observe_us(started.elapsed().as_micros() as u64);
-    response
-}
-
-/// All candidates exhausted: pass a backend's `503` through (so clients
-/// back off exactly as against a single overloaded server), or tell the
-/// truth about an unreachable fleet.
-fn exhausted(shared: &Shared, last_shed: Option<ClientResponse>) -> Response {
-    shared
-        .metrics
-        .unavailable_total
-        .fetch_add(1, Ordering::Relaxed);
-    match last_shed {
-        Some(upstream) => passthrough(upstream),
-        None => Response::json(503, r#"{"error":"no backend available, retry shortly"}"#)
-            .header("retry-after", "1"),
+    if !Connection::must_close(&response) {
+        conns.insert(idx, conn);
     }
+    Ok(response)
 }
 
-/// A synthesized `POST /v1/cells` upstream request for one batch body.
-fn cell_request(body: String) -> Request {
-    Request {
-        method: "POST".to_string(),
-        target: "/v1/cells".to_string(),
-        version: Version::Http11,
-        headers: Vec::new(),
-        body: body.into_bytes(),
-    }
-}
-
-/// Dispatches one grid batch along its route key's replica order, with
-/// the same breaker/retry failover as the experiment proxy path and the
-/// hedging path handling stragglers when configured. The window bounds
-/// this grid's in-flight batches per backend. `owner` is the grid's
-/// balanced assignment for this key: when it is still in rotation it is
-/// tried first, and the rest of the replica order backs it up.
+/// Dispatches one cell batch along its route key's replica order, under
+/// breaker and retry-budget failover, with the hedging path handling
+/// stragglers when configured: the gateway's one upstream path. The
+/// window bounds this grid's in-flight batches per backend. `owner` is
+/// the grid's balanced assignment for this key: when it is still in
+/// rotation it is tried first, and the rest of the replica order backs
+/// it up.
+///
+/// Each batch counts once in `proxied_total` (the retry budget's
+/// denominator) and `proxy_latency`, and once in `unavailable_total`
+/// when every candidate fails it.
 fn dispatch_batch(
     shared: &Shared,
     conns: &mut ConnCache,
@@ -659,28 +574,35 @@ fn dispatch_batch(
     windows: &grid::Windows,
     owner: Option<usize>,
 ) -> Result<ClientResponse, Option<ClientResponse>> {
-    shared
-        .metrics
-        .grid_cells_total
+    let started = Instant::now();
+    let m = &shared.metrics;
+    m.proxied_total.fetch_add(1, Ordering::Relaxed);
+    m.grid_cells_total
         .fetch_add(batch.cells.len() as u64, Ordering::Relaxed);
-    let request = cell_request(batch.body.clone());
-    let mut rotation = rotation_order(shared, Some(&batch.route_key));
+    let body = batch.body.as_bytes();
+    let mut rotation = rotation_order(shared, &batch.route_key);
     if let Some(owner) = owner {
         if let Some(pos) = rotation.iter().position(|&idx| idx == owner) {
             rotation.remove(pos);
             rotation.insert(0, owner);
         }
     }
-    match shared.config.hedge_after {
+    let result = match shared.config.hedge_after {
         Some(hedge_after) => {
             // The hedged path spawns its own attempt threads; hold the
             // primary's window slot for the duration so a grid's hedged
             // batches still respect the per-backend bound.
             let _slot = windows.acquire(rotation[0]);
-            failover_hedged(shared, &rotation, &request, hedge_after)
+            failover_hedged(shared, &rotation, body, hedge_after)
         }
-        None => failover_serial(shared, conns, &rotation, &request, Some(windows)),
+        None => failover_serial(shared, conns, &rotation, body, windows),
+    };
+    if result.is_err() {
+        m.unavailable_total.fetch_add(1, Ordering::Relaxed);
     }
+    m.proxy_latency
+        .observe_us(started.elapsed().as_micros() as u64);
+    result
 }
 
 /// The grid's balanced key→backend assignment: the batches' route keys
@@ -691,37 +613,30 @@ fn grid_owners(shared: &Shared, plan: &grid::GridPlan) -> HashMap<String, usize>
     let candidates: Vec<(String, Vec<usize>)> = plan
         .batches
         .iter()
-        .map(|b| {
-            (
-                b.route_key.clone(),
-                rotation_order(shared, Some(&b.route_key)),
-            )
-        })
+        .map(|b| (b.route_key.clone(), rotation_order(shared, &b.route_key)))
         .collect();
     grid::balanced_assignments(&candidates, shared.backends.len())
 }
 
-/// `POST /v1/grids`: a merged-document cache in front of scatter-gather
-/// grid execution.
+/// `POST /v1/grids` and `POST /v1/experiments` (a one-experiment
+/// grid): a merged-document cache in front of scatter-gather execution.
 ///
-/// A grid whose [`GridRequest::cache_key`] is cached, and that is not
-/// `fresh`, is answered from the cache: no planning, no upstream call, no
-/// merge. Anything else scatters. Every successful merge fills the
-/// cache (so a `fresh` grid refreshes its entry); a `400` or a failed
-/// merge is never cached.
-fn serve_grid(shared: &Shared, body: &[u8]) -> Outcome {
-    let bad = |message: String| {
-        Outcome::new(Response::json(
-            400,
-            Json::object().field("error", message).to_string(),
-        ))
-    };
-    let Ok(text) = std::str::from_utf8(body) else {
-        return bad("body is not UTF-8".to_string());
-    };
-    let grid_request = match GridRequest::from_body(text) {
+/// `request` is the parsed body, or the parser's message, which becomes
+/// a `400` with the same bytes a backend sends. A request whose
+/// [`GridRequest::cache_key`] is cached, and that is not `fresh`, is
+/// answered from the cache: no planning, no upstream call, no merge.
+/// Anything else scatters. Every successful merge fills the cache (so a
+/// `fresh` request refreshes its entry); a `400` or a failed merge is
+/// never cached.
+fn serve_grid(shared: &Shared, request: Result<GridRequest, String>) -> Outcome {
+    let grid_request = match request {
         Ok(request) => request,
-        Err(message) => return bad(message),
+        Err(message) => {
+            return Outcome::new(Response::json(
+                400,
+                Json::object().field("error", message).to_string(),
+            ))
+        }
     };
     let m = &shared.metrics;
     m.grids_total.fetch_add(1, Ordering::Relaxed);
@@ -835,17 +750,16 @@ fn scatter_gather(shared: &Shared, grid_request: &GridRequest) -> Result<String,
     doc
 }
 
-/// The serial failover loop shared by the experiment proxy path and
-/// grid-cell dispatch: walk the candidates under breaker and
+/// The serial failover loop: walk the candidates under breaker and
 /// retry-budget control and return the first non-shed upstream answer,
 /// or `Err(last shed response)` once every candidate is exhausted.
-/// `windows` (grid dispatch) bounds per-backend in-flight attempts.
+/// `windows` bounds per-backend in-flight attempts.
 fn failover_serial(
     shared: &Shared,
     conns: &mut ConnCache,
     candidates: &[usize],
-    request: &Request,
-    windows: Option<&grid::Windows>,
+    body: &[u8],
+    windows: &grid::Windows,
 ) -> Result<ClientResponse, Option<ClientResponse>> {
     let mut attempts_made = 0u32;
     let mut last_shed: Option<ClientResponse> = None;
@@ -867,8 +781,8 @@ fn failover_serial(
                 .fetch_add(1, Ordering::Relaxed);
         }
         attempts_made += 1;
-        let _slot = windows.map(|w| w.acquire(idx));
-        match attempt(shared, conns, idx, request) {
+        let _slot = windows.acquire(idx);
+        match attempt(shared, conns, idx, body) {
             Ok(upstream) if upstream.status == 503 => {
                 // Shedding or draining: not a transport failure (the
                 // prober ejects overloaded backends via /readyz), but
@@ -898,8 +812,8 @@ fn failover_serial(
     Err(last_shed)
 }
 
-/// The hedged failover loop, for keyed proxy requests and grid batches
-/// when hedging is configured: attempts run in spawned threads over
+/// The hedged failover loop, for cell batches when hedging is
+/// configured: attempts run in spawned threads over
 /// fresh connections, all reporting into one channel; a timeout launches
 /// the next candidate (a hedge), a failure launches it immediately (a
 /// failover), and the first non-shed response wins. Returns the winning
@@ -907,61 +821,48 @@ fn failover_serial(
 fn failover_hedged(
     shared: &Shared,
     candidates: &[usize],
-    request: &Request,
+    body: &[u8],
     hedge_after: Duration,
 ) -> Result<ClientResponse, Option<ClientResponse>> {
     let (tx, rx) = mpsc::channel::<(usize, Result<ClientResponse, String>)>();
     let deadline = Instant::now() + shared.config.io_timeout;
-    let mut next = 0usize;
-    let mut in_flight = 0u32;
-    let mut spawned = 0u32;
-    let mut first_spawned = usize::MAX;
     let mut last_shed: Option<ClientResponse> = None;
+    // The candidate cursor, attempts in flight, and the first backend
+    // launched (a later winner is a hedge win).
+    let (mut next, mut in_flight, mut first) = (0usize, 0u32, None::<usize>);
 
     // Launches the next breaker-approved candidate, if the budget allows.
-    let launch = |next: &mut usize,
-                  in_flight: &mut u32,
-                  spawned: &mut u32,
-                  first_spawned: &mut usize,
-                  is_hedge: bool|
-     -> bool {
-        while *next < candidates.len() {
-            let idx = candidates[*next];
-            *next += 1;
+    let mut launch = |in_flight: &mut u32, is_hedge: bool| -> bool {
+        while let Some(&idx) = candidates.get(next) {
+            next += 1;
             let backend = Arc::clone(&shared.backends[idx]);
             let (allowed, transition) = backend.with_breaker(|b| b.try_acquire(Instant::now()));
             log_transition(shared, &backend, transition);
             if !allowed {
                 continue;
             }
-            if *spawned >= 1 && !take_retry(shared) {
-                backend.with_breaker(|b| b.cancel_acquire());
-                return false;
-            }
-            if *spawned >= 1 {
-                if is_hedge {
-                    shared.metrics.hedges_total.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shared
-                        .metrics
-                        .failovers_total
-                        .fetch_add(1, Ordering::Relaxed);
+            if first.is_some() {
+                if !take_retry(shared) {
+                    backend.with_breaker(|b| b.cancel_acquire());
+                    return false;
                 }
+                let m = &shared.metrics;
+                let counter = if is_hedge {
+                    &m.hedges_total
+                } else {
+                    &m.failovers_total
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
-            if *spawned == 0 {
-                *first_spawned = idx;
-            }
-            *spawned += 1;
+            first.get_or_insert(idx);
             *in_flight += 1;
             let tx = tx.clone();
-            let method = request.method.clone();
-            let target = request.target.clone();
-            let body = request.body.clone();
+            let body = body.to_vec();
             let timeout = shared.config.io_timeout;
             let metrics_latency = Instant::now();
             std::thread::spawn(move || {
                 backend.stats.attempts.fetch_add(1, Ordering::Relaxed);
-                let result = client::request_once(&backend.addr, &method, &target, &body, timeout)
+                let result = client::request_once(&backend.addr, "POST", CELLS, &body, timeout)
                     .map_err(|e| e.to_string());
                 backend
                     .stats
@@ -974,23 +875,9 @@ fn failover_hedged(
         false
     };
 
-    launch(
-        &mut next,
-        &mut in_flight,
-        &mut spawned,
-        &mut first_spawned,
-        false,
-    );
+    launch(&mut in_flight, false);
     loop {
-        if in_flight == 0
-            && !launch(
-                &mut next,
-                &mut in_flight,
-                &mut spawned,
-                &mut first_spawned,
-                false,
-            )
-        {
+        if in_flight == 0 && !launch(&mut in_flight, false) {
             return Err(last_shed);
         }
         match rx.recv_timeout(hedge_after) {
@@ -1005,7 +892,7 @@ fn failover_hedged(
                 let backend = &shared.backends[idx];
                 let t = backend.with_breaker(|b| b.record_success(Instant::now()));
                 log_transition(shared, backend, t);
-                if idx != first_spawned {
+                if Some(idx) != first {
                     shared
                         .metrics
                         .hedge_wins_total
@@ -1029,13 +916,7 @@ fn failover_hedged(
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // The in-flight attempt is slow: hedge onto the next
                 // candidate, or give up past the overall deadline.
-                let launched = launch(
-                    &mut next,
-                    &mut in_flight,
-                    &mut spawned,
-                    &mut first_spawned,
-                    true,
-                );
+                let launched = launch(&mut in_flight, true);
                 if !launched && Instant::now() >= deadline {
                     return Err(last_shed);
                 }
@@ -1124,10 +1005,11 @@ fn probe_loop(shared: &Arc<Shared>) {
 const HANDOFF_CHUNK_BYTES: usize = 48 * 1024;
 
 /// The ring key a cached entry is placed by. A `cell:` entry goes where
-/// its grid batch is routed — its job's `workload@scale` trace key — so
-/// a backend receives the cells it will be asked for; an `(experiment,
-/// scale)` entry, or a cell whose job this process cannot decode, is
-/// placed by its own key.
+/// its batch is routed — its job's `workload@scale` trace key — so a
+/// backend receives the cells it will be asked for. Any other entry (an
+/// `(experiment, scale)` document a client asked a backend for
+/// directly), or a cell whose job this process cannot decode, is placed
+/// by its own key.
 fn placement_key(key: &str) -> std::borrow::Cow<'_, str> {
     key.strip_prefix("cell:")
         .and_then(|wire| Json::parse(wire).ok())
@@ -1237,4 +1119,57 @@ fn handoff(shared: &Arc<Shared>, target_idx: usize) {
             .field("candidates", owned.len())
             .field("errors", errors),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mds_workloads::Scale;
+
+    #[test]
+    fn dispatched_batches_grow_the_retry_budget() {
+        // A closed port fails every batch fast; the budget counts a
+        // batch whatever its outcome.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap()
+            .to_string();
+        let burst = 2;
+        let gateway = Gateway::start(GatewayConfig {
+            addr: "127.0.0.1:0".to_string(),
+            backends: vec![dead],
+            retry_burst: burst,
+            log: LogTarget::Discard,
+            ..GatewayConfig::default()
+        })
+        .unwrap();
+        let shared = &gateway.shared;
+        let plan = grid::plan(&GridRequest {
+            experiments: vec!["fig5".to_string()],
+            scale: Scale::Tiny,
+            fresh: false,
+        });
+        let windows = grid::Windows::new(1, 1);
+        let mut conns = ConnCache::new();
+        let rounds = 4;
+        for _ in 0..rounds {
+            for batch in &plan.batches {
+                assert!(dispatch_batch(shared, &mut conns, batch, &windows, None).is_err());
+            }
+        }
+        let batches = (rounds * plan.batches.len()) as u64;
+        let m = &shared.metrics;
+        assert_eq!(m.proxied_total.load(Ordering::Relaxed), batches);
+        assert_eq!(m.unavailable_total.load(Ordering::Relaxed), batches);
+        assert_eq!(m.proxy_latency.count(), batches);
+
+        // One lone backend leaves nothing to fail over to, so the budget
+        // is untouched: a fifth of the batches plus the burst.
+        let mut granted = 0;
+        while take_retry(shared) {
+            granted += 1;
+        }
+        assert_eq!(granted, batches / 5 + burst);
+        assert!(granted > burst, "grid traffic must grow the budget");
+    }
 }

@@ -1,7 +1,8 @@
 //! Scatter-gather grid execution: fan a grid of experiments out across
 //! the fleet and merge the partial results deterministically.
 //!
-//! A `POST /v1/grids` request names a set of experiments at one scale.
+//! A `POST /v1/grids` request names a set of experiments at one scale
+//! (a `POST /v1/experiments` request is the one-experiment grid).
 //! The gateway decomposes it with [`plan`] into per-cell jobs (one per
 //! distinct simulation demand, via `mds_bench::grid`) and groups them by
 //! their `workload@scale` trace key into one batch per key. Each batch
@@ -10,7 +11,7 @@
 //! hot, and it runs the key's cells as one grid — after
 //! [`balanced_assignments`] caps each backend at its fair share of the
 //! grid's keys. Batches travel as `POST /v1/cells` requests through the
-//! same breaker/retry/hedging machinery the experiment proxy path uses.
+//! gateway's breaker/retry/hedging machinery, its only upstream path.
 //! Outputs stream back in completion order and a [`Merger`] folds them
 //! into a harness; the final response is rendered in request order, so
 //! the bytes are independent of placement, concurrency, and arrival

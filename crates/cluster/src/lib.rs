@@ -6,25 +6,26 @@
 //! and gives clients a single address with three properties a lone
 //! backend cannot offer:
 //!
-//! - **Cache affinity** ([`ring`]) — keyed experiment requests are
-//!   routed by consistent hashing on the canonical `(experiment, scale)`
-//!   cache key, so each backend serves a stable shard and its result and
-//!   trace caches stay hot as the fleet grows.
+//! - **Cache affinity** ([`ring`], [`grid`]) — every request, an
+//!   experiment being a one-experiment grid, is split into cells, and
+//!   each cell batch is routed by consistent hashing on its
+//!   `workload@scale` trace key, so each backend emulates only its own
+//!   shard of the workload set and its trace and cell caches stay hot
+//!   as the fleet grows. Merged documents are cached at the gateway.
 //! - **Failure hiding** ([`breaker`], [`gateway`]) — per-backend health
 //!   probing against the drain-aware `/readyz`, three-state circuit
 //!   breakers on the data path, bounded-budget failover to the next
-//!   replica, and optional hedged second requests for cold stragglers.
-//!   Killing one of two backends mid-load produces zero client-visible
-//!   failures.
+//!   replica, and optional hedged second attempts for cold stragglers.
+//!   A batch no backend answers is computed on the gateway, so killing
+//!   backends mid-load produces zero client-visible failures.
 //! - **Cluster observability** ([`metrics`]) — per-backend and per-route
 //!   counters plus latency histograms in the same Prometheus exposition
 //!   the backends use, and a structured JSON event log for breaker
 //!   transitions, health changes, and upstream errors.
 //!
-//! Served experiment bytes pass through the gateway verbatim, so a
-//! response fetched through the cluster tier is byte-identical to
-//! `repro <id> --json` — the tier is a transport, never a second
-//! computation.
+//! Merged responses are rendered in request order from the cells'
+//! outputs, so a response fetched through the cluster tier is
+//! byte-identical to a lone backend's and to `repro <id> --json`.
 //!
 //! [`fleet`] supervises a local in-process fleet for `--spawn N`, tests,
 //! and the benchmark.

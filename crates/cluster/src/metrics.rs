@@ -15,7 +15,8 @@ use std::sync::Arc;
 /// [`Backend`]).
 #[derive(Debug, Default)]
 pub struct GatewayMetrics {
-    /// Proxied requests entering the failover path.
+    /// Cell batches dispatched upstream, each entering the failover path
+    /// once. The retry budget allows a fifth of this, plus the burst.
     pub proxied_total: AtomicU64,
     /// Retry-budget units consumed (failovers + hedges).
     pub retries_total: AtomicU64,
@@ -25,12 +26,15 @@ pub struct GatewayMetrics {
     pub hedges_total: AtomicU64,
     /// Hedges that answered before the original attempt.
     pub hedge_wins_total: AtomicU64,
-    /// Proxied requests that exhausted every candidate backend.
+    /// Cell batches that exhausted every candidate backend (their cells
+    /// were computed on the gateway instead).
     pub unavailable_total: AtomicU64,
-    /// Valid `POST /v1/grids` requests: merged-cache hits plus
+    /// Valid `POST /v1/grids` and `POST /v1/experiments` requests (the
+    /// latter are one-experiment grids): merged-cache hits plus
     /// scatter-gathers.
     pub grids_total: AtomicU64,
-    /// Grids answered from the merged-document cache.
+    /// Grids (experiments included) answered from the merged-document
+    /// cache.
     pub grid_cache_hits_total: AtomicU64,
     /// Grids that scattered instead: not cached yet, evicted, or `fresh`.
     pub grid_cache_misses_total: AtomicU64,
@@ -46,7 +50,8 @@ pub struct GatewayMetrics {
     pub handoff_keys_total: AtomicU64,
     /// Handoff transfer errors (failed dump, refused fill, epoch skew).
     pub handoff_errors_total: AtomicU64,
-    /// Gateway-side end-to-end latency of proxied requests.
+    /// Gateway-side latency of each dispatched cell batch, failover and
+    /// hedging included.
     pub proxy_latency: Histogram,
     /// Per-attempt upstream exchange latency (all backends pooled; the
     /// per-backend split lives in each backend's stats).
@@ -55,59 +60,45 @@ pub struct GatewayMetrics {
     pub routes: RouteCounters,
 }
 
+/// The routes [`RouteCounters`] counts, in exposition order. Anything
+/// else (404s, wrong methods) counts as `other`. `POST /v1/experiments`
+/// is a one-experiment grid; `GET /v1/experiments`, the listing, is
+/// answered at the gateway.
+const ROUTES: [(&str, &str); 8] = [
+    ("POST", "/v1/experiments"),
+    ("POST", "/v1/grids"),
+    ("GET", "/v1/experiments"),
+    ("GET", "/healthz"),
+    ("GET", "/readyz"),
+    ("GET", "/metrics"),
+    ("GET", "/v1/cluster"),
+    ("POST", "/v1/shutdown"),
+];
+
 /// Requests per route, labeled `route="METHOD /path"` in the exposition.
 #[derive(Debug, Default)]
 pub struct RouteCounters {
-    /// `POST /v1/experiments` (keyed proxy path).
-    pub experiments_post: AtomicU64,
-    /// `POST /v1/grids` (scatter-gather path).
-    pub grids_post: AtomicU64,
-    /// `GET /v1/experiments` (unkeyed proxy path).
-    pub experiments_get: AtomicU64,
-    /// `GET /healthz`.
-    pub healthz: AtomicU64,
-    /// `GET /readyz`.
-    pub readyz: AtomicU64,
-    /// `GET /metrics`.
-    pub metrics: AtomicU64,
-    /// `GET /v1/cluster`.
-    pub cluster: AtomicU64,
-    /// `POST /v1/shutdown`.
-    pub shutdown: AtomicU64,
-    /// Anything else (404s, wrong methods).
-    pub other: AtomicU64,
+    /// One counter per [`ROUTES`] entry, then `other`.
+    counts: [AtomicU64; ROUTES.len() + 1],
 }
 
 impl RouteCounters {
     /// Counts one request against its route bucket.
     pub fn count(&self, method: &str, target: &str) {
-        let slot = match (method, target) {
-            ("POST", "/v1/experiments") => &self.experiments_post,
-            ("POST", "/v1/grids") => &self.grids_post,
-            ("GET", "/v1/experiments") => &self.experiments_get,
-            ("GET", "/healthz") => &self.healthz,
-            ("GET", "/readyz") => &self.readyz,
-            ("GET", "/metrics") => &self.metrics,
-            ("GET", "/v1/cluster") => &self.cluster,
-            ("POST", "/v1/shutdown") => &self.shutdown,
-            _ => &self.other,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
+        let slot = ROUTES
+            .iter()
+            .position(|&route| route == (method, target))
+            .unwrap_or(ROUTES.len());
+        self.counts[slot].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn samples(&self) -> [(&'static str, u64); 9] {
-        let c = |v: &AtomicU64| v.load(Ordering::Relaxed);
-        [
-            ("POST /v1/experiments", c(&self.experiments_post)),
-            ("POST /v1/grids", c(&self.grids_post)),
-            ("GET /v1/experiments", c(&self.experiments_get)),
-            ("GET /healthz", c(&self.healthz)),
-            ("GET /readyz", c(&self.readyz)),
-            ("GET /metrics", c(&self.metrics)),
-            ("GET /v1/cluster", c(&self.cluster)),
-            ("POST /v1/shutdown", c(&self.shutdown)),
-            ("other", c(&self.other)),
-        ]
+    fn samples(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        let labels = ROUTES
+            .iter()
+            .map(|(method, path)| format!("{method} {path}"));
+        labels
+            .chain(["other".to_string()])
+            .zip(self.counts.iter().map(|n| n.load(Ordering::Relaxed)))
     }
 }
 
@@ -133,7 +124,7 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     counter(
         out,
         "mds_gateway_proxied_total",
-        "Requests that entered the proxy failover path.",
+        "Cell batches dispatched upstream through the failover path.",
         c(&m.proxied_total),
     );
     counter(
@@ -163,13 +154,13 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     counter(
         out,
         "mds_gateway_unavailable_total",
-        "Proxied requests that exhausted every candidate backend.",
+        "Cell batches that exhausted every candidate backend.",
         c(&m.unavailable_total),
     );
     counter(
         out,
         "mds_gateway_grids_total",
-        "Valid grid requests: merged-cache hits plus scatter-gathers.",
+        "Valid grid and experiment requests: merged-cache hits plus scatter-gathers.",
         c(&m.grids_total),
     );
     counter(
@@ -226,7 +217,7 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
         "Requests per route.",
         "counter",
         "route",
-        m.routes.samples().iter().map(|(r, n)| (r.to_string(), *n)),
+        m.routes.samples(),
     );
     let per_backend = |field: fn(&BackendStatsView) -> u64| {
         backends
@@ -249,7 +240,7 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     labeled(
         out,
         "mds_gateway_backend_attempts_total",
-        "Proxy attempts per backend.",
+        "Upstream batch attempts per backend.",
         "counter",
         "backend",
         per_backend(|v| v.attempts).into_iter(),
@@ -296,7 +287,7 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     );
     m.proxy_latency.render_prometheus(
         "mds_gateway_proxy_microseconds",
-        "Gateway end-to-end latency of proxied requests.",
+        "Gateway-side latency of each dispatched cell batch.",
         out,
     );
     m.upstream_latency.render_prometheus(

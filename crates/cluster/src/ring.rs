@@ -1,11 +1,10 @@
 //! Consistent-hash ring with virtual nodes for trace-cache affinity.
 //!
-//! Routing keyed requests by their canonical `(experiment, scale)` cache
-//! key (the exact string [`mds_serve::ExperimentRequest::cache_key`]
-//! produces) means every backend only ever emulates the workloads for
-//! *its* shard of the key space: result- and trace-cache hit rates stay
-//! high as the fleet grows instead of every backend re-deriving every
-//! trace.
+//! The gateway routes every cell batch by its `workload@scale` trace key
+//! ([`mds_bench::grid::route_key`]), so every backend only ever emulates
+//! the workloads for *its* shard of the key space: trace- and cell-cache
+//! hit rates stay high as the fleet grows instead of every backend
+//! re-deriving every trace.
 //!
 //! Each backend contributes `vnodes` points to the ring, hashed from its
 //! name with SipHash (the `std` [`DefaultHasher`]); a key routes to the

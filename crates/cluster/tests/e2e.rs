@@ -2,23 +2,27 @@
 //!
 //! The load-bearing guarantees proved here:
 //!
-//! - Experiment documents fetched **through the gateway** are
-//!   byte-identical to the canonical `repro <id> --json` output, cold
-//!   and warm, sharded and hedged — the cluster tier is a transport.
+//! - Experiment documents fetched **through the gateway** — one-experiment
+//!   grids, scattered as cell batches by trace key — are byte-identical
+//!   to the canonical `repro <id> --json` output for every experiment,
+//!   cold and warm, sharded and hedged.
 //! - Gracefully stopping one of two backends in the middle of
 //!   closed-loop load produces **zero client-visible failures**: the
 //!   drain-aware readiness probe ejects the backend and the failover
 //!   path absorbs the stragglers.
 //! - A dead backend in the fleet never surfaces to clients; the
 //!   gateway's `/v1/cluster` and `/metrics` expose its state instead.
-//! - When *no* backend is available the gateway says so with `503` +
-//!   `Retry-After` (backpressure, not an error), and its own readiness
-//!   flips accordingly.
+//! - When *no* backend is available the gateway still answers with the
+//!   CLI's bytes (its merger computes the cells), and its readiness
+//!   flips to `503` + `Retry-After`: backpressure, not an error.
 
 use mds_cluster::fleet::{Fleet, FleetConfig};
+mod common;
+
+use common::{cli_doc, request};
 use mds_cluster::gateway::{Gateway, GatewayConfig};
+use mds_cluster::{grid, HashRing};
 use mds_serve::client::request_once;
-use mds_serve::http::ClientResponse;
 use mds_serve::{run_load, LoadConfig, LogTarget};
 use mds_workloads::Scale;
 use std::sync::atomic::Ordering;
@@ -46,35 +50,6 @@ fn gateway_over(backends: Vec<String>) -> Gateway {
     .expect("start gateway")
 }
 
-fn request(gateway: &Gateway, method: &str, target: &str, body: &[u8]) -> ClientResponse {
-    request_once(
-        &gateway.local_addr().to_string(),
-        method,
-        target,
-        body,
-        Duration::from_secs(60),
-    )
-    .expect("gateway round trip")
-}
-
-/// The exact bytes `repro <id> --json` produces for the tiny scale.
-fn cli_doc(id: &str) -> String {
-    let mut h = mds_bench::Harness::with_runner(Scale::Tiny, mds_runner::Runner::new(1));
-    let table = mds_bench::experiment(&mut h, id).unwrap();
-    mds_bench::results_doc(
-        id,
-        mds_bench::experiment_title(id).unwrap(),
-        Scale::Tiny,
-        &table,
-    )
-    .pretty()
-}
-
-/// The exact bytes `repro fig5 --json` produces for the tiny scale.
-fn cli_fig5_tiny() -> String {
-    cli_doc("fig5")
-}
-
 #[test]
 fn gateway_serves_cli_identical_bytes_and_shards_the_key() {
     let fleet = fleet(2);
@@ -89,52 +64,100 @@ fn gateway_serves_cli_identical_bytes_and_shards_the_key() {
         String::from_utf8_lossy(&cold.body)
     );
     assert_eq!(cold.header("content-type"), Some("application/json"));
-    let expected = cli_fig5_tiny();
+    let expected = cli_doc("fig5");
     assert_eq!(
         cold.body,
         expected.as_bytes(),
         "gateway-served bytes must equal repro --json output"
     );
 
-    // Warm repeat: identical bytes again, from the backend's cache.
+    // Sharding: the experiment went out as one batch per trace key, each
+    // to the owner the ring's replica orders give that key.
+    let fig5 = mds_serve::ExperimentRequest::from_body(body)
+        .unwrap()
+        .into_grid();
+    let ring = HashRing::new(&fleet.addrs(), GatewayConfig::default().vnodes);
+    let candidates: Vec<(String, Vec<usize>)> = grid::plan(&fig5)
+        .batches
+        .into_iter()
+        .map(|b| (b.route_key.clone(), ring.replicas(&b.route_key, 2)))
+        .collect();
+    let owners = grid::balanced_assignments(&candidates, 2);
+    let cells = mds_bench::grid::cells(&fig5.experiments, fig5.scale);
+    for i in 0..2 {
+        let server = fleet.server(i).expect("running backend");
+        let mut held: Vec<String> = server
+            .result_cache()
+            .entries()
+            .into_iter()
+            .map(|e| e.0)
+            .collect();
+        held.sort();
+        let mut owned: Vec<String> = cells
+            .iter()
+            .filter(|c| owners[&c.route_key()] == i)
+            .map(|c| mds_serve::cell_key(&c.job))
+            .collect();
+        owned.sort();
+        assert_eq!(held, owned, "backend {i} holds exactly its keys' cells");
+        let traces = owners.values().filter(|&&owner| owner == i).count();
+        assert_eq!(server.trace_cache().misses(), traces as u64);
+    }
+    let batches = candidates.len() as u64;
+    assert_eq!(upstream_calls(&gateway), batches);
+
+    // Warm repeat: identical bytes from the merged cache, no upstream call.
     let warm = request(&gateway, "POST", "/v1/experiments", body);
     assert_eq!(warm.status, 200);
     assert_eq!(warm.body, expected.as_bytes());
-
-    // Consistent hashing: both keyed requests landed on one backend.
-    let attempts: Vec<u64> = gateway
-        .backends()
-        .iter()
-        .map(|b| b.stats.attempts.load(Ordering::Relaxed))
-        .collect();
-    assert_eq!(attempts.iter().sum::<u64>(), 2, "{attempts:?}");
-    assert!(
-        attempts.contains(&2),
-        "one backend must own the key's shard: {attempts:?}"
-    );
+    assert_eq!(upstream_calls(&gateway), batches);
+    assert_eq!(grid_cache_counts(&gateway), (1, 1));
 
     gateway.shutdown();
     fleet.shutdown();
 }
 
 #[test]
-fn unkeyed_listing_proxies_round_robin() {
+fn every_experiment_through_the_gateway_is_the_cli_document() {
     let fleet = fleet(2);
     let gateway = gateway_over(fleet.addrs());
+    for id in mds_bench::EXPERIMENT_IDS {
+        let body = format!(r#"{{"experiment":"{id}","scale":"tiny"}}"#);
+        let response = request(&gateway, "POST", "/v1/experiments", body.as_bytes());
+        assert_eq!(response.status, 200, "{id}");
+        assert_eq!(
+            String::from_utf8(response.body).unwrap(),
+            cli_doc(id),
+            "{id}: gateway bytes must equal repro {id} --json"
+        );
+    }
+    gateway.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
+fn listing_is_answered_by_the_gateway_itself() {
+    let fleet = fleet(2);
+    let gateway = gateway_over(fleet.addrs());
+    let lone = request_once(
+        &fleet.addrs()[0],
+        "GET",
+        "/v1/experiments",
+        b"",
+        Duration::from_secs(60),
+    )
+    .expect("lone backend listing");
+    assert_eq!(lone.status, 200);
     for _ in 0..4 {
         let response = request(&gateway, "GET", "/v1/experiments", b"");
         assert_eq!(response.status, 200);
-        assert!(String::from_utf8_lossy(&response.body).contains("fig5"));
+        assert_eq!(response.header("content-type"), lone.header("content-type"));
+        assert_eq!(
+            response.body, lone.body,
+            "the listing must equal a lone backend's"
+        );
     }
-    let attempts: Vec<u64> = gateway
-        .backends()
-        .iter()
-        .map(|b| b.stats.attempts.load(Ordering::Relaxed))
-        .collect();
-    assert!(
-        attempts.iter().all(|&a| a >= 2),
-        "round robin must spread unkeyed requests: {attempts:?}"
-    );
+    assert_eq!(upstream_calls(&gateway), 0, "the listing calls no backend");
     gateway.shutdown();
     fleet.shutdown();
 }
@@ -145,7 +168,9 @@ fn stopping_one_of_two_backends_mid_load_is_invisible_to_clients() {
     let gateway = gateway_over(fleet.addrs());
     let addr = gateway.local_addr().to_string();
 
-    // Prime both shards so the load phase measures serving, not compute.
+    // Prime the trace caches. The load sends `fresh`, so every request
+    // scatters cell batches (a plain repeat would be a merged-cache hit
+    // and never reach the backend being stopped).
     let prime = request(
         &gateway,
         "POST",
@@ -165,6 +190,7 @@ fn stopping_one_of_two_backends_mid_load_is_invisible_to_clients() {
         duration: Duration::from_millis(1200),
         experiment: "fig5".to_string(),
         scale: "tiny".to_string(),
+        fresh: true,
         ..LoadConfig::default()
     });
     let fleet = stopper.join().expect("stopper thread");
@@ -190,13 +216,8 @@ fn a_dead_backend_never_surfaces_to_clients() {
     backends.extend(fleet.addrs());
     let gateway = gateway_over(backends);
 
-    // Unkeyed requests round-robin across both slots; every one must
-    // still succeed (failover or rotation ejection hides the corpse).
-    for _ in 0..6 {
-        let response = request(&gateway, "GET", "/v1/experiments", b"");
-        assert_eq!(response.status, 200);
-    }
-    // The keyed path too, whichever shard the key lands on.
+    // An experiment's cells land on both slots; the dead one's batches
+    // fail over (or the prober has ejected it first).
     let keyed = request(
         &gateway,
         "POST",
@@ -204,7 +225,7 @@ fn a_dead_backend_never_surfaces_to_clients() {
         br#"{"experiment":"fig5","scale":"tiny"}"#,
     );
     assert_eq!(keyed.status, 200);
-    assert_eq!(keyed.body, cli_fig5_tiny().as_bytes());
+    assert_eq!(keyed.body, cli_doc("fig5").as_bytes());
 
     // The gateway knows: the dead backend is out of rotation (probed
     // unhealthy, breaker open, or failures recorded).
@@ -229,7 +250,7 @@ fn a_dead_backend_never_surfaces_to_clients() {
     let text = String::from_utf8_lossy(&metrics.body).to_string();
     for needle in [
         format!("mds_gateway_backend_healthy{{backend=\"{dead_addr}\"}} 0"),
-        "mds_gateway_route_requests_total{route=\"GET /v1/experiments\"}".to_string(),
+        "mds_gateway_route_requests_total{route=\"POST /v1/experiments\"} 1".to_string(),
         "mds_gateway_proxy_microseconds_count".to_string(),
     ] {
         assert!(text.contains(&needle), "missing {needle} in:\n{text}");
@@ -247,7 +268,9 @@ fn no_backend_available_is_backpressure_not_an_error() {
     };
     let gateway = gateway_over(vec![dead_addr]);
 
-    // Keyed request against an unreachable fleet: 503 + Retry-After.
+    // An experiment against an unreachable fleet: every batch exhausts
+    // its candidates, and the gateway computes the cells itself. Slower,
+    // never wrong.
     let response = request(
         &gateway,
         "POST",
@@ -256,11 +279,19 @@ fn no_backend_available_is_backpressure_not_an_error() {
     );
     assert_eq!(
         response.status,
-        503,
+        200,
         "{:?}",
         String::from_utf8_lossy(&response.body)
     );
-    assert_eq!(response.header("retry-after"), Some("1"));
+    assert_eq!(response.body, cli_doc("fig5").as_bytes());
+    let m = gateway.metrics();
+    let cells = mds_bench::grid::cells(&["fig5".to_string()], Scale::Tiny).len() as u64;
+    assert_eq!(m.grid_cell_failures_total.load(Ordering::Relaxed), cells);
+    assert_eq!(
+        m.unavailable_total.load(Ordering::Relaxed),
+        m.proxied_total.load(Ordering::Relaxed),
+        "every dispatched batch exhausted the fleet"
+    );
 
     // Gateway readiness flips once the prober agrees nothing is up.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -282,23 +313,58 @@ fn no_backend_available_is_backpressure_not_an_error() {
 fn bad_requests_pass_through_the_backend_verbatim() {
     let fleet = fleet(1);
     let gateway = gateway_over(fleet.addrs());
+    let lone = |target: &str, body: &[u8]| {
+        request_once(
+            &fleet.addrs()[0],
+            "POST",
+            target,
+            body,
+            Duration::from_secs(60),
+        )
+        .expect("lone backend round trip")
+    };
 
-    // Unparsable body: forwarded unkeyed, the backend's positioned 400
-    // comes back untouched.
-    let bad = request(&gateway, "POST", "/v1/experiments", b"{\"experiment\":42}");
-    assert_eq!(bad.status, 400);
-    assert!(String::from_utf8_lossy(&bad.body).contains("error"));
-
-    // Unknown experiment: parses at the gateway (no cache key match is
-    // fine), rejected by the backend.
-    let unknown = request(
-        &gateway,
-        "POST",
-        "/v1/experiments",
-        br#"{"experiment":"nope"}"#,
+    // The gateway parses with the backend's own parsers, so every
+    // rejection carries a lone backend's exact bytes.
+    for (target, body) in [
+        ("/v1/experiments", &b"{\"experiment\":42}"[..]),
+        ("/v1/experiments", br#"{"experiment":"nope"}"#),
+        (
+            "/v1/experiments",
+            br#"{"experiment":"fig5","scale":"huge"}"#,
+        ),
+        ("/v1/experiments", br#"{"experiment":"fig5","jobs":4}"#),
+        ("/v1/experiments", b"{"),
+        ("/v1/experiments", b"\xff"),
+        ("/v1/grids", br#"{"experiments":["nope"]}"#),
+        ("/v1/grids", br#"{"experiments":[]}"#),
+        ("/v1/grids", b"\xff"),
+    ] {
+        let at_gateway = request(&gateway, "POST", target, body);
+        let at_backend = lone(target, body);
+        assert_eq!(
+            at_gateway.status,
+            400,
+            "{:?}",
+            String::from_utf8_lossy(body)
+        );
+        assert_eq!(at_backend.status, 400);
+        assert_eq!(
+            at_gateway.header("content-type"),
+            at_backend.header("content-type")
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&at_gateway.body),
+            String::from_utf8_lossy(&at_backend.body),
+            "{target} {:?}",
+            String::from_utf8_lossy(body)
+        );
+    }
+    assert_eq!(
+        upstream_calls(&gateway),
+        0,
+        "a 400 never leaves the gateway"
     );
-    assert_eq!(unknown.status, 400);
-    assert!(String::from_utf8_lossy(&unknown.body).contains("nope"));
 
     // Gateway-level routing errors.
     assert_eq!(request(&gateway, "GET", "/v1/nope", b"").status, 404);
@@ -328,7 +394,7 @@ fn hedged_requests_serve_identical_bytes() {
     .expect("start gateway");
 
     let body = br#"{"experiment":"fig5","scale":"tiny"}"#;
-    let expected = cli_fig5_tiny();
+    let expected = cli_doc("fig5");
     for _ in 0..2 {
         let response = request(&gateway, "POST", "/v1/experiments", body);
         assert_eq!(response.status, 200);
@@ -393,7 +459,7 @@ fn gateway_grid_matches_lone_backend_and_cli_byte_for_byte() {
         br#"{"experiments":["fig5"],"scale":"tiny"}"#,
     );
     assert_eq!(single.status, 200);
-    assert_eq!(single.body, cli_fig5_tiny().as_bytes());
+    assert_eq!(single.body, cli_doc("fig5").as_bytes());
 
     // The scatter actually fanned out and the status page knows.
     let metrics = gateway.metrics();
@@ -757,7 +823,7 @@ fn gateway_readyz_reports_its_own_saturated_job_queue() {
         let drainer = scope.spawn(move || gateway.shutdown());
         let drained = mds_serve::http::read_response(&mut parked).expect("drained response");
         assert_eq!(drained.status, 200);
-        assert_eq!(drained.body, cli_fig5_tiny().as_bytes());
+        assert_eq!(drained.body, cli_doc("fig5").as_bytes());
         drainer.join().unwrap();
     });
     fleet.shutdown();

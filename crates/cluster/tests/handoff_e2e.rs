@@ -2,14 +2,17 @@
 //!
 //! The load-bearing guarantee proved here: when a backend leaves rotation
 //! and a replacement comes back on the same address, the gateway pushes
-//! the ring-owned warm entries from its healthy neighbors into the
-//! newcomer (`GET /v1/cache` on the donor, chunked `POST /v1/cache` on
-//! the target), so the replacement answers its shard warm **without
-//! recomputing anything** — zero workload emulations on the new process.
+//! the ring-owned warm `cell:` entries from its healthy neighbors into
+//! the newcomer (`GET /v1/cache` on the donor, chunked `POST /v1/cache`
+//! on the target), so the replacement answers its shard's cell batches
+//! warm **without recomputing anything** — zero workload emulations on
+//! the new process.
 
+mod common;
+
+use common::{cli_doc, request};
 use mds_cluster::gateway::{Gateway, GatewayConfig};
 use mds_serve::client::request_once;
-use mds_serve::http::ClientResponse;
 use mds_serve::{LogTarget, Server, ServerConfig};
 use mds_workloads::Scale;
 use std::sync::atomic::Ordering;
@@ -42,31 +45,18 @@ fn start_replacement(addr: &str) -> Server {
     }
 }
 
-fn request(gateway: &Gateway, method: &str, target: &str, body: &[u8]) -> ClientResponse {
-    request_once(
-        &gateway.local_addr().to_string(),
-        method,
-        target,
-        body,
-        Duration::from_secs(60),
-    )
-    .expect("gateway round trip")
+/// The `cell:` keys a backend's result cache holds, sorted.
+fn cell_keys(server: &Server) -> Vec<String> {
+    let mut keys: Vec<String> = server
+        .result_cache()
+        .entries()
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    keys.sort();
+    assert!(keys.iter().all(|k| k.starts_with("cell:")), "{keys:?}");
+    keys
 }
-
-/// The exact bytes `repro fig5 --json` produces for the tiny scale.
-fn cli_fig5_tiny() -> String {
-    let mut h = mds_bench::Harness::with_runner(Scale::Tiny, mds_runner::Runner::new(1));
-    let table = mds_bench::experiment(&mut h, "fig5").unwrap();
-    mds_bench::results_doc(
-        "fig5",
-        mds_bench::experiment_title("fig5").unwrap(),
-        Scale::Tiny,
-        &table,
-    )
-    .pretty()
-}
-
-const FIG5_TINY: &[u8] = br#"{"experiment":"fig5","scale":"tiny"}"#;
 
 #[test]
 fn a_replaced_backend_is_warmed_by_its_neighbor_not_by_recompute() {
@@ -85,28 +75,39 @@ fn a_replaced_backend_is_warmed_by_its_neighbor_not_by_recompute() {
         ..GatewayConfig::default()
     })
     .expect("start gateway");
-    let expected = cli_fig5_tiny();
 
-    // Warm the key through the gateway; consistent hashing parks it on
-    // exactly one backend — that one becomes the victim.
-    let cold = request(&gateway, "POST", "/v1/experiments", FIG5_TINY);
+    // Warm fig5 through the gateway: its cells spread over both
+    // backends by trace key. The first backend becomes the victim.
+    let cold = request(
+        &gateway,
+        "POST",
+        "/v1/experiments",
+        br#"{"experiment":"fig5","scale":"tiny"}"#,
+    );
     assert_eq!(cold.status, 200);
-    assert_eq!(cold.body, expected.as_bytes());
-    let (victim, survivor) = if first.result_cache().len() == 1 {
-        (first, second)
-    } else {
-        assert_eq!(second.result_cache().len(), 1, "someone must own the key");
-        (second, first)
-    };
+    assert_eq!(cold.body, cli_doc("fig5").as_bytes());
+    assert!(
+        !cell_keys(&first).is_empty() && !cell_keys(&second).is_empty(),
+        "the cells spread over both backends"
+    );
+    let (victim, survivor) = (first, second);
     let victim_addr = victim.local_addr().to_string();
     victim.shutdown();
 
-    // Failover recomputes on the survivor, which becomes the donor with
-    // the warm entry. Meanwhile the prober ejects the victim.
-    let failover = request(&gateway, "POST", "/v1/experiments", FIG5_TINY);
+    // A fresh repeat scatters again: the victim's batches fail over to
+    // the survivor, which computes them and becomes the donor of every
+    // fig5 cell. Meanwhile the prober ejects the victim.
+    let failover = request(
+        &gateway,
+        "POST",
+        "/v1/experiments",
+        br#"{"experiment":"fig5","scale":"tiny","fresh":true}"#,
+    );
     assert_eq!(failover.status, 200);
-    assert_eq!(failover.body, expected.as_bytes());
-    assert_eq!(survivor.result_cache().len(), 1);
+    assert_eq!(failover.body, cli_doc("fig5").as_bytes());
+    let donated = cell_keys(&survivor);
+    let fig5_cells = mds_bench::grid::cells(&["fig5".to_string()], Scale::Tiny);
+    assert_eq!(donated.len(), fig5_cells.len());
     let down = format!("mds_gateway_backend_healthy{{backend=\"{victim_addr}\"}} 0");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -120,31 +121,43 @@ fn a_replaced_backend_is_warmed_by_its_neighbor_not_by_recompute() {
 
     // The replacement boots empty on the vacated address. The prober's
     // unhealthy-to-healthy transition triggers the neighbor handoff.
+    // With two replicas over two backends, it owns every cell key.
     let replacement = start_replacement(&victim_addr);
     assert_eq!(replacement.result_cache().len(), 0);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while replacement.result_cache().is_empty() {
-        assert!(
-            Instant::now() < deadline,
-            "handoff never reached the replacement"
-        );
+    let metrics = gateway.metrics();
+    while metrics.handoffs_total.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "handoff never finished");
         std::thread::sleep(Duration::from_millis(25));
     }
+    assert_eq!(cell_keys(&replacement), donated);
     assert_eq!(
         replacement.trace_cache().misses(),
         0,
         "the handoff must transfer bytes, not trigger recompute"
     );
-    let metrics = gateway.metrics();
-    assert!(metrics.handoffs_total.load(Ordering::Relaxed) >= 1);
-    assert!(metrics.handoff_keys_total.load(Ordering::Relaxed) >= 1);
+    assert_eq!(
+        metrics.handoff_keys_total.load(Ordering::Relaxed),
+        donated.len() as u64
+    );
     assert_eq!(metrics.handoff_errors_total.load(Ordering::Relaxed), 0);
 
-    // A keyed request now routes to the warmed replacement: identical
-    // bytes, served from the transferred cache, still zero emulations.
-    let warm = request(&gateway, "POST", "/v1/experiments", FIG5_TINY);
-    assert_eq!(warm.status, 200);
-    assert_eq!(warm.body, expected.as_bytes());
+    // table7's cells are a subset of fig5's. Once the replacement is back
+    // in rotation, its share of table7's batches is answered from the
+    // transferred cells: identical bytes, still zero emulations.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !gateway.backends()[0].in_rotation(Instant::now()) {
+        assert!(Instant::now() < deadline, "replacement never rejoined");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let table7 = request(
+        &gateway,
+        "POST",
+        "/v1/experiments",
+        br#"{"experiment":"table7","scale":"tiny"}"#,
+    );
+    assert_eq!(table7.status, 200);
+    assert_eq!(table7.body, cli_doc("table7").as_bytes());
     assert_eq!(replacement.trace_cache().misses(), 0);
     assert!(replacement.result_cache().hits() >= 1);
 

@@ -90,6 +90,6 @@ pub use breakdown::PredictionBreakdown;
 pub use ddc::Ddc;
 pub use edge::DepEdge;
 pub use mdpt::{Mdpt, MdptConfig, MdptEntry};
-pub use mdst::{LoadSync, Mdst, MdstReplacement, StoreSync};
+pub use mdst::{LoadSync, Mdst, StoreSync};
 pub use policy::{ParsePolicyError, Policy, PredictorKind};
 pub use unit::{LoadDecision, SyncUnit, SyncUnitConfig, SyncUnitStats, TagScheme};

@@ -2,24 +2,6 @@
 
 use crate::edge::DepEdge;
 
-/// What to do when the MDST is full and an entry is needed (§4.4.2: "a
-/// possible solution is to free entries whose full/empty flag is set to
-/// full whenever an entry is needed and no table entries are not in use.
-/// Another possible solution is to allocate entries using random or LRU
-/// replacement, in which case entries are freed as needed").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MdstReplacement {
-    /// Reclaim an entry whose full flag is set and which has no waiting
-    /// load; fail the allocation if none exists (the default — the
-    /// conservative reading of §4.4.2).
-    #[default]
-    ReclaimSignalled,
-    /// Evict the least recently allocated entry unconditionally (waiting
-    /// loads lose their condition variable and fall back to the
-    /// deadlock-avoidance release).
-    Lru,
-}
-
 /// The outcome of a load consulting the MDST before issuing (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadSync {
@@ -114,38 +96,21 @@ pub struct MdstStats {
 #[derive(Debug, Clone)]
 pub struct Mdst {
     entries: Vec<Option<MdstEntry>>,
-    // Allocation order stamps for LRU replacement.
-    stamps: Vec<u64>,
-    tick: u64,
     live: usize,
-    replacement: MdstReplacement,
     stats: MdstStats,
 }
 
 impl Mdst {
-    /// Creates a table with `capacity` synchronization entries and the
-    /// default ([`MdstReplacement::ReclaimSignalled`]) policy.
+    /// Creates a table with `capacity` synchronization entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        Mdst::with_replacement(capacity, MdstReplacement::default())
-    }
-
-    /// Creates a table with an explicit full-table replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_replacement(capacity: usize, replacement: MdstReplacement) -> Self {
         assert!(capacity > 0, "MDST capacity must be positive");
         Mdst {
             entries: vec![None; capacity],
-            stamps: vec![0; capacity],
-            tick: 0,
             live: 0,
-            replacement,
             stats: MdstStats::default(),
         }
     }
@@ -180,35 +145,24 @@ impl Mdst {
         if let Some(idx) = self.entries.iter().position(Option::is_none) {
             return Some(idx);
         }
-        // §4.4.2: when the table is full, reclaim an entry whose full flag
-        // is set and which has no waiting load — its synchronization would
-        // complete trivially anyway.
-        if let Some(idx) = self
+        // §4.4.2: "a possible solution is to free entries whose full/empty
+        // flag is set to full whenever an entry is needed and no table
+        // entries are not in use." Reclaim an entry whose full flag is set
+        // and which has no waiting load — its synchronization would
+        // complete trivially anyway — and fail the allocation if none
+        // exists.
+        let idx = self
             .entries
             .iter()
-            .position(|e| matches!(e, Some(e) if e.full && e.ldid.is_none()))
-        {
-            self.entries[idx] = None;
-            self.live -= 1;
-            return Some(idx);
-        }
-        // Under LRU replacement, evict the oldest allocation outright.
-        if self.replacement == MdstReplacement::Lru {
-            let idx = (0..self.entries.len())
-                .min_by_key(|&i| self.stamps[i])
-                .expect("capacity > 0");
-            self.entries[idx] = None;
-            self.live -= 1;
-            return Some(idx);
-        }
-        None
+            .position(|e| matches!(e, Some(e) if e.full && e.ldid.is_none()))?;
+        self.entries[idx] = None;
+        self.live -= 1;
+        Some(idx)
     }
 
     fn put(&mut self, entry: MdstEntry) -> bool {
         match self.free_slot() {
             Some(idx) => {
-                self.tick += 1;
-                self.stamps[idx] = self.tick;
                 self.entries[idx] = Some(entry);
                 self.live += 1;
                 true
@@ -445,27 +399,6 @@ mod tests {
         assert_eq!(m.sync_load(e2, 1, 11), LoadSync::Wait); // reclaimed the slot
         assert_eq!(m.len(), 1);
         assert!(m.is_waiting(11));
-    }
-
-    #[test]
-    fn lru_replacement_evicts_the_oldest_waiter() {
-        let mut m = Mdst::with_replacement(2, MdstReplacement::Lru);
-        let e2 = DepEdge {
-            load_pc: 8,
-            store_pc: 3,
-        };
-        let e3 = DepEdge {
-            load_pc: 9,
-            store_pc: 3,
-        };
-        assert_eq!(m.sync_load(edge(), 1, 10), LoadSync::Wait);
-        assert_eq!(m.sync_load(e2, 1, 11), LoadSync::Wait);
-        // Table full of waiters: LRU evicts the first allocation.
-        assert_eq!(m.sync_load(e3, 1, 12), LoadSync::Wait);
-        assert!(!m.is_waiting(10), "oldest waiter lost its entry");
-        assert!(m.is_waiting(11));
-        assert!(m.is_waiting(12));
-        assert_eq!(m.stats().alloc_failures, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP client connection over the wire layer.
 //!
 //! The client bits every tier shares: the `mds-load` generator, the
-//! cluster gateway's proxy path, and its health prober all speak to an
+//! cluster gateway's batch dispatch, and its health prober all speak to an
 //! `mds-serve` backend through this one type, so connect timeouts,
 //! socket options, and response parsing behave identically everywhere.
 //!

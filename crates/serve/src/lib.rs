@@ -29,7 +29,7 @@
 //! 6. **The server itself** ([`server`]) — the backend's routes
 //!    (experiments, grids, cells, cache transfer) on the shared front.
 //! 7. **Client** ([`client`]) — the blocking HTTP connection shared by
-//!    the load generator, the cluster gateway's proxy path, and health
+//!    the load generator, the cluster gateway's batch dispatch, and health
 //!    probes.
 //! 8. **Load generator** ([`load`]) — a closed-loop multi-client driver
 //!    with exact merged percentiles that honors `503 Retry-After` with

@@ -23,6 +23,7 @@ use crate::metrics::{self, Gauges, Metrics};
 use crate::persist;
 use crate::result_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use crate::service::{cell_key, CellBatch, ExperimentRequest, Service};
+use mds_bench::grid::GridRequest;
 use mds_harness::json::{Json, ToJson};
 use mds_runner::TraceCache;
 use mds_store::{Store, StoreConfig};
@@ -359,8 +360,11 @@ impl Tier for Shared {
             ("GET", "/v1/experiments") => {
                 Outcome::new(Response::json(200, Service::experiments_json()))
             }
-            ("POST", "/v1/experiments") => serve_experiment(self, &request.body),
-            ("POST", "/v1/grids") => serve_grid(self, &request.body),
+            ("POST", "/v1/experiments") => serve_experiments(
+                self,
+                ExperimentRequest::from_body(&request.body).map(ExperimentRequest::into_grid),
+            ),
+            ("POST", "/v1/grids") => serve_experiments(self, GridRequest::from_body(&request.body)),
             ("POST", "/v1/cells") => serve_cells(self, &request.body),
             // Warm-state transfer: export (GET) / bulk-import (POST) of the
             // result cache, epoch-tagged. Intra-cluster plumbing — the
@@ -409,55 +413,18 @@ fn error(status: u16, message: impl ToJson) -> Response {
     Response::json(status, Json::object().field("error", message).to_string())
 }
 
-fn serve_experiment(shared: &Shared, body: &[u8]) -> Outcome {
-    let request = match ExperimentRequest::from_body(body) {
+/// `POST /v1/experiments` and `POST /v1/grids` on a backend: every
+/// requested experiment served through the cached-execute core (result
+/// cache read unless `fresh`, compute on miss, cache + persist the
+/// fill), documents concatenated in request order. This is the
+/// reference the gateway's scatter-gather response must match byte for
+/// byte.
+fn serve_experiments(shared: &Shared, request: Result<GridRequest, String>) -> Outcome {
+    let request = match request {
         Ok(request) => request,
         Err(message) => return Outcome::new(error(400, message)),
     };
-    match experiment_body(shared, &request) {
-        Ok((body, cache)) => Outcome::new(Response::json(200, body)).cache(cache),
-        Err((status, message)) => Outcome::new(error(status, message)).cache("miss"),
-    }
-}
-
-/// The cached-execute core shared by `/v1/experiments` and `/v1/grids`:
-/// result-cache read (unless `fresh`), compute on miss, cache + persist
-/// the fill. Returns the response body and its cache disposition.
-fn experiment_body(
-    shared: &Shared,
-    request: &ExperimentRequest,
-) -> Result<(String, &'static str), (u16, String)> {
-    let key = request.cache_key();
     let m = &shared.front.metrics;
-    if !request.fresh {
-        if let Some(cached) = shared.results.get(&key) {
-            m.result_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((cached.to_string(), "hit"));
-        }
-    }
-    m.result_cache_misses.fetch_add(1, Ordering::Relaxed);
-    match shared.service.execute(request) {
-        Ok(body) => {
-            shared.results.put(&key, Arc::from(body.as_str()));
-            persist_all(shared, [(key.as_str(), body.as_str())]);
-            Ok((body, "miss"))
-        }
-        Err(message) => Err((500, message)),
-    }
-}
-
-/// `POST /v1/grids` on a lone backend: every requested experiment served
-/// through the same cached-execute core as `/v1/experiments`, documents
-/// concatenated in request order. This is the reference the gateway's
-/// scatter-gather response must match byte for byte.
-fn serve_grid(shared: &Shared, body: &[u8]) -> Outcome {
-    let Ok(text) = std::str::from_utf8(body) else {
-        return Outcome::new(error(400, "body is not UTF-8"));
-    };
-    let request = match mds_bench::grid::GridRequest::from_body(text) {
-        Ok(request) => request,
-        Err(message) => return Outcome::new(error(400, message)),
-    };
     let mut out = String::new();
     let mut all_hit = true;
     for id in &request.experiments {
@@ -466,12 +433,23 @@ fn serve_grid(shared: &Shared, body: &[u8]) -> Outcome {
             scale: request.scale,
             fresh: request.fresh,
         };
-        match experiment_body(shared, &sub) {
-            Ok((body, cache)) => {
-                all_hit &= cache == "hit";
+        let key = sub.cache_key();
+        if !request.fresh {
+            if let Some(cached) = shared.results.get(&key) {
+                m.result_cache_hits.fetch_add(1, Ordering::Relaxed);
+                out.push_str(&cached);
+                continue;
+            }
+        }
+        m.result_cache_misses.fetch_add(1, Ordering::Relaxed);
+        all_hit = false;
+        match shared.service.execute(&sub) {
+            Ok(body) => {
+                shared.results.put(&key, Arc::from(body.as_str()));
+                persist_all(shared, [(key.as_str(), body.as_str())]);
                 out.push_str(&body);
             }
-            Err((status, message)) => return Outcome::new(error(status, message)).cache("miss"),
+            Err(message) => return Outcome::new(error(500, message)).cache("miss"),
         }
     }
     Outcome::new(Response::json(200, out)).cache(if all_hit { "hit" } else { "miss" })

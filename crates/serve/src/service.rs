@@ -2,13 +2,15 @@
 //!
 //! A `POST /v1/experiments` body is parsed into an [`ExperimentRequest`]
 //! (strictly — unknown fields, unknown ids, and type errors all carry
-//! positions), normalized into a canonical cache key, and executed
+//! positions), which is served as a one-experiment [`GridRequest`],
+//! normalized into a canonical cache key, and executed
 //! through a shared long-lived [`mds_runner::Runner`]. Every request gets
 //! its own `mds_bench::Harness` (memoization within the request) while
 //! the runner's persistent trace cache is shared across all requests and
 //! worker threads, so each workload is emulated at most once for the
 //! lifetime of the server.
 
+use mds_bench::grid::GridRequest;
 use mds_harness::json::Json;
 use mds_runner::{wire, Grid, Job, Runner, TraceCache};
 use mds_workloads::Scale;
@@ -77,6 +79,17 @@ impl ExperimentRequest {
     /// identity.
     pub fn cache_key(&self) -> String {
         format!("{}@{}", self.experiment, mds_bench::scale_name(self.scale))
+    }
+
+    /// The one-experiment grid this request is. Both tiers serve
+    /// `/v1/experiments` through their grid path, and the grid's
+    /// [`GridRequest::cache_key`] equals [`Self::cache_key`].
+    pub fn into_grid(self) -> GridRequest {
+        GridRequest {
+            experiments: vec![self.experiment],
+            scale: self.scale,
+            fresh: self.fresh,
+        }
     }
 }
 
@@ -268,11 +281,12 @@ mod tests {
                     format!(r#"{{"experiment":"{id}","scale":"{scale}"}}"#).as_bytes(),
                 )
                 .unwrap();
-                let grid = mds_bench::grid::GridRequest::from_body(&format!(
+                let grid = GridRequest::from_body(format!(
                     r#"{{"experiments":["{id}"],"scale":"{scale}","fresh":true}}"#
                 ))
                 .unwrap();
                 assert_eq!(grid.cache_key(), experiment.cache_key(), "{id}@{scale}");
+                assert_eq!(experiment.clone().into_grid().cache_key(), grid.cache_key());
             }
         }
     }
