@@ -3,14 +3,15 @@
 # replay, wdl, serve, and cluster suites fresh and compare them against
 # the committed BENCH_structures.json / BENCH_simulators.json /
 # BENCH_runner.json / BENCH_replay.json / BENCH_wdl.json /
-# BENCH_serve.json / BENCH_cluster.json baselines. Two suites
+# BENCH_serve.json / BENCH_cluster.json baselines. Three suites
 # additionally carry absolute, machine-independent claims checked within
-# the fresh report: restart-warm serving (cache prewarmed from the
-# durable store) must stay within 10x of steady-warm serving, and both
-# warm gateway grids must stay >= 3x faster than the cold grid:
-# a repeated grid (answered from the gateway's merged-document cache)
-# and a reordered grid (scattered, every cell answered from the
-# backends' per-cell result caches).
+# the fresh report: trace capture must stay within 2.5x of bare
+# emulation, restart-warm serving (cache prewarmed from the durable
+# store) must stay within 10x of steady-warm serving, and both warm
+# gateway grids must stay >= 3x faster than the cold grid: a repeated
+# grid (answered from the gateway's merged-document cache) and a
+# reordered grid (scattered, every cell answered from the backends'
+# per-cell result caches).
 #
 # The comparison (see crates/bench/src/bin/bench_gate.rs) normalizes by
 # the suite's median fresh/baseline ratio, so a uniformly slower CI
@@ -50,6 +51,13 @@ MDS_BENCH_DIR="$fresh_dir" cargo bench -q --offline -p mds-bench \
 
 echo "==> comparing against the committed baseline"
 target/release/bench_gate BENCH_simulators.json "$fresh_dir/BENCH_simulators.json"
+
+# Capture is the emulator's loop committing straight into the replay-plan
+# builder, so it must stay within 2.5x of bare emulation (the emulator
+# series, the same loop into a counting sink, is at least 0.4x as slow).
+echo "==> checking the capture claim (capture within 2.5x of emulation)"
+target/release/bench_gate --min-speedup "$fresh_dir/BENCH_simulators.json" \
+  emulator/compress_small capture/compress_small 0.4
 
 # The runner suite times the scheduler itself: naive per-cell emulation
 # against the runner at 1/2/4 workers over one fixed tiny-scale grid.

@@ -64,7 +64,7 @@ fn naive_pass(workloads: &[Workload], scale: Scale) -> u64 {
     for wl in workloads {
         let program = wl.build(scale);
         acc += Emulator::new(&program)
-            .run_with(|_| {})
+            .run_into(&mut ())
             .expect("runs")
             .instructions;
         for ddc in DDC_SWEEP {

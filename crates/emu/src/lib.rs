@@ -1,14 +1,18 @@
 //! Functional emulator for the `mds` ISA.
 //!
 //! The emulator executes a [`mds_isa::Program`] architecturally — no timing,
-//! no speculation — and streams the **committed dynamic instruction stream**
-//! as [`DynInst`] records. Those records carry everything the dependence
-//! machinery downstream needs: the PC, the resolved memory address and
-//! access size for loads/stores, branch outcomes, and Multiscalar
-//! task-boundary markers.
+//! no speculation — and commits the **committed dynamic instruction
+//! stream** one instruction at a time into a [`CommitSink`]
+//! ([`Emulator::run_into`]). Each commit carries everything the dependence
+//! machinery downstream needs: the PC, the static instruction, the
+//! resolved memory address and access size for loads/stores, the branch
+//! outcome, and the Multiscalar task-boundary marker.
 //!
-//! A [`Trace`] lowers the stream into a [`ReplayPlan`] while the emulator
-//! runs and keeps the plan, not the records. Both simulators in the
+//! A [`Trace`] commits the stream straight into a [`PlanBuilder`], which
+//! lowers it into a [`ReplayPlan`] as the emulator runs; no per-instruction
+//! record is built, and the trace keeps the plan. [`DynInst`] records are
+//! the debugging view: [`Emulator::run`] and [`Emulator::run_with`] build
+//! them for the consumers that read records. Both simulators in the
 //! workspace are fed from here:
 //!
 //! - `mds-ooo` consumes the stream in committed order, as records or as
@@ -47,7 +51,7 @@ pub mod plan;
 pub mod trace;
 
 pub use dyninst::{BranchOutcome, DynInst, MemAccess};
-pub use machine::{EmuError, Emulator, MachineState, TraceSummary};
+pub use machine::{CommitSink, EmuError, Emulator, MachineState, TraceSummary};
 pub use memory::Memory;
 pub use plan::{PlanBuilder, ReplayPlan, Row};
 pub use trace::{format_dyninst, format_trace, Trace};

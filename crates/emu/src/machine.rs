@@ -1,4 +1,12 @@
 //! The architectural machine state and the instruction interpreter.
+//!
+//! [`Emulator::run_into`] holds the emulator's one fetch → execute →
+//! count loop. It commits each instruction straight into a
+//! [`CommitSink`] as plain arguments — the PC, the static instruction,
+//! the memory access, the branch outcome and the task-head bit — so a
+//! sink such as [`crate::PlanBuilder`] lowers the stream with no record
+//! built in between. [`Emulator::run`] and [`Emulator::run_with`] are
+//! adapters over the same loop that build the [`DynInst`] debugging view.
 
 use crate::dyninst::{BranchOutcome, DynInst, MemAccess};
 use crate::memory::Memory;
@@ -107,6 +115,73 @@ pub struct TraceSummary {
     pub tasks: u64,
 }
 
+/// Receives the committed instruction stream from
+/// [`Emulator::run_into`], one instruction at a time, in committed order.
+///
+/// `mem` is `Some` exactly for loads and stores, and `branch` exactly for
+/// control transfers. `new_task` marks the first instruction of the run
+/// and every instruction at a task head. The sink sees the branch outcome
+/// because the [`DynInst`] view carries it: a taken branch to the
+/// fall-through PC cannot be told from a not-taken one by where the
+/// machine went next.
+pub trait CommitSink {
+    /// Takes the next committed instruction.
+    fn commit(
+        &mut self,
+        pc: Pc,
+        inst: &Instruction,
+        mem: Option<MemAccess>,
+        branch: Option<BranchOutcome>,
+        new_task: bool,
+    );
+}
+
+/// The no-op sink: a run that only wants the [`TraceSummary`] passes
+/// `&mut ()` to [`Emulator::run_into`].
+impl CommitSink for () {
+    #[inline]
+    fn commit(
+        &mut self,
+        _: Pc,
+        _: &Instruction,
+        _: Option<MemAccess>,
+        _: Option<BranchOutcome>,
+        _: bool,
+    ) {
+    }
+}
+
+/// The [`DynInst`] adapter behind [`Emulator::run`] and
+/// [`Emulator::run_with`]: the only place a record is built.
+struct Records<F> {
+    /// Sequence number of the next record.
+    seq: u64,
+    f: F,
+}
+
+impl<F: FnMut(&DynInst)> CommitSink for Records<F> {
+    #[inline]
+    fn commit(
+        &mut self,
+        pc: Pc,
+        inst: &Instruction,
+        mem: Option<MemAccess>,
+        branch: Option<BranchOutcome>,
+        new_task: bool,
+    ) {
+        let d = DynInst {
+            seq: self.seq,
+            pc,
+            inst: *inst,
+            mem,
+            branch,
+            new_task,
+        };
+        self.seq += 1;
+        (self.f)(&d);
+    }
+}
+
 /// The functional emulator.
 ///
 /// See the [crate documentation](crate) for an example. An emulator borrows
@@ -168,83 +243,80 @@ impl<'p> Emulator<'p> {
         self.summary
     }
 
-    /// Executes one instruction and returns its committed record, or
-    /// `Ok(None)` once the machine has halted.
+    /// Runs to `halt`, committing each instruction into `sink` in
+    /// committed order, and returns the counts of the whole run.
+    ///
+    /// This is the emulator's only interpreter loop. Before each
+    /// instruction it checks, in order: a halted machine stops `Ok`, an
+    /// exhausted budget is an error, and a PC outside the program is an
+    /// error. So a budget equal to the stream's length still halts `Ok`.
+    /// An emulator that has halted commits nothing more.
     ///
     /// # Errors
     ///
     /// [`EmuError::PcOutOfRange`] on a wild PC and
-    /// [`EmuError::InstructionLimit`] when the budget is exhausted.
-    pub fn step(&mut self) -> Result<Option<DynInst>, EmuError> {
-        if self.state.halted {
-            return Ok(None);
-        }
-        if self.seq >= self.limit {
-            return Err(EmuError::InstructionLimit { executed: self.seq });
-        }
-        let pc = self.state.pc;
-        let inst = *self
-            .program
-            .fetch(pc)
-            .ok_or(EmuError::PcOutOfRange { pc })?;
-        // `fetch` succeeded, so `pc` indexes the program.
-        let new_task = self.seq == 0 || self.is_head[pc as usize];
-        let (mem, branch) = self.execute(pc, &inst);
-
-        let rec = DynInst {
-            seq: self.seq,
-            pc,
-            inst,
-            mem,
-            branch,
-            new_task,
-        };
-        self.seq += 1;
-        self.summary.instructions += 1;
-        if rec.is_load() {
-            self.summary.loads += 1;
-        }
-        if rec.is_store() {
-            self.summary.stores += 1;
-        }
-        if inst.op.is_control() {
-            self.summary.branches += 1;
-            if inst.op.is_cond_branch() && branch.is_some_and(|b| b.taken) {
-                self.summary.taken_branches += 1;
+    /// [`EmuError::InstructionLimit`] when the budget is exhausted; the
+    /// instructions before the error have been committed.
+    pub fn run_into(&mut self, sink: &mut impl CommitSink) -> Result<TraceSummary, EmuError> {
+        while !self.state.halted {
+            if self.seq >= self.limit {
+                return Err(EmuError::InstructionLimit { executed: self.seq });
             }
+            let pc = self.state.pc;
+            let inst = *self
+                .program
+                .fetch(pc)
+                .ok_or(EmuError::PcOutOfRange { pc })?;
+            // `fetch` succeeded, so `pc` indexes the program.
+            let new_task = self.seq == 0 || self.is_head[pc as usize];
+            let (mem, branch) = self.execute(pc, &inst);
+
+            self.seq += 1;
+            self.summary.instructions += 1;
+            if let Some(m) = mem {
+                if m.is_store {
+                    self.summary.stores += 1;
+                } else {
+                    self.summary.loads += 1;
+                }
+            }
+            if inst.op.is_control() {
+                self.summary.branches += 1;
+                if inst.op.is_cond_branch() && branch.is_some_and(|b| b.taken) {
+                    self.summary.taken_branches += 1;
+                }
+            }
+            if new_task {
+                self.summary.tasks += 1;
+            }
+            sink.commit(pc, &inst, mem, branch, new_task);
         }
-        if new_task {
-            self.summary.tasks += 1;
-        }
-        Ok(Some(rec))
+        Ok(self.summary)
     }
 
-    /// Runs to `halt`, collecting the full trace in memory.
+    /// Runs to `halt`, collecting the full trace in memory as
+    /// [`DynInst`] records.
     ///
-    /// Prefer [`Emulator::run_with`] for long workloads — traces can be
+    /// Prefer [`Emulator::run_into`] for long workloads — traces can be
     /// hundreds of millions of records.
     ///
     /// # Errors
     ///
-    /// Propagates any [`EmuError`] from [`Emulator::step`].
+    /// Propagates any [`EmuError`] from [`Emulator::run_into`].
     pub fn run(&mut self) -> Result<Vec<DynInst>, EmuError> {
         let mut out = Vec::new();
-        while let Some(d) = self.step()? {
-            out.push(d);
-        }
+        self.run_with(|d| out.push(*d))?;
         Ok(out)
     }
 
-    /// Runs to `halt`, streaming each committed record through `f`.
+    /// Runs to `halt`, building each committed instruction's [`DynInst`]
+    /// record and streaming it through `f`.
     ///
     /// # Errors
     ///
-    /// Propagates any [`EmuError`] from [`Emulator::step`].
-    pub fn run_with(&mut self, mut f: impl FnMut(&DynInst)) -> Result<TraceSummary, EmuError> {
-        while let Some(d) = self.step()? {
-            f(&d);
-        }
-        Ok(self.summary)
+    /// Propagates any [`EmuError`] from [`Emulator::run_into`].
+    pub fn run_with(&mut self, f: impl FnMut(&DynInst)) -> Result<TraceSummary, EmuError> {
+        self.run_into(&mut Records { seq: self.seq, f })
     }
 
     fn execute(
@@ -683,14 +755,15 @@ mod tests {
     }
 
     #[test]
-    fn step_after_halt_returns_none() {
+    fn run_after_halt_commits_nothing() {
         let mut b = ProgramBuilder::new();
         b.halt();
         let p = b.build().unwrap();
         let mut e = Emulator::new(&p);
-        assert!(e.step().unwrap().is_some());
-        assert!(e.step().unwrap().is_none());
+        assert_eq!(e.run().unwrap().len(), 1);
         assert!(e.state().is_halted());
+        assert!(e.run().unwrap().is_empty());
+        assert_eq!(e.summary().instructions, 1);
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Structure-of-arrays replay plan: the committed stream predecoded into
 //! dense vectors, with memory dependences pre-resolved.
 //!
-//! A [`crate::Trace`] stores [`DynInst`] records — convenient to capture,
-//! but expensive to replay: every simulator pass re-decodes operands
-//! (`Instruction::reads`/`writes` are `match`es over the format), re-splits
-//! tasks (cloning every record into per-task `Vec`s), and re-discovers
-//! store→load overlaps through per-task hash maps. None of that depends on
-//! timing: operands, task boundaries, and which earlier store a load
-//! overlaps are pure functions of the committed stream.
+//! Replaying raw [`DynInst`] records would be expensive: every simulator
+//! pass would re-decode operands (`Instruction::reads`/`writes` are
+//! `match`es over the format), re-split tasks, and re-discover store→load
+//! overlaps through per-task hash maps. None of that depends on timing:
+//! operands, task boundaries, and which earlier store a load overlaps are
+//! pure functions of the committed stream.
 //!
 //! [`ReplayPlan`] hoists all of it out of the replay loop. A
-//! [`PlanBuilder`] lowers the committed stream one record at a time, so
-//! [`crate::Trace::capture`] builds the plan while the emulator runs and
-//! never stores the records; the plan is then shared read-only by every
-//! simulator configuration replaying that trace. It keeps what depends
-//! only on the static instruction once per PC, and per dynamic record
-//! only what the record adds:
+//! [`PlanBuilder`] is a [`CommitSink`]: the emulator commits each
+//! instruction straight into it, and it lowers the stream one committed
+//! instruction at a time. So [`crate::Trace::capture`] builds the plan
+//! while the emulator runs, with no record built or stored; the plan is
+//! then shared read-only by every simulator configuration replaying that
+//! trace. It keeps what depends only on the static instruction once per
+//! PC, and per dynamic record only what the record adds:
 //!
 //! - per PC: the [`Decoded`] instruction (opcode, flags, functional-unit
 //!   class, dense operand indices), decoded the first time the stream
@@ -70,7 +70,8 @@
 //! [`DynInst`] converts into the same view, so those consumers run one
 //! algorithm whichever form the stream arrives in.
 
-use crate::dyninst::{DynInst, MemAccess};
+use crate::dyninst::{BranchOutcome, DynInst, MemAccess};
+use crate::machine::CommitSink;
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, FuClass, Instruction, Opcode, Pc};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -300,9 +301,10 @@ impl From<&DynInst> for Row {
     }
 }
 
-/// Lowers a committed stream into a [`ReplayPlan`] one record at a time
-/// (see module docs). Feed records in committed order with
-/// [`PlanBuilder::push`], then call [`PlanBuilder::finish`].
+/// Lowers a committed stream into a [`ReplayPlan`] one instruction at a
+/// time (see module docs). Commit instructions in committed order — from
+/// [`crate::Emulator::run_into`], or as records with
+/// [`PlanBuilder::push`] — then call [`PlanBuilder::finish`].
 ///
 /// Task boundaries follow the task splitter's semantics: record 0 always
 /// begins task 0, and a later record begins a new task exactly when its
@@ -324,7 +326,7 @@ impl From<&DynInst> for Row {
 /// let p = b.build()?;
 ///
 /// let mut builder = PlanBuilder::new();
-/// Emulator::new(&p).run_with(|d| builder.push(d))?;
+/// Emulator::new(&p).run_into(&mut builder)?;
 /// let plan = builder.finish();
 /// assert_eq!(plan, ReplayPlan::build(&Emulator::new(&p).run()?));
 /// assert_eq!(plan.load_intra, vec![0]); // the load reads the store
@@ -392,33 +394,49 @@ impl PlanBuilder {
         self.plan.code[pc] = Decoded::of(inst);
     }
 
-    /// Lowers the next committed record.
+    /// Lowers the next committed record: the [`CommitSink`] commit of its
+    /// fields.
     #[inline]
     pub fn push(&mut self, d: &DynInst) {
-        let pc = d.pc as usize;
-        if !self.decoded.get(pc).is_some_and(|&seen| seen) {
-            self.decode(pc, &d.inst);
+        self.commit(d.pc, &d.inst, d.mem, d.branch, d.new_task);
+    }
+}
+
+impl CommitSink for PlanBuilder {
+    /// Lowers the next committed instruction.
+    #[inline]
+    fn commit(
+        &mut self,
+        pc: Pc,
+        inst: &Instruction,
+        mem: Option<MemAccess>,
+        _branch: Option<BranchOutcome>,
+        new_task: bool,
+    ) {
+        let at = pc as usize;
+        if !self.decoded.get(at).is_some_and(|&seen| seen) {
+            self.decode(at, inst);
         }
         debug_assert_eq!(
-            self.plan.code[pc],
-            Decoded::of(&d.inst),
+            self.plan.code[at],
+            Decoded::of(inst),
             "one instruction per PC"
         );
-        debug_assert_eq!(d.mem.is_some(), d.inst.op.is_mem());
+        debug_assert_eq!(mem.is_some(), inst.op.is_mem());
         let plan = &mut self.plan;
         let i = plan.pc.len();
-        if i == 0 || d.new_task {
+        if i == 0 || new_task {
             if i != 0 {
                 self.task += 1;
             }
             plan.task_start.push(i as u32);
-            plan.task_start_pc.push(d.pc);
+            plan.task_start_pc.push(pc);
             plan.task_store_start.push(plan.store_rec.len() as u32);
             plan.task_load_start.push(plan.load_rec.len() as u32);
         }
         let task = self.task;
-        plan.pc.push(d.pc);
-        match d.mem {
+        plan.pc.push(pc);
+        match mem {
             Some(mem) if mem.is_store => {
                 let ord = plan.store_rec.len() as u32;
                 plan.store_rec.push(i as u32);
@@ -484,7 +502,9 @@ impl PlanBuilder {
             None => {}
         }
     }
+}
 
+impl PlanBuilder {
     /// Closes the task arrays with their sentinels and trims every array
     /// to its length, so the finished plan holds no growth slack.
     pub fn finish(self) -> ReplayPlan {

@@ -22,10 +22,11 @@ use std::sync::{Arc, OnceLock};
 /// A captured committed instruction stream: its aggregate counts, its
 /// [`ReplayPlan`], and the program it came from.
 ///
-/// Capture lowers the stream into the plan while the emulator runs, so a
-/// trace keeps about 9 bytes per instruction (a PC per record, decoded
-/// instructions once per PC, addresses and producers per load and store)
-/// instead of a 48-byte [`DynInst`] record beside the plan. Everything the simulators and
+/// Capture commits the stream straight from the emulator into a
+/// [`PlanBuilder`], so no [`DynInst`] record is built, and a trace keeps
+/// about 9 bytes per instruction (a PC per record, decoded instructions
+/// once per PC, addresses and producers per load and store) instead of a
+/// 48-byte record beside the plan. Everything the simulators and
 /// analyzers replay reads the plan. [`Trace::records`] re-emulates the
 /// stored program on first use, for the consumers that want records
 /// (debug rendering, the Multiscalar oracle and other tests); the records
@@ -80,8 +81,9 @@ const _: fn() = || {
 };
 
 impl Trace {
-    /// Runs `program` to completion on a fresh [`Emulator`], lowering the
-    /// committed stream into its [`ReplayPlan`] as it goes.
+    /// Runs `program` to completion on a fresh [`Emulator`], committing
+    /// each instruction straight into the [`PlanBuilder`] that lowers its
+    /// [`ReplayPlan`].
     ///
     /// # Errors
     ///
@@ -102,7 +104,7 @@ impl Trace {
             emu = emu.with_limit(limit);
         }
         let mut builder = PlanBuilder::new();
-        let summary = emu.run_with(|d| builder.push(d))?;
+        let summary = emu.run_into(&mut builder)?;
         Ok(Trace {
             summary,
             plan: Arc::new(builder.finish()),
@@ -142,11 +144,14 @@ impl Trace {
                 .as_ref()
                 .expect("a trace without records keeps its program");
             // The capture halted after `len` records, so the same budget
-            // replays the same deterministic stream.
+            // replays the same deterministic stream, into a vector that
+            // never grows.
+            let mut records = Vec::with_capacity(self.len());
             Emulator::new(program)
                 .with_limit(self.len() as u64)
-                .run()
-                .expect("re-emulating a captured program replays it")
+                .run_with(|d| records.push(*d))
+                .expect("re-emulating a captured program replays it");
+            records
         })
     }
 

@@ -13,12 +13,23 @@
 //! - the pre-resolved producers equal a brute-force scan.
 //!
 //! Over real programs — the 23 hand-written workloads and sampled members
-//! of the example WDL families — the per-PC decoded table agrees with
-//! every record's static instruction, and the per-load and per-store
-//! address arrays list the accesses in stream order.
+//! of the example WDL families:
+//!
+//! - the per-PC decoded table agrees with every record's static
+//!   instruction, and the per-load and per-store address arrays list the
+//!   accesses in stream order;
+//! - the whole plan that capture commits straight from the emulator
+//!   equals [`ReplayPlan::build`] over the `DynInst` records of a second
+//!   run, the two summaries are equal, and both agree with counts taken
+//!   from the records and from the plan;
+//! - capture and the record-building runs stop alike at every budget and
+//!   on a wild jump.
 
 use mds_emu::plan::{Decoded, F_BYTE, F_MEM, F_STORE, NONE};
-use mds_emu::{BranchOutcome, DynInst, MemAccess, PlanBuilder, ReplayPlan, Row, Trace};
+use mds_emu::{
+    BranchOutcome, DynInst, EmuError, Emulator, MemAccess, PlanBuilder, ReplayPlan, Row, Trace,
+    TraceSummary,
+};
 use mds_harness::prelude::*;
 use mds_isa::{Instruction, Opcode, Pc, Program, Reg};
 use mds_workloads::Scale;
@@ -165,14 +176,35 @@ properties! {
         family in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let name = ["compress_like", "fpppp_like", "swim_like"][family];
-        let path = format!("{}/../../examples/{name}.wdl", env!("CARGO_MANIFEST_DIR"));
-        let src = std::fs::read_to_string(&path).expect("example spec");
-        let spec = mds_wdl::parse_spec(&src).expect("example spec parses");
-        for inst in mds_wdl::expand(&spec.scenarios[0], seed, 1) {
-            check_decoded_table(&mds_wdl::compile(&inst, Scale::Tiny));
+        for program in wdl_members(family, seed) {
+            check_decoded_table(&program);
         }
     }
+
+    /// Sampled members of the example WDL families capture the plan and
+    /// summary that their `DynInst` records build.
+    #[test]
+    fn wdl_members_capture_the_plan_their_records_build(
+        family in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        for program in wdl_members(family, seed) {
+            check_capture_equals_build(&program);
+        }
+    }
+}
+
+/// The tiny-scale programs of one sampled member of an example WDL
+/// family (`family` picks `compress_like`, `fpppp_like` or `swim_like`).
+fn wdl_members(family: usize, seed: u64) -> Vec<Program> {
+    let name = ["compress_like", "fpppp_like", "swim_like"][family];
+    let path = format!("{}/../../examples/{name}.wdl", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).expect("example spec");
+    let spec = mds_wdl::parse_spec(&src).expect("example spec parses");
+    mds_wdl::expand(&spec.scenarios[0], seed, 1)
+        .iter()
+        .map(|inst| mds_wdl::compile(inst, Scale::Tiny))
+        .collect()
 }
 
 /// The 23 hand-written workloads lower into a plan whose decoded table
@@ -182,6 +214,105 @@ fn workloads_decode_once_per_pc() {
     for wl in mds_workloads::all() {
         check_decoded_table(&wl.build(Scale::Tiny));
     }
+}
+
+/// The 23 hand-written workloads capture the plan and summary that their
+/// `DynInst` records build.
+#[test]
+fn workloads_capture_the_plan_their_records_build() {
+    for wl in mds_workloads::all() {
+        check_capture_equals_build(&wl.build(Scale::Tiny));
+    }
+}
+
+/// How a run ended: its summary and length, or its error.
+type Outcome = Result<(TraceSummary, usize), EmuError>;
+
+/// Capture, `run` and `run_with` end a run alike at every budget: all
+/// succeed with the same summary and length, or all return the same
+/// error with the same `executed`.
+#[test]
+fn capture_and_record_runs_stop_alike_at_every_budget() {
+    let p = mds_workloads::by_name("compress")
+        .expect("compress is a workload")
+        .build(Scale::Tiny);
+    let len = Trace::capture(&p).expect("compress runs").len() as u64;
+    for limit in [0, 1, len / 2, len - 1, len, len + 1] {
+        let [captured, run, streamed] = outcomes(&p, Some(limit));
+        assert_eq!(captured, run, "budget {limit}");
+        assert_eq!(captured, streamed, "budget {limit}");
+        if limit < len {
+            assert_eq!(
+                captured,
+                Err(EmuError::InstructionLimit { executed: limit })
+            );
+        } else {
+            assert_eq!(captured.map(|(_, n)| n as u64), Ok(len));
+        }
+    }
+}
+
+/// A wild `jr` stops capture, `run` and `run_with` with the same
+/// `PcOutOfRange`.
+#[test]
+fn capture_and_record_runs_report_the_same_wild_jump() {
+    let mut b = mds_isa::ProgramBuilder::new();
+    b.li(Reg::T0, 1000);
+    b.jr(Reg::T0);
+    b.halt();
+    let p = b.build().expect("program builds");
+    for outcome in outcomes(&p, None) {
+        assert_eq!(outcome, Err(EmuError::PcOutOfRange { pc: 1000 }));
+    }
+}
+
+/// Runs `program` under `limit` by capture, by `run` and by `run_with`.
+fn outcomes(program: &Program, limit: Option<u64>) -> [Outcome; 3] {
+    let emulator = || {
+        let emu = Emulator::new(program);
+        match limit {
+            Some(limit) => emu.with_limit(limit),
+            None => emu,
+        }
+    };
+    let captured = Trace::capture_limited(program, limit).map(|t| (t.summary(), t.len()));
+    let mut emu = emulator();
+    let run = emu.run().map(|records| (emu.summary(), records.len()));
+    let mut streamed_len = 0;
+    let streamed = emulator()
+        .run_with(|_| streamed_len += 1)
+        .map(|summary| (summary, streamed_len));
+    [captured, run, streamed]
+}
+
+/// Captures `program` and checks the whole plan against
+/// [`ReplayPlan::build`] over a second, record-building run: the plans
+/// and the summaries are equal, the summary's counts agree with counts
+/// taken from the records, and the plan holds one entry per counted
+/// instruction, load, store and task.
+fn check_capture_equals_build(program: &Program) {
+    let trace = Trace::capture(program).expect("program runs");
+    let mut emu = Emulator::new(program);
+    let records = emu.run().expect("program runs");
+    let plan = trace.replay_plan();
+    assert_eq!(**plan, ReplayPlan::build(&records));
+    let summary = trace.summary();
+    assert_eq!(summary, emu.summary());
+
+    let count = |keep: fn(&DynInst) -> bool| records.iter().filter(|d| keep(d)).count() as u64;
+    let counted = TraceSummary {
+        instructions: records.len() as u64,
+        loads: count(DynInst::is_load),
+        stores: count(DynInst::is_store),
+        branches: count(|d| d.inst.op.is_control()),
+        taken_branches: count(|d| d.inst.op.is_cond_branch() && d.branch.is_some_and(|b| b.taken)),
+        tasks: count(|d| d.new_task),
+    };
+    assert_eq!(summary, counted);
+    assert_eq!(plan.len() as u64, summary.instructions);
+    assert_eq!(plan.load_rec.len() as u64, summary.loads);
+    assert_eq!(plan.store_rec.len() as u64, summary.stores);
+    assert_eq!(plan.tasks() as u64, summary.tasks);
 }
 
 /// Captures `program` and checks its plan against the re-emulated

@@ -1649,7 +1649,7 @@ mod tests {
         let p = recurrence_tasks(50);
         let expected = {
             let mut e = mds_emu::Emulator::new(&p);
-            e.run_with(|_| {}).unwrap().instructions
+            e.run_into(&mut ()).unwrap().instructions
         };
         for policy in Policy::ALL {
             let r = run(&p, 4, policy);

@@ -426,7 +426,7 @@ mod tests {
             p1.initial_data().collect::<Vec<_>>(),
             p2.initial_data().collect::<Vec<_>>()
         );
-        let sum = Emulator::new(&p1).run_with(|_| {}).unwrap();
+        let sum = Emulator::new(&p1).run_into(&mut ()).unwrap();
         assert!(sum.tasks > 16, "tasks: {}", sum.tasks);
         assert!(sum.loads > 0 && sum.stores > 0);
         assert!(sum.instructions > 500);
@@ -437,8 +437,8 @@ mod tests {
         let inst = demo_instance();
         let tiny = compile(&inst, Scale::Tiny);
         let small = compile(&inst, Scale::Small);
-        let t = Emulator::new(&tiny).run_with(|_| {}).unwrap();
-        let s = Emulator::new(&small).run_with(|_| {}).unwrap();
+        let t = Emulator::new(&tiny).run_into(&mut ()).unwrap();
+        let s = Emulator::new(&small).run_into(&mut ()).unwrap();
         assert!(s.tasks > t.tasks * 8);
     }
 
@@ -458,7 +458,7 @@ mod tests {
             ],
         };
         let p = compile_trace(&def);
-        let sum = Emulator::new(&p).run_with(|_| {}).unwrap();
+        let sum = Emulator::new(&p).run_into(&mut ()).unwrap();
         // 4 trace tasks plus the implicit prologue task.
         assert_eq!(sum.tasks, 5);
         assert_eq!(sum.loads, 2);

@@ -520,7 +520,7 @@ mod tests {
     fn compress_takes_both_paths() {
         let p = compress(Scale::Tiny);
         let mut e = Emulator::new(&p);
-        e.run_with(|_| {}).unwrap();
+        e.run_into(&mut ()).unwrap();
         let globals = p.symbol("globals").unwrap();
         let free_code = e.state().mem.read_u64(globals);
         let in_count = e.state().mem.read_u64(globals + 8);
@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn espresso_tasks_are_large() {
         let p = espresso(Scale::Tiny);
-        let sum = Emulator::new(&p).run_with(|_| {}).unwrap();
+        let sum = Emulator::new(&p).run_into(&mut ()).unwrap();
         let per_task = sum.instructions as f64 / sum.tasks as f64;
         assert!((60.0..220.0).contains(&per_task), "task size {per_task}");
     }
@@ -567,7 +567,7 @@ mod tests {
     fn xlisp_free_list_stays_consistent() {
         let p = xlisp(Scale::Tiny);
         let mut e = Emulator::new(&p);
-        e.run_with(|_| {}).unwrap();
+        e.run_into(&mut ()).unwrap();
         // The free-list head must still point into the cell arena.
         let head = e.state().mem.read_u64(p.symbol("xlglobals").unwrap());
         let cells = p.symbol("cells").unwrap();

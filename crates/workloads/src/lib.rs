@@ -35,7 +35,7 @@
 //!
 //! let wl = by_name("compress").expect("registered workload");
 //! let program = wl.build(Scale::Tiny);
-//! let summary = Emulator::new(&program).run_with(|_| {})?;
+//! let summary = Emulator::new(&program).run_into(&mut ())?;
 //! assert!(summary.tasks > 10);
 //! assert!(summary.loads > 0 && summary.stores > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -223,7 +223,7 @@ mod tests {
             let p = wl.build(Scale::Tiny);
             let mut emu = Emulator::new(&p).with_limit(20_000_000);
             let sum = emu
-                .run_with(|_| {})
+                .run_into(&mut ())
                 .unwrap_or_else(|e| panic!("{} failed: {e}", wl.name));
             assert!(sum.instructions > 500, "{}: too few instructions", wl.name);
             assert!(sum.tasks > 8, "{}: too few tasks ({})", wl.name, sum.tasks);

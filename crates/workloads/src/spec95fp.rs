@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn fpppp_tasks_are_huge_with_wide_working_set() {
         let p = fpppp(Scale::Tiny);
-        let sum = Emulator::new(&p).run_with(|_| {}).unwrap();
+        let sum = Emulator::new(&p).run_into(&mut ()).unwrap();
         let per_task = sum.instructions as f64 / sum.tasks as f64;
         assert!(per_task > 250.0, "task size {per_task}");
         let mut a = WindowAnalyzer::new(WindowConfig {
@@ -474,7 +474,7 @@ mod tests {
     fn applu_values_stay_finite() {
         let p = applu(Scale::Tiny);
         let mut e = Emulator::new(&p);
-        e.run_with(|_| {}).unwrap();
+        e.run_into(&mut ()).unwrap();
         let rhs = p.symbol("rhs").unwrap();
         let v = e.state().mem.read_f64(rhs + 8);
         assert!(v.is_finite());

@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn m88ksim_interprets_every_iteration() {
         let p = m88ksim(Scale::Tiny);
-        let sum = Emulator::new(&p).run_with(|_| {}).unwrap();
+        let sum = Emulator::new(&p).run_into(&mut ()).unwrap();
         // fetch + 2 operand reads + writeback per task
         assert!(sum.loads >= 3 * (sum.tasks - 1));
         assert!(sum.stores >= sum.tasks - 1);
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn li_gc_burst_runs() {
         let p = li(Scale::Tiny);
-        let sum = Emulator::new(&p).run_with(|_| {}).unwrap();
+        let sum = Emulator::new(&p).run_into(&mut ()).unwrap();
         // The GC path adds 32 memory ops every 32 tasks.
         let per_task = sum.instructions as f64 / sum.tasks as f64;
         assert!(per_task > 15.0, "per task {per_task}");
@@ -442,7 +442,7 @@ mod tests {
     fn ijpeg_outputs_butterflies() {
         let p = ijpeg(Scale::Tiny);
         let mut e = Emulator::new(&p);
-        e.run_with(|_| {}).unwrap();
+        e.run_into(&mut ()).unwrap();
         let src = p.symbol("src").unwrap();
         let dst = p.symbol("dst").unwrap();
         let in0 = e.state().mem.read_u64(src) as i64;
@@ -455,7 +455,7 @@ mod tests {
     fn perl_buckets_fill() {
         let p = perl(Scale::Tiny);
         let mut e = Emulator::new(&p);
-        e.run_with(|_| {}).unwrap();
+        e.run_into(&mut ()).unwrap();
         let buckets = p.symbol("buckets").unwrap();
         let filled = (0..512)
             .filter(|i| e.state().mem.read_u64(buckets + i * 8) != 0)
@@ -467,7 +467,7 @@ mod tests {
     fn vortex_log_pointer_advances() {
         let p = vortex(Scale::Tiny);
         let mut e = Emulator::new(&p);
-        let sum = e.run_with(|_| {}).unwrap();
+        let sum = e.run_into(&mut ()).unwrap();
         let ptr = e.state().mem.read_u64(p.symbol("vtxglobals").unwrap());
         // Commits are sampled at roughly one task in four.
         assert!(

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let round = assemble(&program.disassemble())?;
     assert_eq!(program.instructions(), round.instructions());
 
-    let summary = Emulator::new(&program).run_with(|_| {})?;
+    let summary = Emulator::new(&program).run_into(&mut ())?;
     println!(
         "executed {} instructions over {} dynamic tasks",
         summary.instructions, summary.tasks

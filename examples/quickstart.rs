@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = b.build()?;
 
     // 1. Functional execution: the committed instruction stream.
-    let summary = Emulator::new(&program).run_with(|_| {})?;
+    let summary = Emulator::new(&program).run_into(&mut ())?;
     println!(
         "functional run : {} instructions, {} tasks",
         summary.instructions, summary.tasks

@@ -52,7 +52,7 @@ fn assembly_text_flows_through_the_whole_stack() {
 
     // Functional result is architecturally correct.
     let mut emu = Emulator::new(&program);
-    emu.run_with(|_| {}).unwrap();
+    emu.run_into(&mut ()).unwrap();
     let acc = program.symbol("acc").unwrap();
     assert_eq!(emu.state().mem.read_u64(acc), 400);
 
@@ -68,7 +68,7 @@ fn assembly_text_flows_through_the_whole_stack() {
 fn every_policy_commits_the_same_instruction_stream() {
     let program = recurrence_program(300);
     let reference = Emulator::new(&program)
-        .run_with(|_| {})
+        .run_into(&mut ())
         .unwrap()
         .instructions;
     for policy in Policy::ALL {

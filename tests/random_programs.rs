@@ -81,7 +81,7 @@ properties! {
         iters in 4u8..40,
     ) {
         let program = build_program(&ops, iters);
-        let expected = Emulator::new(&program).run_with(|_| {}).unwrap().instructions;
+        let expected = Emulator::new(&program).run_into(&mut ()).unwrap().instructions;
         for policy in Policy::ALL {
             let r = Multiscalar::new(MsConfig::paper(4, policy)).run(&program).unwrap();
             prop_assert_eq!(r.instructions, expected, "{}", policy);
