@@ -14,7 +14,7 @@
 //! on single-core ones.
 
 use mds_core::Policy;
-use mds_emu::Emulator;
+use mds_emu::{Emulator, Trace};
 use mds_harness::bench::Harness;
 use mds_ooo::{OooConfig, OooSim, WindowAnalyzer, WindowConfig};
 use mds_runner::{Grid, Job, JobKind, Runner};
@@ -58,7 +58,8 @@ fn mini_grid(workloads: &[Workload], scale: Scale) -> Grid {
 }
 
 /// The baseline every experiment used before the runner existed: emulate
-/// the workload afresh for every cell of the grid.
+/// the workload afresh for every cell of the grid (each analysis cell
+/// captures its own trace and replays its plan).
 fn naive_pass(workloads: &[Workload], scale: Scale) -> u64 {
     let mut acc = 0u64;
     for wl in workloads {
@@ -68,21 +69,17 @@ fn naive_pass(workloads: &[Workload], scale: Scale) -> u64 {
             .expect("runs")
             .instructions;
         for ddc in DDC_SWEEP {
-            let mut analyzer = WindowAnalyzer::new(window_config(ddc));
-            Emulator::new(&program)
-                .run_with(|d| analyzer.observe(d))
-                .expect("runs");
-            acc += analyzer.finish().instructions;
+            let trace = Trace::capture(&program).expect("runs");
+            let analyzer = WindowAnalyzer::new(window_config(ddc));
+            acc += analyzer.analyze(trace.replay_plan()).instructions;
         }
         for policy in OOO_POLICIES {
-            let mut sim = OooSim::new(OooConfig {
+            let trace = Trace::capture(&program).expect("runs");
+            let config = OooConfig {
                 policy,
                 ..Default::default()
-            });
-            Emulator::new(&program)
-                .run_with(|d| sim.observe(d))
-                .expect("runs");
-            acc += sim.finish().cycles;
+            };
+            acc += OooSim::run(config, trace.replay_plan()).cycles;
         }
     }
     acc

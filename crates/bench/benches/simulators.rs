@@ -5,8 +5,9 @@
 //! committing into a sink that only counts. The `capture/*` series times
 //! `Trace::capture`, the same loop committing into the replay-plan
 //! builder, so the gap between the two is the plan lowering. The
-//! `multiscalar/*` series time `Multiscalar::run`: one trace capture
-//! followed by one replay.
+//! `window_analyzer/*` series times a capture plus one window analysis
+//! of its plan, and the `multiscalar/*` series time `Multiscalar::run`:
+//! one trace capture followed by one replay.
 //!
 //! Run with `cargo bench --bench simulators -- --scale small`; results are
 //! written to `BENCH_simulators.json` at the workspace root. The `--scale`
@@ -64,9 +65,9 @@ fn main() {
 
     h.bench_with_throughput(&format!("window_analyzer/compress_{tag}_7ws"), n, |b| {
         b.iter(|| {
-            let mut a = WindowAnalyzer::new(WindowConfig::default());
-            Emulator::new(&p).run_with(|d| a.observe(d)).unwrap();
-            black_box(a.finish().instructions)
+            let trace = Trace::capture(&p).unwrap();
+            let report = WindowAnalyzer::new(WindowConfig::default()).analyze(trace.replay_plan());
+            black_box(report.instructions)
         });
     });
 

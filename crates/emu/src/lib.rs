@@ -15,9 +15,9 @@
 //! them for the consumers that read records. Both simulators in the
 //! workspace are fed from here:
 //!
-//! - `mds-ooo` consumes the stream in committed order, as records or as
-//!   plan [`Row`]s (the paper's "unrealistic OOO" model is defined over
-//!   the committed sequential order), and
+//! - `mds-ooo` walks the plan in committed order (the paper's
+//!   "unrealistic OOO" model is defined over the committed sequential
+//!   order), and
 //! - `mds-multiscalar` replays the plan's tasks on its cycle-level timing
 //!   model.
 //!
@@ -53,5 +53,5 @@ pub mod trace;
 pub use dyninst::{BranchOutcome, DynInst, MemAccess};
 pub use machine::{CommitSink, EmuError, Emulator, MachineState, TraceSummary};
 pub use memory::Memory;
-pub use plan::{PlanBuilder, ReplayPlan, Row};
+pub use plan::{PlanBuilder, ReplayPlan};
 pub use trace::{format_dyninst, format_trace, Trace};

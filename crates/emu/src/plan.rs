@@ -50,6 +50,21 @@
 //!   pre-resolved ordinal answers the producer query for every window
 //!   size.
 //!
+//! Both are exact byte-range overlap ([`MemAccess::overlaps`]), and the
+//! youngest overlapping store of all is `load_intra` if set, else
+//! `load_inter` ([`ReplayPlan::producer`]). The builder finds them through two maps: an aligned
+//! word store is keyed at its word, and a byte store or an unaligned word
+//! store under each byte it covers. A load probes the aligned word that
+//! holds its address, the next aligned word too when it is an unaligned
+//! word, and each of its bytes. Every store keyed where a load probes
+//! overlaps it, and every store that overlaps it is keyed where it
+//! probes, so the largest ordinal found is the youngest overlapping
+//! store. Aligned streams pay one alignment test per access.
+//!
+//! This is the workspace's one store→load matcher: the Multiscalar
+//! engine, the sliding-window analyzer and the superscalar model all read
+//! their producers from these two arrays.
+//!
 //! # Memoized sequencer outcomes
 //!
 //! The Multiscalar sequencer (next-task predictor and task-descriptor
@@ -61,14 +76,6 @@
 //! later replay of the trace under that configuration shares it. The
 //! outcomes are counted by [`ReplayPlan::resident_bytes`] and ignored by
 //! equality, since they are a function of the rest of the plan.
-//!
-//! # Reading records back
-//!
-//! [`ReplayPlan::rows`] yields one [`Row`] per record — sequence number,
-//! PC, opcode, dense operands and the memory access — which is everything
-//! the sliding-window analyzer and the superscalar model read. A
-//! [`DynInst`] converts into the same view, so those consumers run one
-//! algorithm whichever form the stream arrives in.
 
 use crate::dyninst::{BranchOutcome, DynInst, MemAccess};
 use crate::machine::CommitSink;
@@ -164,15 +171,6 @@ impl Decoded {
             dst: dense(inst.writes()),
         }
     }
-
-    /// The access size in bytes of a memory operation.
-    pub fn access_bytes(&self) -> u8 {
-        if self.flags & F_BYTE != 0 {
-            1
-        } else {
-            8
-        }
-    }
 }
 
 /// The youngest store seen so far for one address key, plus the youngest
@@ -265,39 +263,6 @@ impl SequencerMemo {
 impl PartialEq for SequencerMemo {
     fn eq(&self, _: &SequencerMemo) -> bool {
         true
-    }
-}
-
-/// One committed instruction as the stream consumers read it: a plan row
-/// ([`ReplayPlan::rows`]) or a converted [`DynInst`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Row {
-    /// Position in the committed order (the record index for plan rows).
-    pub seq: u64,
-    /// The instruction's PC.
-    pub pc: Pc,
-    /// The opcode.
-    pub op: Opcode,
-    /// Dense indices of the two read slots, or [`NO_REG`].
-    pub src: [u8; 2],
-    /// Dense index of the written register, or [`NO_REG`].
-    pub dst: u8,
-    /// The memory access, for loads and stores.
-    pub mem: Option<MemAccess>,
-}
-
-impl From<&DynInst> for Row {
-    #[inline]
-    fn from(d: &DynInst) -> Row {
-        let c = Decoded::of(&d.inst);
-        Row {
-            seq: d.seq,
-            pc: d.pc,
-            op: c.op,
-            src: c.src,
-            dst: c.dst,
-            mem: d.mem,
-        }
     }
 }
 
@@ -442,24 +407,29 @@ impl CommitSink for PlanBuilder {
                 plan.store_rec.push(i as u32);
                 plan.store_task.push(task);
                 plan.store_addr.push(mem.addr);
-                let (map, key) = if mem.size == 1 {
-                    (&mut self.byte, mem.addr)
+                // An aligned word is keyed at its word; a byte, or an
+                // unaligned word, under each byte it covers. So every
+                // store keyed where a load probes overlaps the load.
+                let (map, keys) = if mem.size == 8 && mem.addr & 7 == 0 {
+                    (&mut self.word, mem.addr..mem.addr + 1)
                 } else {
-                    (&mut self.word, mem.addr & !7)
+                    (&mut self.byte, mem.addr..mem.addr + mem.size as Addr)
                 };
-                map.entry(key)
-                    .and_modify(|st| {
-                        if st.youngest_task < task {
-                            st.prev_ord = st.youngest_ord;
-                        }
-                        st.youngest_task = task;
-                        st.youngest_ord = ord;
-                    })
-                    .or_insert(KeyState {
-                        youngest_task: task,
-                        youngest_ord: ord,
-                        prev_ord: NONE,
-                    });
+                for key in keys {
+                    map.entry(key)
+                        .and_modify(|st| {
+                            if st.youngest_task < task {
+                                st.prev_ord = st.youngest_ord;
+                            }
+                            st.youngest_task = task;
+                            st.youngest_ord = ord;
+                        })
+                        .or_insert(KeyState {
+                            youngest_task: task,
+                            youngest_ord: ord,
+                            prev_ord: NONE,
+                        });
+                }
             }
             Some(mem) => {
                 plan.load_rec.push(i as u32);
@@ -483,17 +453,16 @@ impl CommitSink for PlanBuilder {
                         }
                     }
                 };
-                if mem.size == 1 {
-                    consider(self.byte.get(&mem.addr));
-                    consider(self.word.get(&(mem.addr & !7)));
-                } else {
-                    consider(self.word.get(&(mem.addr & !7)));
-                    // Byte stores only exist in programs that use `sb`;
-                    // skip the 8-probe scan for the common all-word case.
-                    if !self.byte.is_empty() {
-                        for b in 0..8 {
-                            consider(self.byte.get(&(mem.addr + b)));
-                        }
+                // The aligned words the load touches, then (when the
+                // stream has byte-keyed stores at all) each of its bytes.
+                let word = mem.addr & !7;
+                consider(self.word.get(&word));
+                if mem.size == 8 && mem.addr != word {
+                    consider(self.word.get(&(word + 8)));
+                }
+                if !self.byte.is_empty() {
+                    for b in mem.addr..mem.addr + mem.size as Addr {
+                        consider(self.byte.get(&b));
                     }
                 }
                 plan.load_intra.push(intra);
@@ -555,29 +524,16 @@ impl ReplayPlan {
         self.pc.is_empty()
     }
 
-    /// Every record in committed order, read back as [`Row`]s.
-    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
-        let mut loads = self.load_addr.iter();
-        let mut stores = self.store_addr.iter();
-        self.pc.iter().enumerate().map(move |(i, &pc)| {
-            let d = &self.code[pc as usize];
-            Row {
-                seq: i as u64,
-                pc,
-                op: d.op,
-                src: d.src,
-                dst: d.dst,
-                mem: (d.flags & F_MEM != 0).then(|| {
-                    let is_store = d.flags & F_STORE != 0;
-                    let addrs = if is_store { &mut stores } else { &mut loads };
-                    MemAccess {
-                        addr: *addrs.next().expect("one address per memory record"),
-                        size: d.access_bytes(),
-                        is_store,
-                    }
-                }),
-            }
-        })
+    /// The producer of load `lo`, as a store ordinal: the youngest
+    /// earlier store whose bytes overlap the load's (`load_intra` if set,
+    /// else `load_inter`).
+    #[inline]
+    pub fn producer(&self, lo: usize) -> Option<usize> {
+        let store = match self.load_intra[lo] {
+            NONE => self.load_inter[lo],
+            intra => intra,
+        };
+        (store != NONE).then_some(store as usize)
     }
 
     /// Number of dynamic tasks in the plan.
@@ -717,7 +673,7 @@ mod tests {
             assert_eq!(c.flags & F_MEM != 0, d.mem.is_some());
             assert_eq!(c.flags & F_STORE != 0, d.is_store());
             if let Some(m) = d.mem {
-                assert_eq!(c.access_bytes(), m.size);
+                assert_eq!(c.flags & F_BYTE != 0, m.size == 1);
             }
         }
     }
@@ -802,10 +758,33 @@ mod tests {
             b.halt();
         });
         check_against_reference(&records);
+    }
+
+    #[test]
+    fn dependence_resolution_is_byte_exact_for_unaligned_words() {
+        let records = trace(|b| {
+            b.alloc("buf", 4);
+            b.la(Reg::S0, "buf");
+            b.li(Reg::T0, 3);
+            b.label("loop");
+            b.task();
+            b.sd(Reg::T0, Reg::S0, 5); // covers bytes 5..13
+            b.ld(Reg::T1, Reg::S0, 8); // next aligned word: overlaps
+            b.lb(Reg::T2, Reg::S0, 2); // same lower word: does not
+            b.sb(Reg::T0, Reg::S0, 17);
+            b.ld(Reg::T3, Reg::S0, 12); // unaligned: spans 12..20
+            b.sd(Reg::T0, Reg::S0, 16);
+            b.ld(Reg::T4, Reg::S0, 9); // unaligned over two stores' words
+            b.addi(Reg::T0, Reg::T0, -1);
+            b.bne(Reg::T0, Reg::ZERO, "loop");
+            b.halt();
+        });
+        check_against_reference(&records);
         let plan = ReplayPlan::build(&records);
-        for (row, d) in plan.rows().zip(&records) {
-            assert_eq!(row, Row::from(d));
-        }
+        // First iteration, in load order: the word at 8 reads the
+        // unaligned store 0; the byte at 2 reads nothing; the word at 12
+        // reads byte store 1; the word at 9 reads the aligned store 2.
+        assert_eq!(plan.load_intra[..4], [0, NONE, 1, 2]);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //!
 //! - streaming records into a builder equals [`ReplayPlan::build`] over
 //!   the collected stream;
-//! - every plan row reads back as the record it came from;
-//! - the pre-resolved producers equal a brute-force scan.
+//! - the plan reads back every record's PC, instruction and access;
+//! - the pre-resolved producers equal a brute-force scan for the youngest
+//!   store whose bytes overlap the load's.
 //!
 //! Over real programs — the 23 hand-written workloads and sampled members
 //! of the example WDL families:
 //!
-//! - the per-PC decoded table agrees with every record's static
-//!   instruction, and the per-load and per-store address arrays list the
-//!   accesses in stream order;
+//! - the plan reads back every record's PC, instruction and access;
 //! - the whole plan that capture commits straight from the emulator
 //!   equals [`ReplayPlan::build`] over the `DynInst` records of a second
 //!   run, the two summaries are equal, and both agree with counts taken
@@ -27,7 +26,7 @@
 
 use mds_emu::plan::{Decoded, F_BYTE, F_MEM, F_STORE, NONE};
 use mds_emu::{
-    BranchOutcome, DynInst, EmuError, Emulator, MemAccess, PlanBuilder, ReplayPlan, Row, Trace,
+    BranchOutcome, DynInst, EmuError, Emulator, MemAccess, PlanBuilder, ReplayPlan, Trace,
     TraceSummary,
 };
 use mds_harness::prelude::*;
@@ -108,8 +107,8 @@ properties! {
     #![config(PropConfig { cases: 48, ..PropConfig::default() })]
 
     /// Feeding records one at a time builds the plan that
-    /// `ReplayPlan::build` builds over the collected stream, and every
-    /// row of it reads back as its record.
+    /// `ReplayPlan::build` builds over the collected stream, and the plan
+    /// reads back every record.
     #[test]
     fn streamed_builder_equals_build_and_rows_read_back(
         code in code_strategy(),
@@ -123,11 +122,7 @@ properties! {
         let streamed = builder.finish();
         let built = ReplayPlan::build(&records);
         prop_assert_eq!(&streamed, &built);
-        prop_assert_eq!(streamed.len(), records.len());
-        prop_assert_eq!(streamed.rows().count(), records.len());
-        for (row, d) in streamed.rows().zip(&records) {
-            prop_assert_eq!(row, Row::from(d));
-        }
+        assert_reads_back(&streamed, &records);
     }
 
     /// The pre-resolved intra-task and inter-task producers of every load
@@ -155,7 +150,7 @@ properties! {
             let (mut intra, mut inter) = (NONE, NONE);
             for (j, d) in records[..i].iter().enumerate() {
                 let Some(m) = d.mem else { continue };
-                if !m.is_store || !conflicts(&m, &load) {
+                if !m.is_store || !m.overlaps(&load) {
                     continue;
                 }
                 if task_of[j] == task_of[i] {
@@ -170,7 +165,7 @@ properties! {
     }
 
     /// Sampled members of the example WDL families lower into a plan
-    /// whose decoded table and address arrays agree with the records.
+    /// that reads back their records.
     #[test]
     fn wdl_members_decode_once_per_pc(
         family in 0usize..3,
@@ -207,8 +202,8 @@ fn wdl_members(family: usize, seed: u64) -> Vec<Program> {
         .collect()
 }
 
-/// The 23 hand-written workloads lower into a plan whose decoded table
-/// and address arrays agree with the records.
+/// The 23 hand-written workloads lower into a plan that reads back their
+/// records.
 #[test]
 fn workloads_decode_once_per_pc() {
     for wl in mds_workloads::all() {
@@ -315,35 +310,33 @@ fn check_capture_equals_build(program: &Program) {
     assert_eq!(plan.tasks() as u64, summary.tasks);
 }
 
-/// Captures `program` and checks its plan against the re-emulated
-/// records: `code[pc]` is each record's static instruction (opcode,
-/// operands, memory kind and access size), and the load and store
-/// address arrays list the accesses in stream order.
+/// Captures `program` and checks that its plan reads back the
+/// re-emulated records.
 fn check_decoded_table(program: &Program) {
     let trace = Trace::capture(program).expect("program runs");
-    let plan = trace.replay_plan();
-    let records = trace.records();
+    assert_reads_back(trace.replay_plan(), trace.records());
+}
+
+/// Walks `plan` as the simulators do — `code[pc]` per record, load and
+/// store ordinals counted along the stream — and checks that it reads
+/// back each record: its PC, its static instruction, and its access's
+/// kind, size and address.
+fn assert_reads_back(plan: &ReplayPlan, records: &[DynInst]) {
     assert_eq!(plan.pc.len(), records.len());
-    let (mut loads, mut stores) = (Vec::new(), Vec::new());
+    let (mut loads, mut stores) = (plan.load_addr.iter(), plan.store_addr.iter());
     for (d, &pc) in records.iter().zip(&plan.pc) {
         assert_eq!(pc, d.pc);
         let c = plan.code[pc as usize];
         assert_eq!(c, Decoded::of(&d.inst), "pc {pc}");
-        let row = Row::from(d);
-        assert_eq!((c.op, c.src, c.dst), (row.op, row.src, row.dst), "pc {pc}");
         assert_eq!(c.flags & F_MEM != 0, d.mem.is_some(), "pc {pc}");
         if let Some(m) = d.mem {
             assert_eq!(c.flags & F_STORE != 0, m.is_store, "pc {pc}");
             assert_eq!(c.flags & F_BYTE != 0, m.size == 1, "pc {pc}");
-            if m.is_store {
-                stores.push(m.addr);
-            } else {
-                loads.push(m.addr);
-            }
+            let addrs = if m.is_store { &mut stores } else { &mut loads };
+            assert_eq!(addrs.next(), Some(&m.addr), "pc {pc}");
         }
     }
-    assert_eq!(plan.load_addr, loads);
-    assert_eq!(plan.store_addr, stores);
+    assert_eq!((loads.next(), stores.next()), (None, None));
 }
 
 /// Global load and store ordinals of every record, counted along the
@@ -364,16 +357,4 @@ fn ordinals(records: &[DynInst]) -> Vec<u32> {
             None => NONE,
         })
         .collect()
-}
-
-/// Whether `store` is a producer candidate for `load` under the plan's
-/// keying: a word store covers the aligned word holding its address (so
-/// an unaligned word store is seen at its lower word only), a byte store
-/// covers its byte.
-fn conflicts(store: &MemAccess, load: &MemAccess) -> bool {
-    if store.size == 1 {
-        load.addr <= store.addr && store.addr < load.addr + load.size as u64
-    } else {
-        store.addr & !7 == load.addr & !7
-    }
 }

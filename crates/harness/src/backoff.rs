@@ -9,7 +9,7 @@
 //! nominal window (`[d/2, d]`) so that synchronized clients decorrelate
 //! instead of retrying in lockstep (the thundering-herd failure mode).
 //!
-//! Jitter comes from the in-tree [`Rng`](crate::rng::Rng), so a given
+//! Jitter comes from the in-tree [`Rng`], so a given
 //! seed replays the exact same delay sequence — retry timing in tests is
 //! reproducible like everything else in this workspace.
 //!

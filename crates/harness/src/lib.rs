@@ -10,7 +10,7 @@
 //!   (replaces `rand`),
 //! - [`prop`] — a property-testing runner with generators and
 //!   word-stream shrinking (replaces `proptest`),
-//! - [`bench`] — a benchmark harness emitting `BENCH_*.json` baselines
+//! - [`bench`](mod@bench) — a benchmark harness emitting `BENCH_*.json` baselines
 //!   (replaces `criterion`),
 //! - [`json`] — a hand-rolled JSON value/writer/parser and the
 //!   [`json::ToJson`] trait (replaces `serde` derives),

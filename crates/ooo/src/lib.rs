@@ -9,9 +9,9 @@
 //! if a preceding store, on which it is data dependent, appears within
 //! less than n instructions apart in the sequential execution order."*
 //!
-//! [`WindowAnalyzer`] implements exactly that over a committed instruction
-//! stream, for many window sizes at once, and feeds the paper's
-//! measurements:
+//! [`WindowAnalyzer`] implements exactly that over a committed
+//! instruction stream's [`mds_emu::ReplayPlan`], for many window sizes at
+//! once, and feeds the paper's measurements:
 //!
 //! - table 3 — mis-speculation counts per window size,
 //! - table 4 — how many static edges cover 99.9 % of mis-speculations,
@@ -22,11 +22,15 @@
 //! "other processing models" direction (§6) — used by the ablation
 //! benches.
 //!
+//! Both read each load's producer — the youngest earlier store whose
+//! bytes overlap it — from the plan's `load_intra`/`load_inter`, so the
+//! plan builder is the workspace's one store→load matcher.
+//!
 //! # Examples
 //!
 //! ```
 //! use mds_isa::{ProgramBuilder, Reg};
-//! use mds_emu::Emulator;
+//! use mds_emu::Trace;
 //! use mds_ooo::{WindowAnalyzer, WindowConfig};
 //!
 //! // A loop with a tight store->load recurrence through memory.
@@ -41,11 +45,10 @@
 //! b.addi(Reg::T0, Reg::T0, -1);
 //! b.bne(Reg::T0, Reg::ZERO, "loop");
 //! b.halt();
-//! let program = b.build()?;
+//! let trace = Trace::capture(&b.build()?)?;
 //!
-//! let mut analyzer = WindowAnalyzer::new(WindowConfig::default());
-//! Emulator::new(&program).run_with(|d| analyzer.observe(d))?;
-//! let report = analyzer.finish();
+//! let analyzer = WindowAnalyzer::new(WindowConfig::default());
+//! let report = analyzer.analyze(trace.replay_plan());
 //! // The recurrence is 5 instructions apart: visible in every window >= 8.
 //! assert!(report.for_window(8).unwrap().misspeculations > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

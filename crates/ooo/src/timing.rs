@@ -17,10 +17,9 @@
 //! `mds-multiscalar`).
 
 use mds_core::{DepEdge, LoadDecision, Policy, PredictionBreakdown, SyncUnit, SyncUnitConfig};
-use mds_emu::plan::NO_REG;
-use mds_emu::{MemAccess, Row};
-use mds_harness::hash::FxHashMap;
-use mds_isa::{Addr, FuClass, Opcode, Pc};
+use mds_emu::plan::{F_MEM, F_STORE, NO_REG};
+use mds_emu::{DynInst, PlanBuilder, ReplayPlan};
+use mds_isa::{FuClass, Opcode, Pc};
 use mds_sim::ConfigError;
 use std::collections::VecDeque;
 
@@ -105,23 +104,32 @@ impl OooResult {
     }
 }
 
+/// The timing of one committed store, kept while it may still be an
+/// in-window producer.
+#[derive(Debug, Clone, Copy, Default)]
+struct StoreTiming {
+    instance: u64,
+    complete: u64,
+}
+
+/// A load's in-window producer: the youngest earlier store whose bytes
+/// overlap the load's, fewer than `window` records before it.
 #[derive(Debug, Clone, Copy)]
-struct StoreRecord {
-    seq: u64,
+struct Producer {
     pc: Pc,
     instance: u64,
     complete: u64,
 }
 
-/// The superscalar OOO timing simulator. Feed committed instructions in
-/// order via [`OooSim::observe`] — as [`mds_emu::DynInst`] records or
-/// [`mds_emu::ReplayPlan`] rows — then call [`OooSim::finish`].
+/// The superscalar OOO timing simulator: [`OooSim::run`] replays a
+/// committed stream through its [`ReplayPlan`], taking each load's
+/// producer from the plan ([`ReplayPlan::producer`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use mds_isa::{ProgramBuilder, Reg};
-/// use mds_emu::Emulator;
+/// use mds_emu::Trace;
 /// use mds_ooo::{OooConfig, OooSim};
 /// use mds_core::Policy;
 ///
@@ -131,11 +139,10 @@ struct StoreRecord {
 /// b.addi(Reg::T0, Reg::T0, -1);
 /// b.bne(Reg::T0, Reg::ZERO, "loop");
 /// b.halt();
-/// let p = b.build()?;
+/// let trace = Trace::capture(&b.build()?)?;
 ///
-/// let mut sim = OooSim::new(OooConfig { policy: Policy::Always, ..Default::default() });
-/// Emulator::new(&p).run_with(|d| sim.observe(d))?;
-/// let r = sim.finish();
+/// let config = OooConfig { policy: Policy::Always, ..Default::default() };
+/// let r = OooSim::run(config, trace.replay_plan());
 /// assert!(r.ipc() > 0.5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -154,22 +161,21 @@ pub struct OooSim {
     mem_port_free: Vec<u64>,
     // Squash barrier: no instruction may dispatch before this.
     restart_after: u64,
-    // Youngest store per word / byte address.
-    word_stores: FxHashMap<Addr, StoreRecord>,
-    byte_stores: FxHashMap<Addr, StoreRecord>,
+    // Per store ordinal, modulo a power of two no smaller than the
+    // window: fewer than `window` stores follow an in-window producer,
+    // so its slot still holds it.
+    stores: Vec<StoreTiming>,
     // Per-PC dynamic instance numbering (the superscalar instance scheme).
-    instance_no: FxHashMap<Pc, u64>,
-    // Running max of store address-ready / completion times.
+    instance_no: Vec<u64>,
+    // Running max of store address-ready times.
     all_stores_addr_ready: u64,
-    all_stores_complete: u64,
     last_complete: u64,
     result: OooResult,
     ldid_counter: u32,
 }
 
 impl OooSim {
-    /// Creates the simulator.
-    pub fn new(config: OooConfig) -> Self {
+    fn new(config: OooConfig, pcs: usize) -> Self {
         OooSim {
             unit: SyncUnit::new(SyncUnitConfig {
                 stages: 8,
@@ -187,15 +193,53 @@ impl OooSim {
             dispatched_this_cycle: 0,
             mem_port_free: vec![0; config.mem_ports as usize],
             restart_after: 0,
-            word_stores: FxHashMap::default(),
-            byte_stores: FxHashMap::default(),
-            instance_no: FxHashMap::default(),
+            stores: vec![StoreTiming::default(); config.window.next_power_of_two()],
+            instance_no: vec![0; pcs],
             all_stores_addr_ready: 0,
-            all_stores_complete: 0,
             last_complete: 0,
             result: OooResult::default(),
             ldid_counter: 0,
         }
+    }
+
+    /// Replays the committed stream of `plan` under `config`.
+    pub fn run(config: OooConfig, plan: &ReplayPlan) -> OooResult {
+        let mut sim = OooSim::new(config, plan.code.len());
+        let (mut loads, mut stores) = (0, 0);
+        for (seq, &pc) in plan.pc.iter().enumerate() {
+            let d = &plan.code[pc as usize];
+            let dispatch = sim.dispatch_slot();
+            // Operand readiness from register dataflow.
+            let mut ready = dispatch;
+            for r in d.src {
+                if r != NO_REG {
+                    ready = ready.max(sim.reg_avail[r as usize]);
+                }
+            }
+            let latency = sim.op_latency(d.op);
+            let complete = if d.flags & F_MEM == 0 {
+                ready + latency
+            } else {
+                let instance = &mut sim.instance_no[pc as usize];
+                *instance += 1;
+                let instance = *instance;
+                if d.flags & F_STORE != 0 {
+                    stores += 1;
+                    sim.store(pc, seq, stores - 1, instance, ready, latency)
+                } else {
+                    loads += 1;
+                    sim.load(plan, seq, loads - 1, instance, ready, latency)
+                }
+            };
+            if d.dst != NO_REG {
+                sim.reg_avail[d.dst as usize] = complete;
+            }
+            sim.retire_queue.push_back(complete);
+            sim.last_complete = sim.last_complete.max(complete);
+        }
+        sim.result.instructions = plan.len() as u64;
+        sim.result.cycles = sim.last_complete.max(sim.cur_cycle) + 1;
+        sim.result
     }
 
     fn op_latency(&self, op: Opcode) -> u64 {
@@ -247,95 +291,59 @@ impl OooSim {
         start
     }
 
-    fn producer_of(&self, addr: Addr, size: u8) -> Option<StoreRecord> {
-        let mut best: Option<StoreRecord> = None;
-        let mut consider = |s: Option<&StoreRecord>| {
-            if let Some(s) = s {
-                if best.is_none_or(|b| s.seq > b.seq) {
-                    best = Some(*s);
-                }
-            }
-        };
-        if size == 1 {
-            consider(self.byte_stores.get(&addr));
-            consider(self.word_stores.get(&(addr & !7)));
-        } else {
-            consider(self.word_stores.get(&(addr & !7)));
-            if !self.byte_stores.is_empty() {
-                for b in 0..8 {
-                    consider(self.byte_stores.get(&(addr + b)));
-                }
-            }
-        }
-        best
-    }
-
-    /// Feeds the next committed instruction.
-    pub fn observe(&mut self, d: impl Into<Row>) {
-        let d = d.into();
-        self.result.instructions += 1;
-        let dispatch = self.dispatch_slot();
-        // Operand readiness from register dataflow.
-        let mut ready = dispatch;
-        for r in d.src {
-            if r != NO_REG {
-                ready = ready.max(self.reg_avail[r as usize]);
-            }
-        }
-        let latency = self.op_latency(d.op);
-
-        let complete = if let Some(mem) = d.mem {
-            let instance = {
-                let n = self.instance_no.entry(d.pc).or_insert(0);
-                *n += 1;
-                *n
-            };
-            if mem.is_store {
-                let start = self.mem_port_slot(ready);
-                let complete = start + latency;
-                let rec = StoreRecord {
-                    seq: d.seq,
-                    pc: d.pc,
-                    instance,
-                    complete,
-                };
-                if mem.size == 1 {
-                    self.byte_stores.insert(mem.addr, rec);
-                } else {
-                    self.word_stores.insert(mem.addr & !7, rec);
-                }
-                self.all_stores_addr_ready = self.all_stores_addr_ready.max(ready);
-                self.all_stores_complete = self.all_stores_complete.max(complete);
-                if self.config.policy.uses_predictor() {
-                    self.unit.on_store_issue(d.pc, instance, d.seq as u32);
-                }
-                complete
-            } else {
-                self.result.loads += 1;
-                self.observe_load(&d, mem, instance, ready, latency)
-            }
-        } else {
-            ready + latency
-        };
-
-        if d.dst != NO_REG {
-            self.reg_avail[d.dst as usize] = complete;
-        }
-        self.retire_queue.push_back(complete);
-        self.last_complete = self.last_complete.max(complete);
-    }
-
-    fn observe_load(
+    /// Issues store `ord` (record `seq`) and returns its completion time.
+    fn store(
         &mut self,
-        d: &Row,
-        mem: MemAccess,
+        pc: Pc,
+        seq: usize,
+        ord: usize,
+        instance: u64,
+        ready: u64,
+        latency: u64,
+    ) -> u64 {
+        let complete = self.mem_port_slot(ready) + latency;
+        let slot = ord & (self.stores.len() - 1);
+        self.stores[slot] = StoreTiming { instance, complete };
+        self.all_stores_addr_ready = self.all_stores_addr_ready.max(ready);
+        if self.config.policy.uses_predictor() {
+            self.unit.on_store_issue(pc, instance, seq as u32);
+        }
+        complete
+    }
+
+    /// Issues load `lo` (record `seq`) under the policy and returns its
+    /// completion time.
+    fn load(
+        &mut self,
+        plan: &ReplayPlan,
+        seq: usize,
+        lo: usize,
         instance: u64,
         mut ready: u64,
         latency: u64,
     ) -> u64 {
-        let producer = self.producer_of(mem.addr, mem.size);
-        let in_window = producer.is_some_and(|p| d.seq - p.seq < self.config.window as u64);
-        let actual_dependence = in_window && producer.is_some_and(|p| p.complete > ready);
+        self.result.loads += 1;
+        let pc = plan.pc[seq];
+        // Only an in-window producer can delay the load. An older one
+        // completed before the load dispatched: the slot of the record
+        // `window` after it freed only once it completed, and dispatch
+        // never goes back.
+        let producer = plan
+            .producer(lo)
+            .map(|ord| (ord, plan.store_rec[ord] as usize))
+            .filter(|&(_, rec)| seq - rec < self.config.window)
+            .map(|(ord, rec)| {
+                let t = self.stores[ord & (self.stores.len() - 1)];
+                Producer {
+                    pc: plan.pc[rec],
+                    instance: t.instance,
+                    complete: t.complete,
+                }
+            });
+        // The producer when it completes after the load is ready: an
+        // actual dependence.
+        let dependent = producer.filter(|p| p.complete > ready);
+        let actual_dependence = dependent.is_some();
 
         match self.config.policy {
             Policy::Never => {
@@ -345,22 +353,18 @@ impl OooSim {
                 }
             }
             Policy::Wait => {
-                if in_window {
-                    ready = ready.max(self.all_stores_addr_ready);
-                    if let Some(p) = producer {
-                        ready = ready.max(p.complete);
-                    }
+                if let Some(p) = producer {
+                    ready = ready.max(self.all_stores_addr_ready).max(p.complete);
                 }
             }
             Policy::PSync => {
-                if let Some(p) = producer.filter(|_| in_window) {
+                if let Some(p) = producer {
                     ready = ready.max(p.complete);
                 }
             }
             Policy::Always => {
-                if actual_dependence {
-                    let p = producer.expect("dependence implies producer");
-                    self.violate(d, &p);
+                if let Some(p) = dependent {
+                    self.violate(pc, instance, &p);
                     ready = ready.max(p.complete);
                 }
             }
@@ -373,29 +377,26 @@ impl OooSim {
                 // time — so `Proceed` and `Wait` both mean "synchronize
                 // with the predicted store"; the timing wait below uses the
                 // store's completion time either way.
-                let decision = self.unit.on_load_ready(d.pc, instance, ldid, None);
+                let decision = self.unit.on_load_ready(pc, instance, ldid, None);
                 let predicted = decision != LoadDecision::NotPredicted;
                 self.result.breakdown.record(predicted, actual_dependence);
                 if predicted {
                     self.result.synchronized_loads += 1;
-                    let predicted_right = producer.is_some_and(|p| {
-                        self.unit.mdpt().iter().any(|e| {
-                            e.edge
-                                == DepEdge {
-                                    load_pc: d.pc,
-                                    store_pc: p.pc,
-                                }
-                        })
+                    let synced = producer.filter(|p| {
+                        let edge = DepEdge {
+                            load_pc: pc,
+                            store_pc: p.pc,
+                        };
+                        self.unit.mdpt().iter().any(|e| e.edge == edge)
                     });
-                    if predicted_right && in_window {
+                    if let Some(p) = synced {
                         // Successful synchronization: wake at the store's
                         // completion, no squash.
-                        let p = producer.expect("checked");
                         ready = ready.max(p.complete);
                         self.unit.release_load(ldid);
                         self.unit.train(
                             DepEdge {
-                                load_pc: d.pc,
+                                load_pc: pc,
                                 store_pc: p.pc,
                             },
                             actual_dependence,
@@ -409,20 +410,18 @@ impl OooSim {
                         for e in self.unit.release_load(ldid) {
                             self.unit.train(e, false);
                         }
-                        if actual_dependence {
-                            // A dependence on an *unpredicted* store still
-                            // violates if the store completes after the
-                            // (delayed) load issues.
-                            let p = producer.expect("dependence implies producer");
+                        // A dependence on an *unpredicted* store still
+                        // violates if the store completes after the
+                        // (delayed) load issues.
+                        if let Some(p) = dependent {
                             if p.complete > ready {
-                                self.violate(d, &p);
+                                self.violate(pc, instance, &p);
                             }
                             ready = ready.max(p.complete);
                         }
                     }
-                } else if actual_dependence {
-                    let p = producer.expect("dependence implies producer");
-                    self.violate(d, &p);
+                } else if let Some(p) = dependent {
+                    self.violate(pc, instance, &p);
                     ready = ready.max(p.complete);
                 }
             }
@@ -431,17 +430,16 @@ impl OooSim {
         start + latency
     }
 
-    fn violate(&mut self, d: &Row, p: &StoreRecord) {
+    fn violate(&mut self, pc: Pc, instance: u64, p: &Producer) {
         self.result.misspeculations += 1;
         self.restart_after = self
             .restart_after
             .max(p.complete + self.config.squash_penalty);
         if self.config.policy.uses_predictor() {
-            let load_instance = self.instance_no.get(&d.pc).copied().unwrap_or(1);
-            let dist = load_instance.saturating_sub(p.instance).max(1) as u32;
+            let dist = instance.saturating_sub(p.instance).max(1) as u32;
             self.unit.record_misspeculation(
                 DepEdge {
-                    load_pc: d.pc,
+                    load_pc: pc,
                     store_pc: p.pc,
                 },
                 dist,
@@ -449,40 +447,28 @@ impl OooSim {
             );
         }
     }
-
-    /// Finishes the run and returns the result.
-    pub fn finish(mut self) -> OooResult {
-        self.result.cycles = self.last_complete.max(self.cur_cycle) + 1;
-        self.result
-    }
 }
 
-/// Replays one committed stream — [`mds_emu::DynInst`] records or
-/// [`mds_emu::ReplayPlan`] rows — under several configurations in a
-/// single walk, returning results in input order.
-///
-/// Each simulator is independent, so results are identical to running
-/// each configuration through [`OooSim::observe`] separately. The runner
-/// does exactly that, one walk per grid cell: the lockstep walk measured
-/// no faster than separate walks.
-pub fn run_fused<R: Into<Row>>(
-    records: impl IntoIterator<Item = R>,
+/// Record adapter: lowers `records` into a [`ReplayPlan`] and runs
+/// [`OooSim::run`] under each configuration, returning results in input
+/// order. Only the benchmark's traced waterfall still feeds records;
+/// ROADMAP item 4 deletes this adapter with it.
+pub fn run_fused<'a>(
+    records: impl IntoIterator<Item = &'a DynInst>,
     configs: &[OooConfig],
 ) -> Vec<OooResult> {
-    let mut sims: Vec<OooSim> = configs.iter().map(|&c| OooSim::new(c)).collect();
+    let mut builder = PlanBuilder::new();
     for d in records {
-        let d = d.into();
-        for sim in &mut sims {
-            sim.observe(d);
-        }
+        builder.push(d);
     }
-    sims.into_iter().map(OooSim::finish).collect()
+    let plan = builder.finish();
+    configs.iter().map(|&c| OooSim::run(c, &plan)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mds_emu::Emulator;
+    use mds_emu::Trace;
     use mds_isa::{Program, ProgramBuilder, Reg};
 
     /// A loop whose loads are independent of its stores, but whose store
@@ -530,12 +516,11 @@ mod tests {
     }
 
     fn run(p: &Program, policy: Policy) -> OooResult {
-        let mut sim = OooSim::new(OooConfig {
+        let config = OooConfig {
             policy,
             ..Default::default()
-        });
-        Emulator::new(p).run_with(|d| sim.observe(d)).unwrap();
-        sim.finish()
+        };
+        OooSim::run(config, Trace::capture(p).unwrap().replay_plan())
     }
 
     #[test]
@@ -619,8 +604,7 @@ mod tests {
 
     #[test]
     fn fused_walk_matches_independent_runs() {
-        let p = recurrence_loop(150);
-        let records = Emulator::new(&p).run().unwrap();
+        let trace = Trace::capture(&recurrence_loop(150)).unwrap();
         let configs: Vec<OooConfig> = Policy::ALL
             .into_iter()
             .map(|policy| OooConfig {
@@ -628,19 +612,10 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        let fused = run_fused(&records, &configs);
+        let fused = run_fused(trace.records(), &configs);
         for (config, got) in configs.iter().zip(&fused) {
-            let mut sim = OooSim::new(*config);
-            for d in &records {
-                sim.observe(d);
-            }
-            let expect = sim.finish();
-            assert_eq!(got.cycles, expect.cycles, "{}", config.policy);
-            assert_eq!(got.instructions, expect.instructions);
-            assert_eq!(got.loads, expect.loads);
-            assert_eq!(got.misspeculations, expect.misspeculations);
-            assert_eq!(got.synchronized_loads, expect.synchronized_loads);
-            assert_eq!(got.breakdown, expect.breakdown);
+            let expect = OooSim::run(*config, trace.replay_plan());
+            assert_eq!(got, &expect, "{}", config.policy);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! The sliding-window dependence analyzer (tables 3, 4, and 5).
 
 use mds_core::{Ddc, DepEdge};
-use mds_emu::Row;
+use mds_emu::{DynInst, PlanBuilder, ReplayPlan};
 use mds_harness::hash::FxHashMap;
-use mds_isa::{Addr, Pc};
 use mds_sim::stats::{Histogram, Percent};
 use mds_sim::ConfigError;
 
@@ -117,7 +116,7 @@ impl WindowReport {
     /// Reassembles a report from its parts — the inverse of reading
     /// [`WindowReport::windows`] and the public totals. Exists for wire
     /// codecs that ship reports between processes; the analyzer itself
-    /// always builds reports via [`WindowAnalyzer::finish`].
+    /// always builds reports via [`WindowAnalyzer::analyze`].
     pub fn from_parts(
         per_window: Vec<WindowStats>,
         instructions: u64,
@@ -147,37 +146,19 @@ impl WindowReport {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LastStore {
-    seq: u64,
-    pc: Pc,
-}
-
-struct PerWindow {
-    window_size: u32,
-    misspecs: u64,
-    edges: FxHashMap<DepEdge, u64>,
-    ddcs: Vec<(usize, Ddc)>,
-}
-
 /// Implements the paper's unrealistic OOO model: every load whose
 /// producing store lies within the window is counted as mis-speculated —
 /// the worst case for blind speculation (§5).
 ///
-/// Feed every committed instruction to [`WindowAnalyzer::observe`] — as
-/// a [`mds_emu::DynInst`] record or a [`mds_emu::ReplayPlan`] row — then
-/// call [`WindowAnalyzer::finish`]. All configured window sizes and DDC
-/// sizes are measured in a single pass.
+/// [`WindowAnalyzer::analyze`] reads each load's producer — the youngest
+/// earlier store whose bytes overlap the load's — from the
+/// [`ReplayPlan`] ([`ReplayPlan::producer`]), so the plan's matcher is
+/// the only one. All configured window sizes and DDC sizes are measured in
+/// one walk over the loads.
 pub struct WindowAnalyzer {
-    per_window: Vec<PerWindow>,
-    // Most recent store covering each 8-byte-aligned word.
-    word_stores: FxHashMap<Addr, LastStore>,
-    // Most recent single-byte store per byte address.
-    byte_stores: FxHashMap<Addr, LastStore>,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    distances: Histogram,
+    config: WindowConfig,
+    /// The stream fed through [`WindowAnalyzer::observe`].
+    records: PlanBuilder,
 }
 
 impl WindowAnalyzer {
@@ -191,166 +172,148 @@ impl WindowAnalyzer {
             !config.window_sizes.is_empty(),
             "need at least one window size"
         );
-        let per_window = config
+        WindowAnalyzer {
+            config,
+            records: PlanBuilder::new(),
+        }
+    }
+
+    /// Analyzes one committed stream through its replay plan.
+    pub fn analyze(&self, plan: &ReplayPlan) -> WindowReport {
+        let config = &self.config;
+        let mut windows: Vec<(WindowStats, Vec<Ddc>)> = config
             .window_sizes
             .iter()
-            .map(|&ws| PerWindow {
-                window_size: ws,
-                misspecs: 0,
-                edges: FxHashMap::default(),
-                ddcs: config
-                    .ddc_sizes
-                    .iter()
-                    .map(|&cs| (cs, Ddc::new(cs)))
-                    .collect(),
+            .map(|&window_size| {
+                let stats = WindowStats {
+                    window_size,
+                    misspeculations: 0,
+                    edge_counts: FxHashMap::default(),
+                    ddcs: Vec::new(),
+                };
+                (
+                    stats,
+                    config.ddc_sizes.iter().map(|&n| Ddc::new(n)).collect(),
+                )
             })
             .collect();
-        WindowAnalyzer {
-            per_window,
-            word_stores: FxHashMap::default(),
-            byte_stores: FxHashMap::default(),
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            distances: Histogram::new("store->load distance"),
-        }
-    }
-
-    /// Feeds one committed instruction.
-    pub fn observe(&mut self, d: impl Into<Row>) {
-        let d = d.into();
-        self.instructions += 1;
-        let Some(mem) = d.mem else { return };
-        if mem.is_store {
-            self.stores += 1;
-            let rec = LastStore {
-                seq: d.seq,
-                pc: d.pc,
+        let mut distances = Histogram::new("store->load distance");
+        for (lo, &rec) in plan.load_rec.iter().enumerate() {
+            let Some(producer) = plan.producer(lo) else {
+                continue;
             };
-            if mem.size == 1 {
-                self.byte_stores.insert(mem.addr, rec);
-            } else {
-                self.word_stores.insert(mem.addr & !7, rec);
-                if mem.addr & 7 != 0 {
-                    self.word_stores.insert((mem.addr + 7) & !7, rec);
-                }
-            }
-            return;
-        }
-        self.loads += 1;
-        // Find the youngest earlier store overlapping this load.
-        let mut producer: Option<LastStore> = None;
-        let mut consider = |s: Option<&LastStore>| {
-            if let Some(s) = s {
-                if producer.is_none_or(|p| s.seq > p.seq) {
-                    producer = Some(*s);
-                }
-            }
-        };
-        if mem.size == 1 {
-            consider(self.byte_stores.get(&mem.addr));
-            consider(self.word_stores.get(&(mem.addr & !7)));
-        } else {
-            consider(self.word_stores.get(&(mem.addr & !7)));
-            if mem.addr & 7 != 0 {
-                consider(self.word_stores.get(&((mem.addr + 7) & !7)));
-            }
-            // Byte stores only exist in programs that use `sb`; skip the
-            // 8-probe scan entirely for the common all-word case.
-            if !self.byte_stores.is_empty() {
-                for b in 0..8 {
-                    consider(self.byte_stores.get(&(mem.addr + b)));
+            let store_rec = plan.store_rec[producer];
+            let distance = u64::from(rec - store_rec);
+            distances.record(distance);
+            let edge = DepEdge {
+                load_pc: plan.pc[rec as usize],
+                store_pc: plan.pc[store_rec as usize],
+            };
+            for (w, ddcs) in &mut windows {
+                if distance < u64::from(w.window_size) {
+                    w.misspeculations += 1;
+                    *w.edge_counts.entry(edge).or_insert(0) += 1;
+                    for ddc in ddcs {
+                        ddc.observe(edge);
+                    }
                 }
             }
         }
-        let Some(st) = producer else { return };
-        let distance = d.seq - st.seq;
-        self.distances.record(distance);
-        let edge = DepEdge {
-            load_pc: d.pc,
-            store_pc: st.pc,
-        };
-        for w in &mut self.per_window {
-            if distance < w.window_size as u64 {
-                w.misspecs += 1;
-                *w.edges.entry(edge).or_insert(0) += 1;
-                for (_, ddc) in &mut w.ddcs {
-                    ddc.observe(edge);
-                }
-            }
-        }
-    }
-
-    /// Finishes the analysis.
-    pub fn finish(self) -> WindowReport {
         WindowReport {
-            per_window: self
-                .per_window
+            per_window: windows
                 .into_iter()
-                .map(|w| WindowStats {
-                    window_size: w.window_size,
-                    misspeculations: w.misspecs,
-                    edge_counts: w.edges,
-                    ddcs: w
-                        .ddcs
-                        .into_iter()
-                        .map(|(cs, d)| (cs, d.hits(), d.misses()))
-                        .collect(),
+                .map(|(mut w, ddcs)| {
+                    w.ddcs = ddcs
+                        .iter()
+                        .map(|d| (d.capacity(), d.hits(), d.misses()))
+                        .collect();
+                    w
                 })
                 .collect(),
-            instructions: self.instructions,
-            loads: self.loads,
-            stores: self.stores,
-            dependence_distances: self.distances,
+            instructions: plan.len() as u64,
+            loads: plan.load_rec.len() as u64,
+            stores: plan.store_rec.len() as u64,
+            dependence_distances: distances,
         }
+    }
+
+    /// Record adapter: feeds one committed record into a plan that
+    /// [`WindowAnalyzer::finish`] analyzes. Only the benchmark's traced
+    /// waterfall still feeds records; ROADMAP item 4 deletes this adapter
+    /// with it.
+    pub fn observe(&mut self, d: &DynInst) {
+        self.records.push(d);
+    }
+
+    /// Record adapter: analyzes the records fed through
+    /// [`WindowAnalyzer::observe`].
+    pub fn finish(mut self) -> WindowReport {
+        let plan = std::mem::take(&mut self.records).finish();
+        self.analyze(&plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mds_emu::{DynInst, MemAccess};
-    use mds_isa::Instruction;
+    use mds_emu::MemAccess;
+    use mds_isa::{Addr, Instruction, Opcode, Pc, Reg};
 
-    fn dyn_mem(seq: u64, pc: Pc, addr: Addr, size: u8, is_store: bool) -> DynInst {
-        DynInst {
-            seq,
-            pc,
-            inst: Instruction::NOP,
-            mem: Some(MemAccess {
+    /// A committed stream under construction: each record takes the next
+    /// sequence number.
+    #[derive(Default)]
+    struct Stream(Vec<DynInst>);
+
+    impl Stream {
+        fn push(&mut self, pc: Pc, inst: Instruction, mem: Option<MemAccess>) {
+            self.0.push(DynInst {
+                seq: self.0.len() as u64,
+                pc,
+                inst,
+                mem,
+                branch: None,
+                new_task: false,
+            });
+        }
+
+        /// A store (`is_store`) or load of `size` bytes at `addr`.
+        fn mem(&mut self, pc: Pc, addr: Addr, size: u8, is_store: bool) {
+            let inst = match (is_store, size) {
+                (true, 1) => Instruction::store(Opcode::Sb, Reg::T0, Reg::S0, 0),
+                (true, _) => Instruction::store(Opcode::Sd, Reg::T0, Reg::S0, 0),
+                (false, 1) => Instruction::load(Opcode::Lb, Reg::T0, Reg::S0, 0),
+                (false, _) => Instruction::load(Opcode::Ld, Reg::T0, Reg::S0, 0),
+            };
+            let access = MemAccess {
                 addr,
                 size,
                 is_store,
-            }),
-            branch: None,
-            new_task: false,
+            };
+            self.push(pc, inst, Some(access));
         }
-    }
 
-    fn dyn_plain(seq: u64) -> DynInst {
-        DynInst {
-            seq,
-            pc: 0,
-            inst: Instruction::NOP,
-            mem: None,
-            branch: None,
-            new_task: false,
+        /// `n` non-memory records.
+        fn plain(&mut self, n: u64) {
+            for _ in 0..n {
+                self.push(0, Instruction::NOP, None);
+            }
         }
-    }
 
-    fn analyzer(ws: &[u32]) -> WindowAnalyzer {
-        WindowAnalyzer::new(WindowConfig {
-            window_sizes: ws.to_vec(),
-            ddc_sizes: vec![2],
-        })
+        fn report(&self, ws: &[u32]) -> WindowReport {
+            let analyzer = WindowAnalyzer::new(WindowConfig {
+                window_sizes: ws.to_vec(),
+                ddc_sizes: vec![2],
+            });
+            analyzer.analyze(&ReplayPlan::build(&self.0))
+        }
     }
 
     #[test]
     fn dependence_within_window_counts() {
-        let mut a = analyzer(&[8]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 2, 0x100, 8, false));
-        let r = a.finish();
+        let mut s = Stream::default();
+        s.mem(1, 0x100, 8, true);
+        s.mem(2, 0x100, 8, false);
+        let r = s.report(&[8]);
         assert_eq!(r.for_window(8).unwrap().misspeculations, 1);
         assert_eq!(r.loads, 1);
         assert_eq!(r.stores, 1);
@@ -358,24 +321,22 @@ mod tests {
 
     #[test]
     fn dependence_outside_window_does_not_count() {
-        let mut a = analyzer(&[4, 64]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        for s in 1..10 {
-            a.observe(&dyn_plain(s));
-        }
-        a.observe(&dyn_mem(10, 2, 0x100, 8, false)); // distance 10
-        let r = a.finish();
+        let mut s = Stream::default();
+        s.mem(1, 0x100, 8, true);
+        s.plain(9);
+        s.mem(2, 0x100, 8, false); // distance 10
+        let r = s.report(&[4, 64]);
         assert_eq!(r.for_window(4).unwrap().misspeculations, 0);
         assert_eq!(r.for_window(64).unwrap().misspeculations, 1);
     }
 
     #[test]
     fn youngest_store_wins() {
-        let mut a = analyzer(&[64]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 3, 0x100, 8, true)); // younger store, pc 3
-        a.observe(&dyn_mem(2, 9, 0x100, 8, false));
-        let r = a.finish();
+        let mut s = Stream::default();
+        s.mem(1, 0x100, 8, true);
+        s.mem(3, 0x100, 8, true); // younger store, pc 3
+        s.mem(9, 0x100, 8, false);
+        let r = s.report(&[64]);
         let w = r.for_window(64).unwrap();
         assert_eq!(w.misspeculations, 1);
         let edge = DepEdge {
@@ -387,44 +348,42 @@ mod tests {
 
     #[test]
     fn byte_and_word_overlap_detected() {
-        let mut a = analyzer(&[64]);
+        let mut s = Stream::default();
         // Byte store into the middle of a word; word load sees it.
-        a.observe(&dyn_mem(0, 1, 0x103, 1, true));
-        a.observe(&dyn_mem(1, 2, 0x100, 8, false));
+        s.mem(1, 0x103, 1, true);
+        s.mem(2, 0x100, 8, false);
         // Word store; byte load within it sees it.
-        a.observe(&dyn_mem(2, 3, 0x200, 8, true));
-        a.observe(&dyn_mem(3, 4, 0x205, 1, false));
-        let r = a.finish();
-        assert_eq!(r.for_window(64).unwrap().misspeculations, 2);
+        s.mem(3, 0x200, 8, true);
+        s.mem(4, 0x205, 1, false);
+        // Unaligned word store; an aligned load of its upper word sees
+        // it, a byte load of its lower word outside its bytes does not.
+        s.mem(5, 0x305, 8, true);
+        s.mem(6, 0x308, 8, false);
+        s.mem(7, 0x302, 1, false);
+        let r = s.report(&[64]);
+        assert_eq!(r.for_window(64).unwrap().misspeculations, 3);
     }
 
     #[test]
     fn disjoint_addresses_no_dependence() {
-        let mut a = analyzer(&[64]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 2, 0x108, 8, false));
-        a.observe(&dyn_mem(2, 3, 0x0f8, 8, false));
-        let r = a.finish();
+        let mut s = Stream::default();
+        s.mem(1, 0x100, 8, true);
+        s.mem(2, 0x108, 8, false);
+        s.mem(3, 0x0f8, 8, false);
+        let r = s.report(&[64]);
         assert_eq!(r.for_window(64).unwrap().misspeculations, 0);
     }
 
     #[test]
     fn misspeculations_monotone_in_window_size() {
-        let mut a = analyzer(&[8, 32, 128]);
+        let mut s = Stream::default();
         // Dependences at distances 4, 20, 100.
-        let mut seq = 0u64;
-        let mut emit_dep = |a: &mut WindowAnalyzer, gap: u64, addr: Addr| {
-            a.observe(&dyn_mem(seq, 1, addr, 8, true));
-            for s in 1..gap {
-                a.observe(&dyn_plain(seq + s));
-            }
-            a.observe(&dyn_mem(seq + gap, 2, addr, 8, false));
-            seq += gap + 1;
-        };
-        emit_dep(&mut a, 4, 0x100);
-        emit_dep(&mut a, 20, 0x200);
-        emit_dep(&mut a, 100, 0x300);
-        let r = a.finish();
+        for (gap, addr) in [(4, 0x100), (20, 0x200), (100, 0x300)] {
+            s.mem(1, addr, 8, true);
+            s.plain(gap - 1);
+            s.mem(2, addr, 8, false);
+        }
+        let r = s.report(&[8, 32, 128]);
         let m8 = r.for_window(8).unwrap().misspeculations;
         let m32 = r.for_window(32).unwrap().misspeculations;
         let m128 = r.for_window(128).unwrap().misspeculations;
@@ -461,13 +420,13 @@ mod tests {
 
     #[test]
     fn ddc_miss_rate_reported_per_size() {
-        let mut a = analyzer(&[64]);
+        let mut s = Stream::default();
         // Same edge repeatedly: first observation misses, rest hit.
-        for i in 0..10 {
-            a.observe(&dyn_mem(i * 2, 1, 0x100, 8, true));
-            a.observe(&dyn_mem(i * 2 + 1, 2, 0x100, 8, false));
+        for _ in 0..10 {
+            s.mem(1, 0x100, 8, true);
+            s.mem(2, 0x100, 8, false);
         }
-        let r = a.finish();
+        let r = s.report(&[64]);
         let rate = r.for_window(64).unwrap().ddc_miss_rate(2).unwrap();
         assert_eq!(rate.value(), 10.0);
         assert!(r.for_window(64).unwrap().ddc_miss_rate(999).is_none());
@@ -475,14 +434,12 @@ mod tests {
 
     #[test]
     fn distance_histogram_records_every_dependent_load() {
-        let mut a = analyzer(&[8]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 2, 0x100, 8, false)); // distance 1
-        for s in 2..12 {
-            a.observe(&dyn_plain(s));
-        }
-        a.observe(&dyn_mem(12, 3, 0x100, 8, false)); // distance 12
-        let r = a.finish();
+        let mut s = Stream::default();
+        s.mem(1, 0x100, 8, true);
+        s.mem(2, 0x100, 8, false); // distance 1
+        s.plain(10);
+        s.mem(3, 0x100, 8, false); // distance 12
+        let r = s.report(&[8]);
         assert_eq!(r.dependence_distances.count(), 2);
         assert_eq!(r.dependence_distances.max(), 12);
         // The 12-away dependence is invisible at WS 8 but still recorded

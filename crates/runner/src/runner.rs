@@ -315,18 +315,10 @@ fn execute(job: &Job, cache: &TraceCache) -> JobResult {
             JobOutput::Multiscalar(mds_multiscalar::run_planned(&trace, config))
         }
         JobKind::Window(config) => {
-            let mut analyzer = WindowAnalyzer::new(config.clone());
-            for row in trace.replay_plan().rows() {
-                analyzer.observe(row);
-            }
-            JobOutput::Window(analyzer.finish())
+            JobOutput::Window(WindowAnalyzer::new(config.clone()).analyze(trace.replay_plan()))
         }
         JobKind::Superscalar(config) => {
-            let mut sim = OooSim::new(*config);
-            for row in trace.replay_plan().rows() {
-                sim.observe(row);
-            }
-            JobOutput::Superscalar(sim.finish())
+            JobOutput::Superscalar(OooSim::run(*config, trace.replay_plan()))
         }
         JobKind::Summary => JobOutput::Summary(trace.summary()),
     };
@@ -517,19 +509,11 @@ mod tests {
                 JobKind::Multiscalar(config) => {
                     JobOutput::Multiscalar(mds_multiscalar::run_planned(&trace, config))
                 }
-                JobKind::Window(config) => {
-                    let mut analyzer = WindowAnalyzer::new(config.clone());
-                    for row in trace.replay_plan().rows() {
-                        analyzer.observe(row);
-                    }
-                    JobOutput::Window(analyzer.finish())
-                }
+                JobKind::Window(config) => JobOutput::Window(
+                    WindowAnalyzer::new(config.clone()).analyze(trace.replay_plan()),
+                ),
                 JobKind::Superscalar(config) => {
-                    let mut sim = OooSim::new(*config);
-                    for row in trace.replay_plan().rows() {
-                        sim.observe(row);
-                    }
-                    JobOutput::Superscalar(sim.finish())
+                    JobOutput::Superscalar(OooSim::run(*config, trace.replay_plan()))
                 }
                 JobKind::Summary => JobOutput::Summary(trace.summary()),
             };

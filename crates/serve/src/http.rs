@@ -310,7 +310,7 @@ struct PendingHead {
 ///   [`RequestReader::try_parse`]): the event-driven connection state
 ///   machine feeds readiness-gated reads in and polls for complete
 ///   requests; a partially received head or body is held across calls in
-///   [`PendingHead`] / the carry buffer.
+///   `PendingHead` / the carry buffer.
 #[derive(Debug, Default)]
 pub struct RequestReader {
     buf: Vec<u8>,

@@ -20,7 +20,7 @@
 //!   pool: heavy requests are queued to workers, I/O never blocks a
 //!   worker, and completions flow back over a wake channel.
 //!
-//! The only `unsafe` in the crate lives in [`sys`], a ~60-line epoll
+//! The only `unsafe` in the crate lives in `sys`, a ~60-line epoll
 //! syscall shim.
 
 pub mod conn;

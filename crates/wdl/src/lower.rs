@@ -6,8 +6,9 @@
 //! Like the hand-written workloads, a generated program is **one task
 //! body executed in a countdown loop**: every dynamic task runs the same
 //! code, and all per-task variation derives from the task counter
-//! through the non-serializing [`task_hash`] mix, so consecutive tasks
-//! can overlap in the Multiscalar window.
+//! through the non-serializing
+//! [`task_hash`](mds_workloads::util::task_hash) mix, so consecutive
+//! tasks can overlap in the Multiscalar window.
 //!
 //! Cross-task dependences flow through a single 64-slot **communication
 //! ring** per static edge: every task stores to `ring[t & 63]` *late* in

@@ -489,16 +489,15 @@ pub fn xlisp(scale: Scale) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mds_emu::Emulator;
+    use mds_emu::{Emulator, Trace};
     use mds_ooo::{WindowAnalyzer, WindowConfig};
 
     fn profile(p: &Program) -> mds_ooo::WindowReport {
-        let mut a = WindowAnalyzer::new(WindowConfig {
+        let a = WindowAnalyzer::new(WindowConfig {
             window_sizes: vec![32, 256],
             ddc_sizes: vec![64],
         });
-        Emulator::new(p).run_with(|d| a.observe(d)).unwrap();
-        a.finish()
+        a.analyze(Trace::capture(p).unwrap().replay_plan())
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Suite {
 pub enum Builder {
     /// A hand-written constructor, resolved at compile time.
     Static(fn(Scale) -> Program),
-    /// Resolved through [`registry::build_dynamic`] by workload name.
+    /// Resolved through `registry::build_dynamic` by workload name.
     Dynamic,
 }
 

@@ -417,16 +417,20 @@ pub fn wave5(scale: Scale) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mds_emu::Emulator;
-    use mds_ooo::{WindowAnalyzer, WindowConfig};
+    use mds_emu::{Emulator, Trace};
+    use mds_ooo::{WindowAnalyzer, WindowConfig, WindowReport};
+
+    fn profile(p: &Program, window_sizes: Vec<u32>, ddc_sizes: Vec<usize>) -> WindowReport {
+        let a = WindowAnalyzer::new(WindowConfig {
+            window_sizes,
+            ddc_sizes,
+        });
+        a.analyze(Trace::capture(p).unwrap().replay_plan())
+    }
 
     fn misspecs_at(p: &Program, ws: u32) -> u64 {
-        let mut a = WindowAnalyzer::new(WindowConfig {
-            window_sizes: vec![ws],
-            ddc_sizes: vec![],
-        });
-        Emulator::new(p).run_with(|d| a.observe(d)).unwrap();
-        a.finish().for_window(ws).unwrap().misspeculations
+        let r = profile(p, vec![ws], vec![]);
+        r.for_window(ws).unwrap().misspeculations
     }
 
     #[test]
@@ -445,12 +449,7 @@ mod tests {
         let sum = Emulator::new(&p).run_into(&mut ()).unwrap();
         let per_task = sum.instructions as f64 / sum.tasks as f64;
         assert!(per_task > 250.0, "task size {per_task}");
-        let mut a = WindowAnalyzer::new(WindowConfig {
-            window_sizes: vec![512],
-            ddc_sizes: vec![64],
-        });
-        Emulator::new(&p).run_with(|d| a.observe(d)).unwrap();
-        let r = a.finish();
+        let r = profile(&p, vec![512], vec![64]);
         let w = r.for_window(512).unwrap();
         assert!(w.static_edges() >= 90, "static edges {}", w.static_edges());
     }
@@ -460,12 +459,7 @@ mod tests {
         // An 8-stage Multiscalar window spans ~8 tasks (~2000 instructions
         // here); measure at that reach over a full Small run.
         let p = su2cor(Scale::Small);
-        let mut a = WindowAnalyzer::new(WindowConfig {
-            window_sizes: vec![2048],
-            ddc_sizes: vec![],
-        });
-        Emulator::new(&p).run_with(|d| a.observe(d)).unwrap();
-        let r = a.finish();
+        let r = profile(&p, vec![2048], vec![]);
         let edges = r.for_window(2048).unwrap().static_edges();
         assert!(edges > 60, "static edges {edges}");
     }

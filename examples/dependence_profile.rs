@@ -6,7 +6,7 @@
 //! cargo run --release --example dependence_profile -- gcc
 //! ```
 
-use mds::emu::Emulator;
+use mds::emu::Trace;
 use mds::ooo::{WindowAnalyzer, WindowConfig};
 use mds::sim::table::{fmt_count, Table};
 use mds::workloads::{by_name, Scale};
@@ -19,9 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("workload : {} — {}", workload.name, workload.description);
     let program = workload.build(Scale::Small);
 
-    let mut analyzer = WindowAnalyzer::new(WindowConfig::default());
-    Emulator::new(&program).run_with(|d| analyzer.observe(d))?;
-    let report = analyzer.finish();
+    let trace = Trace::capture(&program)?;
+    let report = WindowAnalyzer::new(WindowConfig::default()).analyze(trace.replay_plan());
 
     println!(
         "trace    : {} instructions, {} loads, {} stores\n",

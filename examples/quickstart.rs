@@ -7,7 +7,7 @@
 //! ```
 
 use mds::core::Policy;
-use mds::emu::Emulator;
+use mds::emu::Trace;
 use mds::isa::{ProgramBuilder, Reg};
 use mds::multiscalar::{MsConfig, Multiscalar};
 use mds::ooo::{WindowAnalyzer, WindowConfig};
@@ -34,8 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.halt();
     let program = b.build()?;
 
-    // 1. Functional execution: the committed instruction stream.
-    let summary = Emulator::new(&program).run_into(&mut ())?;
+    // 1. Functional execution: the committed instruction stream, captured
+    //    as a replay plan.
+    let trace = Trace::capture(&program)?;
+    let summary = trace.summary();
     println!(
         "functional run : {} instructions, {} tasks",
         summary.instructions, summary.tasks
@@ -43,9 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The paper's "unrealistic OOO" question: how many loads have a
     //    producing store within an n-instruction window?
-    let mut analyzer = WindowAnalyzer::new(WindowConfig::default());
-    Emulator::new(&program).run_with(|d| analyzer.observe(d))?;
-    let report = analyzer.finish();
+    let report = WindowAnalyzer::new(WindowConfig::default()).analyze(trace.replay_plan());
     for ws in [8u32, 32, 128] {
         let w = report.for_window(ws).expect("configured");
         println!(

@@ -3,7 +3,7 @@
 //! Multiscalar timing model under every speculation policy.
 
 use mds::core::Policy;
-use mds::emu::Emulator;
+use mds::emu::{Emulator, Trace};
 use mds::isa::asm::assemble;
 use mds::isa::{ProgramBuilder, Reg};
 use mds::multiscalar::{MsConfig, Multiscalar};
@@ -130,14 +130,11 @@ fn window_analysis_matches_timing_model_intuition() {
     let program = b.build().unwrap();
 
     // Window analysis: the recurrence spans 5 tasks (~45 instructions).
-    let mut analyzer = WindowAnalyzer::new(WindowConfig {
+    let analyzer = WindowAnalyzer::new(WindowConfig {
         window_sizes: vec![16, 128],
         ddc_sizes: vec![],
     });
-    Emulator::new(&program)
-        .run_with(|d| analyzer.observe(d))
-        .unwrap();
-    let report = analyzer.finish();
+    let report = analyzer.analyze(Trace::capture(&program).unwrap().replay_plan());
     assert_eq!(report.for_window(16).unwrap().misspeculations, 0);
     assert!(report.for_window(128).unwrap().misspeculations > 300);
 
