@@ -1,6 +1,6 @@
 //! Per-backend state the gateway tracks: health, breaker, counters.
 
-use crate::breaker::{Breaker, BreakerConfig};
+use crate::breaker::Breaker;
 use mds_harness::stats::Histogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -10,7 +10,7 @@ use std::time::Instant;
 /// samples by the gateway's `/metrics`.
 #[derive(Debug, Default)]
 pub struct BackendStats {
-    /// Proxy attempts sent to this backend (including hedges).
+    /// Upstream attempts sent to this backend (failovers included).
     pub attempts: AtomicU64,
     /// Attempts that failed at the transport level.
     pub failures: AtomicU64,
@@ -35,12 +35,13 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// A backend starting healthy with a closed breaker.
-    pub fn new(addr: String, breaker: BreakerConfig, seed: u64) -> Backend {
+    /// A backend starting healthy with a closed breaker; `seed` fixes
+    /// the breaker's cooldown jitter.
+    pub fn new(addr: String, seed: u64) -> Backend {
         Backend {
             addr,
             healthy: AtomicBool::new(true),
-            breaker: Mutex::new(Breaker::new(breaker, seed)),
+            breaker: Mutex::new(Breaker::new(seed)),
             stats: BackendStats::default(),
         }
     }
@@ -77,7 +78,7 @@ mod tests {
 
     #[test]
     fn rotation_requires_health_and_a_willing_breaker() {
-        let b = Backend::new("127.0.0.1:1".to_string(), BreakerConfig::default(), 1);
+        let b = Backend::new("127.0.0.1:1".to_string(), 1);
         let now = Instant::now();
         assert!(b.in_rotation(now));
         assert!(b.set_healthy(false), "previous verdict was healthy");

@@ -31,7 +31,6 @@ options:
   --replicas N         distinct backends tried per cell batch (default 2)
   --vnodes N           virtual nodes per backend on the hash ring (default 64)
   --retry-burst N      retry-budget burst above the 20% steady-state ratio (default 16)
-  --hedge-ms MS        hedge a cell batch on the next replica after MS of silence (default: off)
   --probe-ms MS        readiness-probe interval in milliseconds (default 250)
   --quiet              discard the JSON event log (default: stderr)
   -h, --help           show this help
@@ -109,10 +108,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
             }
             "--retry-burst" => {
                 gateway.retry_burst = parse_count("--retry-burst", value("--retry-burst")?)? as u64;
-            }
-            "--hedge-ms" => {
-                let ms = parse_count("--hedge-ms", value("--hedge-ms")?)?;
-                gateway.hedge_after = Some(Duration::from_millis(ms as u64));
             }
             "--probe-ms" => {
                 let ms = parse_count("--probe-ms", value("--probe-ms")?)?;
@@ -210,8 +205,6 @@ mod tests {
                 "128",
                 "--retry-burst",
                 "9",
-                "--hedge-ms",
-                "40",
                 "--probe-ms",
                 "100",
                 "--quiet",
@@ -233,7 +226,6 @@ mod tests {
         assert_eq!(options.gateway.replicas, 3);
         assert_eq!(options.gateway.vnodes, 128);
         assert_eq!(options.gateway.retry_burst, 9);
-        assert_eq!(options.gateway.hedge_after, Some(Duration::from_millis(40)));
         assert_eq!(options.gateway.probe_interval, Duration::from_millis(100));
         assert_eq!(options.gateway.log, LogTarget::Discard);
     }
@@ -257,5 +249,14 @@ mod tests {
         );
         assert!(parse_args(["--vnodes".into(), "x".into()].into_iter()).is_err());
         assert!(parse_args(["--bogus".into()].into_iter()).is_err());
+    }
+
+    #[test]
+    fn the_removed_hedge_flag_is_an_unknown_argument() {
+        let args = ["--backend", "h:1", "--hedge-ms", "40"];
+        let error = parse_args(args.into_iter().map(String::from))
+            .err()
+            .expect("--hedge-ms must fail");
+        assert_eq!(error, "unknown argument '--hedge-ms'");
     }
 }

@@ -5,16 +5,16 @@
 //! the gateway interprets itself) and cuts a persistently failing
 //! backend out of rotation so requests stop paying its timeout:
 //!
-//! - **Closed** — traffic flows; `failure_threshold` *consecutive*
-//!   failures trip the breaker.
+//! - **Closed** — traffic flows; three *consecutive* failures trip the
+//!   breaker.
 //! - **Open** — all traffic is refused for a cooldown drawn from the
 //!   shared capped-exponential-with-jitter schedule
-//!   ([`mds_harness::backoff::Backoff`]); repeated trips double the
-//!   cooldown up to the cap, and the jitter decorrelates a fleet of
-//!   gateways rediscovering the same dead backend.
+//!   ([`mds_harness::backoff::Backoff`]): 250 ms, doubled by each
+//!   repeated trip up to a 5 s cap, and the jitter decorrelates a fleet
+//!   of gateways rediscovering the same dead backend.
 //! - **HalfOpen** — after the cooldown one trial request is let through;
-//!   `close_after` consecutive trial successes close the breaker (and
-//!   reset the cooldown schedule), a single failure re-opens it.
+//!   its success closes the breaker (and resets the cooldown schedule),
+//!   its failure re-opens it.
 //!
 //! Every method takes `now: Instant` instead of reading the clock, so
 //! tests drive the full state machine synthetically, and state changes
@@ -65,42 +65,25 @@ pub struct Transition {
     pub to: State,
 }
 
-/// Breaker tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Consecutive data-path failures that trip Closed → Open.
-    pub failure_threshold: u32,
-    /// First open-state cooldown; doubles per consecutive trip.
-    pub cooldown: Duration,
-    /// Upper bound on the (pre-jitter) cooldown.
-    pub cooldown_cap: Duration,
-    /// Consecutive half-open successes required to close.
-    pub close_after: u32,
-}
+/// Consecutive data-path failures that trip Closed → Open.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(250),
-            cooldown_cap: Duration::from_secs(5),
-            close_after: 1,
-        }
-    }
-}
+/// First open-state cooldown; doubles per consecutive trip.
+const COOLDOWN: Duration = Duration::from_millis(250);
+
+/// Upper bound on the (pre-jitter) cooldown.
+const COOLDOWN_CAP: Duration = Duration::from_secs(5);
 
 /// The circuit breaker itself. Not thread-safe; the gateway wraps each
 /// backend's breaker in a `Mutex`.
 #[derive(Debug)]
 pub struct Breaker {
-    config: BreakerConfig,
     state: State,
     consecutive_failures: u32,
     /// While Open: when the cooldown elapses.
     open_until: Option<Instant>,
     /// The escalating cooldown schedule; reset when the breaker closes.
     cooldown: Backoff,
-    half_open_successes: u32,
     /// Trial requests currently in flight while HalfOpen (at most one).
     half_open_inflight: u32,
     opens: u64,
@@ -108,14 +91,12 @@ pub struct Breaker {
 
 impl Breaker {
     /// A closed breaker; `seed` fixes the cooldown jitter stream.
-    pub fn new(config: BreakerConfig, seed: u64) -> Breaker {
+    pub fn new(seed: u64) -> Breaker {
         Breaker {
-            cooldown: Backoff::new(config.cooldown, config.cooldown_cap, seed),
-            config,
+            cooldown: Backoff::new(COOLDOWN, COOLDOWN_CAP, seed),
             state: State::Closed,
             consecutive_failures: 0,
             open_until: None,
-            half_open_successes: 0,
             half_open_inflight: 0,
             opens: 0,
         }
@@ -150,7 +131,6 @@ impl Breaker {
             State::Open => {
                 if self.open_until.is_some_and(|until| now >= until) {
                     let t = self.transition(State::HalfOpen);
-                    self.half_open_successes = 0;
                     self.half_open_inflight = 1;
                     (true, t)
                 } else {
@@ -175,7 +155,8 @@ impl Breaker {
         self.half_open_inflight = self.half_open_inflight.saturating_sub(1);
     }
 
-    /// Records a successful data-path exchange.
+    /// Records a successful data-path exchange; a half-open trial's
+    /// success closes the breaker.
     pub fn record_success(&mut self, _now: Instant) -> Option<Transition> {
         self.half_open_inflight = self.half_open_inflight.saturating_sub(1);
         match self.state {
@@ -184,14 +165,9 @@ impl Breaker {
                 None
             }
             State::HalfOpen => {
-                self.half_open_successes += 1;
-                if self.half_open_successes >= self.config.close_after {
-                    self.consecutive_failures = 0;
-                    self.cooldown.reset();
-                    self.transition(State::Closed)
-                } else {
-                    None
-                }
+                self.consecutive_failures = 0;
+                self.cooldown.reset();
+                self.transition(State::Closed)
             }
             // A late success from a request issued before the trip: the
             // cooldown still runs its course.
@@ -205,7 +181,7 @@ impl Breaker {
         match self.state {
             State::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.trip(now)
                 } else {
                     None
@@ -233,7 +209,7 @@ mod tests {
     use super::*;
 
     fn breaker() -> Breaker {
-        Breaker::new(BreakerConfig::default(), 42)
+        Breaker::new(42)
     }
 
     #[test]

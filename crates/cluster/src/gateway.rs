@@ -15,7 +15,7 @@
 //!    a static listing, answered on the event loop with no upstream
 //!    call.
 //! 2. A worker reads the merged-document [`ResultCache`] (the backends'
-//!    default byte budget), keyed by [`GridRequest::cache_key`] under the
+//!    byte budget), keyed by [`GridRequest::cache_key`] under the
 //!    effective output epoch captured at start. A cached, non-`fresh`
 //!    request is answered with no planning, no upstream call and no
 //!    merge. Access records say `cache: hit|miss`.
@@ -30,11 +30,8 @@
 //!    the prober handles load-driven ejection via `/readyz`. Every
 //!    attempt after the first consumes the global retry budget
 //!    (`retries < batches/5 + burst`), which caps retry amplification
-//!    during a full-cluster outage. Optionally
-//!    ([`GatewayConfig::hedge_after`]) a hedged second attempt races the
-//!    next replica when the first is slow; the first non-shed answer
-//!    wins. Cell execution is deterministic and idempotent, so hedging
-//!    is always safe.
+//!    during a full-cluster outage. Attempts go one at a time over the
+//!    lane's pooled connections, each inside its backend's grid window.
 //! 4. The merger folds the cell outputs into the response in request
 //!    order, byte-identical to a lone backend and to `repro <id>
 //!    --json`. A batch that every candidate fails is computed on the
@@ -48,7 +45,6 @@
 //! land in the structured JSON event log.
 
 use crate::backend::Backend;
-use crate::breaker::BreakerConfig;
 use crate::grid;
 use crate::metrics::{self, GatewayMetrics};
 use crate::ring::HashRing;
@@ -57,7 +53,7 @@ use mds_harness::backoff::Backoff;
 use mds_harness::json::Json;
 use mds_runner::Runner;
 use mds_serve::client::{self, Connection};
-use mds_serve::front::{Front, Running, Tier};
+use mds_serve::front::{Front, Running, Tier, MAX_REQUESTS_PER_CONNECTION};
 use mds_serve::http::{ClientResponse, Limits, Request, Response};
 use mds_serve::io::reactor::{self, Outcome};
 use mds_serve::persist;
@@ -91,19 +87,9 @@ pub struct GatewayConfig {
     /// Retry-budget burst: attempts beyond the first are allowed while
     /// `retries < dispatched_batches / 5 + retry_burst`.
     pub retry_burst: u64,
-    /// When set, launch a hedged second attempt at a batch on the next
-    /// replica if the first has not answered within this duration.
-    pub hedge_after: Option<Duration>,
     /// Readiness-probe interval for healthy backends; failed probes back
     /// off exponentially (capped at 8× this, jittered).
     pub probe_interval: Duration,
-    /// Per-probe timeout.
-    pub probe_timeout: Duration,
-    /// Upstream connect timeout.
-    pub connect_timeout: Duration,
-    /// Upstream read/write timeout (a cold cell batch can compute for a
-    /// while, so this is generous).
-    pub io_timeout: Duration,
     /// Client keep-alive idle window, and the per-request body deadline.
     pub read_timeout: Duration,
     /// Total deadline for one client request head (the slow-loris guard;
@@ -113,27 +99,11 @@ pub struct GatewayConfig {
     pub write_timeout: Duration,
     /// Request head/body size limits.
     pub limits: Limits,
-    /// Keep-alive cap: requests served per client connection.
-    pub max_requests_per_connection: usize,
-    /// Warm-cache handoff: when a backend flips unhealthy → healthy (a
-    /// recovery or a replacement process), stream it the warm entries it
-    /// is responsible for from its ring neighbors, so it answers warm
-    /// from the first request.
-    pub handoff: bool,
-    /// Circuit-breaker tunables (shared by every backend).
-    pub breaker: BreakerConfig,
     /// Structured-log destination.
     pub log: LogTarget,
-    /// Seed for breaker cooldown and probe-backoff jitter.
-    pub seed: u64,
     /// Concurrent client-connection cap; accepts beyond it are shed with
     /// `503` immediately.
     pub max_connections: usize,
-    /// Per-backend in-flight window for grid dispatch: how many cell
-    /// batches one scattered request keeps outstanding against each
-    /// backend. Sized to fill a backend's worker pool without tripping
-    /// its admission shedding.
-    pub grid_window: usize,
 }
 
 impl Default for GatewayConfig {
@@ -146,25 +116,20 @@ impl Default for GatewayConfig {
             replicas: 2,
             vnodes: 64,
             retry_burst: 16,
-            hedge_after: None,
             probe_interval: Duration::from_millis(250),
-            probe_timeout: Duration::from_millis(500),
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_secs(120),
             read_timeout: Duration::from_secs(5),
             header_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             limits: Limits::default(),
-            max_requests_per_connection: 1000,
-            handoff: true,
-            breaker: BreakerConfig::default(),
             log: LogTarget::Stderr,
-            seed: 0x006d_6473,
             max_connections: 10_000,
-            grid_window: 8,
         }
     }
 }
+
+/// Seed of the breakers' cooldown jitter and the prober's backoff
+/// jitter; backend `i` draws from its own offset of it.
+const JITTER_SEED: u64 = 0x006d_6473;
 
 /// The gateway tier: its state, shared by the front's threads, the
 /// prober, handoffs, and the handle.
@@ -174,9 +139,6 @@ struct Shared {
     backends: Vec<Arc<Backend>>,
     ring: HashRing,
     metrics: GatewayMetrics,
-    /// Numerator of the retry budget (budgeted retries so far); the
-    /// denominator is `metrics.proxied_total`, one per dispatched batch.
-    retries: AtomicU64,
     /// Merged grid documents by [`GridRequest::cache_key`].
     merged: ResultCache,
     /// The effective output epoch captured at start: the merged cache's
@@ -221,8 +183,7 @@ impl Gateway {
             .map(|(i, addr)| {
                 Arc::new(Backend::new(
                     addr.clone(),
-                    config.breaker,
-                    config.seed.wrapping_add(i as u64),
+                    JITTER_SEED.wrapping_add(i as u64),
                 ))
             })
             .collect();
@@ -242,7 +203,6 @@ impl Gateway {
             backends,
             ring,
             metrics: GatewayMetrics::default(),
-            retries: AtomicU64::new(0),
             merged: ResultCache::new(DEFAULT_BUDGET_BYTES),
             epoch,
             config,
@@ -253,7 +213,7 @@ impl Gateway {
             listener,
             reactor::Config {
                 limits: config.limits,
-                max_requests: config.max_requests_per_connection,
+                max_requests: MAX_REQUESTS_PER_CONNECTION,
                 read_timeout: config.read_timeout,
                 header_timeout: config.header_timeout,
                 write_timeout: config.write_timeout,
@@ -340,7 +300,6 @@ impl Gateway {
                 )
                 .field("proxied_total", load(&m.proxied_total))
                 .field("failovers_total", load(&m.failovers_total))
-                .field("hedges_total", load(&m.hedges_total))
                 .field("unavailable_total", load(&m.unavailable_total)),
         );
     }
@@ -419,7 +378,7 @@ fn cluster_status(shared: &Shared) -> String {
         .field("ring_points", shared.ring.points())
         .field("replicas", shared.config.replicas)
         .field("proxied", load(&shared.metrics.proxied_total))
-        .field("retries", load(&shared.retries))
+        .field("retries", load(&shared.metrics.retries_total))
         .field("grids", load(&shared.metrics.grids_total))
         .field(
             "grid_cache_hits",
@@ -431,7 +390,7 @@ fn cluster_status(shared: &Shared) -> String {
         )
         .field("epoch", shared.epoch)
         .field("grid_cells", load(&shared.metrics.grid_cells_total))
-        .field("grid_window", shared.config.grid_window as u64)
+        .field("grid_window", GRID_WINDOW as u64)
         .to_string()
 }
 
@@ -468,28 +427,17 @@ fn rotation_order(shared: &Shared, key: &str) -> Vec<usize> {
 }
 
 /// Takes one unit of the global retry budget, if any remains: a fifth
-/// of the batches dispatched so far, plus the burst.
+/// of the batches dispatched so far, plus the burst. The budget's
+/// numerator is `metrics.retries_total`, its denominator
+/// `metrics.proxied_total`.
 fn take_retry(shared: &Shared) -> bool {
-    let allowed =
-        shared.metrics.proxied_total.load(Ordering::Relaxed) / 5 + shared.config.retry_burst;
-    let mut current = shared.retries.load(Ordering::Relaxed);
-    loop {
-        if current >= allowed {
-            return false;
-        }
-        match shared.retries.compare_exchange_weak(
-            current,
-            current + 1,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                shared.metrics.retries_total.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            Err(seen) => current = seen,
-        }
-    }
+    let m = &shared.metrics;
+    let allowed = m.proxied_total.load(Ordering::Relaxed) / 5 + shared.config.retry_burst;
+    m.retries_total
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < allowed).then_some(n + 1)
+        })
+        .is_ok()
 }
 
 fn log_transition(shared: &Shared, backend: &Backend, t: Option<crate::breaker::Transition>) {
@@ -506,6 +454,14 @@ fn log_transition(shared: &Shared, backend: &Backend, t: Option<crate::breaker::
 
 /// The one upstream route: a cell batch.
 const CELLS: &str = "/v1/cells";
+
+/// Upstream connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Upstream read/write timeout, for cell batches and handoff transfers
+/// alike (a cold cell batch can compute for a while, so this is
+/// generous).
+const IO_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// One upstream exchange over the lane's pooled connection (fresh
 /// reconnect if the pooled one was idled out by the backend).
@@ -540,12 +496,9 @@ fn send_pooled(
     let (response, conn) = match reused {
         Some(exchange) => exchange,
         None => {
-            let mut conn = Connection::connect(
-                &shared.backends[idx].addr,
-                shared.config.connect_timeout,
-                shared.config.io_timeout,
-            )
-            .map_err(|e| format!("connect: {e}"))?;
+            let mut conn =
+                Connection::connect(&shared.backends[idx].addr, CONNECT_TIMEOUT, IO_TIMEOUT)
+                    .map_err(|e| format!("connect: {e}"))?;
             let response = conn.send("POST", CELLS, body).map_err(|e| e.to_string())?;
             (response, conn)
         }
@@ -557,12 +510,11 @@ fn send_pooled(
 }
 
 /// Dispatches one cell batch along its route key's replica order, under
-/// breaker and retry-budget failover, with the hedging path handling
-/// stragglers when configured: the gateway's one upstream path. The
-/// window bounds this grid's in-flight batches per backend. `owner` is
-/// the grid's balanced assignment for this key: when it is still in
-/// rotation it is tried first, and the rest of the replica order backs
-/// it up.
+/// breaker and retry-budget [`failover`]: the gateway's one upstream
+/// path. The window bounds this grid's in-flight batches per backend.
+/// `owner` is the grid's balanced assignment for this key: when it is
+/// still in rotation it is tried first, and the rest of the replica
+/// order backs it up.
 ///
 /// Each batch counts once in `proxied_total` (the retry budget's
 /// denominator) and `proxy_latency`, and once in `unavailable_total`
@@ -579,7 +531,6 @@ fn dispatch_batch(
     m.proxied_total.fetch_add(1, Ordering::Relaxed);
     m.grid_cells_total
         .fetch_add(batch.cells.len() as u64, Ordering::Relaxed);
-    let body = batch.body.as_bytes();
     let mut rotation = rotation_order(shared, &batch.route_key);
     if let Some(owner) = owner {
         if let Some(pos) = rotation.iter().position(|&idx| idx == owner) {
@@ -587,16 +538,7 @@ fn dispatch_batch(
             rotation.insert(0, owner);
         }
     }
-    let result = match shared.config.hedge_after {
-        Some(hedge_after) => {
-            // The hedged path spawns its own attempt threads; hold the
-            // primary's window slot for the duration so a grid's hedged
-            // batches still respect the per-backend bound.
-            let _slot = windows.acquire(rotation[0]);
-            failover_hedged(shared, &rotation, body, hedge_after)
-        }
-        None => failover_serial(shared, conns, &rotation, body, windows),
-    };
+    let result = failover(shared, conns, &rotation, batch.body.as_bytes(), windows);
     if result.is_err() {
         m.unavailable_total.fetch_add(1, Ordering::Relaxed);
     }
@@ -658,6 +600,12 @@ fn serve_grid(shared: &Shared, request: Result<GridRequest, String>) -> Outcome 
     Outcome::new(response).cache("miss")
 }
 
+/// Per-backend in-flight window for grid dispatch: how many cell batches
+/// one scattered request keeps outstanding against each backend. Sized
+/// to fill a backend's worker pool without tripping its admission
+/// shedding.
+const GRID_WINDOW: usize = 8;
+
 /// Scatter-gather grid execution: the merged document, or the merge's
 /// error.
 ///
@@ -674,7 +622,7 @@ fn scatter_gather(shared: &Shared, grid_request: &GridRequest) -> Result<String,
     let plan = grid::plan(grid_request);
     let owners = grid_owners(shared, &plan);
     let mut merger = grid::Merger::new(grid_request, Runner::new(1));
-    let windows = grid::Windows::new(shared.backends.len(), shared.config.grid_window);
+    let windows = grid::Windows::new(shared.backends.len(), GRID_WINDOW);
 
     let batches = &plan.batches;
     let mut failed_cells = 0usize;
@@ -683,7 +631,7 @@ fn scatter_gather(shared: &Shared, grid_request: &GridRequest) -> Result<String,
         let (tx, rx) = mpsc::channel::<(usize, Result<ClientResponse, Option<ClientResponse>>)>();
         let lanes = batches
             .len()
-            .min(shared.backends.len() * shared.config.grid_window)
+            .min(shared.backends.len() * GRID_WINDOW)
             .max(1);
         for _ in 0..lanes {
             let tx = tx.clone();
@@ -750,11 +698,12 @@ fn scatter_gather(shared: &Shared, grid_request: &GridRequest) -> Result<String,
     doc
 }
 
-/// The serial failover loop: walk the candidates under breaker and
-/// retry-budget control and return the first non-shed upstream answer,
-/// or `Err(last shed response)` once every candidate is exhausted.
+/// The failover loop: walk the candidates under breaker and retry-budget
+/// control and return the first non-shed upstream answer, or
+/// `Err(last shed response)` once every candidate is exhausted. Every
+/// permit the breaker grants is settled before the loop moves on, and
 /// `windows` bounds per-backend in-flight attempts.
-fn failover_serial(
+fn failover(
     shared: &Shared,
     conns: &mut ConnCache,
     candidates: &[usize],
@@ -812,121 +761,8 @@ fn failover_serial(
     Err(last_shed)
 }
 
-/// The hedged failover loop, for cell batches when hedging is
-/// configured: attempts run in spawned threads over
-/// fresh connections, all reporting into one channel; a timeout launches
-/// the next candidate (a hedge), a failure launches it immediately (a
-/// failover), and the first non-shed response wins. Returns the winning
-/// upstream response, or `Err(last shed response)` once exhausted.
-fn failover_hedged(
-    shared: &Shared,
-    candidates: &[usize],
-    body: &[u8],
-    hedge_after: Duration,
-) -> Result<ClientResponse, Option<ClientResponse>> {
-    let (tx, rx) = mpsc::channel::<(usize, Result<ClientResponse, String>)>();
-    let deadline = Instant::now() + shared.config.io_timeout;
-    let mut last_shed: Option<ClientResponse> = None;
-    // The candidate cursor, attempts in flight, and the first backend
-    // launched (a later winner is a hedge win).
-    let (mut next, mut in_flight, mut first) = (0usize, 0u32, None::<usize>);
-
-    // Launches the next breaker-approved candidate, if the budget allows.
-    let mut launch = |in_flight: &mut u32, is_hedge: bool| -> bool {
-        while let Some(&idx) = candidates.get(next) {
-            next += 1;
-            let backend = Arc::clone(&shared.backends[idx]);
-            let (allowed, transition) = backend.with_breaker(|b| b.try_acquire(Instant::now()));
-            log_transition(shared, &backend, transition);
-            if !allowed {
-                continue;
-            }
-            if first.is_some() {
-                if !take_retry(shared) {
-                    backend.with_breaker(|b| b.cancel_acquire());
-                    return false;
-                }
-                let m = &shared.metrics;
-                let counter = if is_hedge {
-                    &m.hedges_total
-                } else {
-                    &m.failovers_total
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            first.get_or_insert(idx);
-            *in_flight += 1;
-            let tx = tx.clone();
-            let body = body.to_vec();
-            let timeout = shared.config.io_timeout;
-            let metrics_latency = Instant::now();
-            std::thread::spawn(move || {
-                backend.stats.attempts.fetch_add(1, Ordering::Relaxed);
-                let result = client::request_once(&backend.addr, "POST", CELLS, &body, timeout)
-                    .map_err(|e| e.to_string());
-                backend
-                    .stats
-                    .latency
-                    .observe_us(metrics_latency.elapsed().as_micros() as u64);
-                let _ = tx.send((idx, result));
-            });
-            return true;
-        }
-        false
-    };
-
-    launch(&mut in_flight, false);
-    loop {
-        if in_flight == 0 && !launch(&mut in_flight, false) {
-            return Err(last_shed);
-        }
-        match rx.recv_timeout(hedge_after) {
-            Ok((idx, Ok(upstream))) if upstream.status == 503 => {
-                in_flight -= 1;
-                let backend = &shared.backends[idx];
-                backend.stats.sheds.fetch_add(1, Ordering::Relaxed);
-                backend.with_breaker(|b| b.cancel_acquire());
-                last_shed = Some(upstream);
-            }
-            Ok((idx, Ok(upstream))) => {
-                let backend = &shared.backends[idx];
-                let t = backend.with_breaker(|b| b.record_success(Instant::now()));
-                log_transition(shared, backend, t);
-                if Some(idx) != first {
-                    shared
-                        .metrics
-                        .hedge_wins_total
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(upstream);
-            }
-            Ok((idx, Err(error))) => {
-                in_flight -= 1;
-                let backend = &shared.backends[idx];
-                backend.stats.failures.fetch_add(1, Ordering::Relaxed);
-                let t = backend.with_breaker(|b| b.record_failure(Instant::now()));
-                log_transition(shared, backend, t);
-                shared.front.log.event(
-                    Json::object()
-                        .field("evt", "upstream_error")
-                        .field("backend", backend.addr.as_str())
-                        .field("error", error),
-                );
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // The in-flight attempt is slow: hedge onto the next
-                // candidate, or give up past the overall deadline.
-                let launched = launch(&mut in_flight, true);
-                if !launched && Instant::now() >= deadline {
-                    return Err(last_shed);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(last_shed);
-            }
-        }
-    }
-}
+/// Per-probe timeout.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The background health prober: readiness-probes every backend, on a
 /// fixed interval while healthy and on capped exponential backoff with
@@ -940,7 +776,7 @@ fn probe_loop(shared: &Arc<Shared>) {
             Backoff::new(
                 shared.config.probe_interval,
                 shared.config.probe_interval * 8,
-                shared.config.seed.wrapping_add(0x9e37 + i as u64),
+                JITTER_SEED.wrapping_add(0x9e37 + i as u64),
             )
         })
         .collect();
@@ -954,13 +790,7 @@ fn probe_loop(shared: &Arc<Shared>) {
             if due[i] > now {
                 continue;
             }
-            let verdict = client::request_once(
-                &backend.addr,
-                "GET",
-                "/readyz",
-                b"",
-                shared.config.probe_timeout,
-            );
+            let verdict = client::request_once(&backend.addr, "GET", "/readyz", b"", PROBE_TIMEOUT);
             let healthy = matches!(verdict, Ok(ref r) if r.status == 200);
             let was = backend.set_healthy(healthy);
             if was != healthy {
@@ -970,7 +800,7 @@ fn probe_loop(shared: &Arc<Shared>) {
                         .field("backend", backend.addr.as_str())
                         .field("healthy", healthy),
                 );
-                if healthy && shared.config.handoff {
+                if healthy {
                     // A recovered (or replaced) backend starts cold:
                     // stream it the warm entries its ring position owns.
                     let shared = Arc::clone(shared);
@@ -1037,13 +867,7 @@ fn handoff(shared: &Arc<Shared>, target_idx: usize) {
         if i == target_idx || !donor.is_healthy() {
             continue;
         }
-        let dump = match client::request_once(
-            &donor.addr,
-            "GET",
-            "/v1/cache",
-            b"",
-            shared.config.io_timeout,
-        ) {
+        let dump = match client::request_once(&donor.addr, "GET", "/v1/cache", b"", IO_TIMEOUT) {
             Ok(r) if r.status == 200 => r,
             _ => {
                 errors += 1;
@@ -1086,7 +910,7 @@ fn handoff(shared: &Arc<Shared>, target_idx: usize) {
                 "POST",
                 "/v1/cache",
                 chunk.as_bytes(),
-                shared.config.io_timeout,
+                IO_TIMEOUT,
             ) {
                 Ok(r) if r.status == 200 => {}
                 _ => {

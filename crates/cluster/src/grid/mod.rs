@@ -11,7 +11,7 @@
 //! hot, and it runs the key's cells as one grid — after
 //! [`balanced_assignments`] caps each backend at its fair share of the
 //! grid's keys. Batches travel as `POST /v1/cells` requests through the
-//! gateway's breaker/retry/hedging machinery, its only upstream path.
+//! gateway's breaker/retry-budget failover loop, its only upstream path.
 //! Outputs stream back in completion order and a [`Merger`] folds them
 //! into a harness; the final response is rendered in request order, so
 //! the bytes are independent of placement, concurrency, and arrival

@@ -14,8 +14,8 @@
 //!   as the fleet grows. Merged documents are cached at the gateway.
 //! - **Failure hiding** ([`breaker`], [`gateway`]) — per-backend health
 //!   probing against the drain-aware `/readyz`, three-state circuit
-//!   breakers on the data path, bounded-budget failover to the next
-//!   replica, and optional hedged second attempts for cold stragglers.
+//!   breakers on the data path, and one failover loop that walks the
+//!   replica order under a bounded retry budget, one attempt at a time.
 //!   A batch no backend answers is computed on the gateway, so killing
 //!   backends mid-load produces zero client-visible failures.
 //! - **Cluster observability** ([`metrics`]) — per-backend and per-route
@@ -76,7 +76,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use backend::Backend;
-pub use breaker::{Breaker, BreakerConfig};
+pub use breaker::Breaker;
 pub use fleet::{Fleet, FleetConfig};
 pub use gateway::{Gateway, GatewayConfig};
 pub use ring::HashRing;

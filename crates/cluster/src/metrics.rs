@@ -18,14 +18,11 @@ pub struct GatewayMetrics {
     /// Cell batches dispatched upstream, each entering the failover path
     /// once. The retry budget allows a fifth of this, plus the burst.
     pub proxied_total: AtomicU64,
-    /// Retry-budget units consumed (failovers + hedges).
+    /// Retry-budget units consumed (one per failover attempt): the
+    /// budget's numerator.
     pub retries_total: AtomicU64,
     /// Failover attempts to a different backend after a failure or shed.
     pub failovers_total: AtomicU64,
-    /// Hedged second requests launched for slow primaries.
-    pub hedges_total: AtomicU64,
-    /// Hedges that answered before the original attempt.
-    pub hedge_wins_total: AtomicU64,
     /// Cell batches that exhausted every candidate backend (their cells
     /// were computed on the gateway instead).
     pub unavailable_total: AtomicU64,
@@ -50,8 +47,8 @@ pub struct GatewayMetrics {
     pub handoff_keys_total: AtomicU64,
     /// Handoff transfer errors (failed dump, refused fill, epoch skew).
     pub handoff_errors_total: AtomicU64,
-    /// Gateway-side latency of each dispatched cell batch, failover and
-    /// hedging included.
+    /// Gateway-side latency of each dispatched cell batch, failover
+    /// included.
     pub proxy_latency: Histogram,
     /// Per-attempt upstream exchange latency (all backends pooled; the
     /// per-backend split lives in each backend's stats).
@@ -130,7 +127,7 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
     counter(
         out,
         "mds_gateway_retries_total",
-        "Retry-budget units consumed (failovers plus hedges).",
+        "Retry-budget units consumed (one per failover attempt).",
         c(&m.retries_total),
     );
     counter(
@@ -138,18 +135,6 @@ pub fn render(m: &GatewayMetrics, backends: &[Arc<Backend>], out: &mut String) {
         "mds_gateway_failovers_total",
         "Failover attempts to another backend.",
         c(&m.failovers_total),
-    );
-    counter(
-        out,
-        "mds_gateway_hedges_total",
-        "Hedged second requests launched.",
-        c(&m.hedges_total),
-    );
-    counter(
-        out,
-        "mds_gateway_hedge_wins_total",
-        "Hedges that answered before the original attempt.",
-        c(&m.hedge_wins_total),
     );
     counter(
         out,
@@ -310,7 +295,6 @@ struct BackendStatsView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
 
     #[test]
     fn render_emits_labeled_backend_and_route_families() {
@@ -320,16 +304,8 @@ mod tests {
         m.routes.count("POST", "/v1/experiments");
         m.routes.count("GET", "/nope");
         let backends = vec![
-            Arc::new(Backend::new(
-                "127.0.0.1:9001".to_string(),
-                BreakerConfig::default(),
-                1,
-            )),
-            Arc::new(Backend::new(
-                "127.0.0.1:9002".to_string(),
-                BreakerConfig::default(),
-                2,
-            )),
+            Arc::new(Backend::new("127.0.0.1:9001".to_string(), 1)),
+            Arc::new(Backend::new("127.0.0.1:9002".to_string(), 2)),
         ];
         backends[1].stats.attempts.fetch_add(7, Ordering::Relaxed);
         backends[1].set_healthy(false);

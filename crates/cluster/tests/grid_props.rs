@@ -7,7 +7,7 @@
 //! grid itself — and cells that never arrive at all are recomputed
 //! locally without changing a byte. These are the properties that make
 //! the gateway's streaming gather correct by construction: nothing in
-//! the scatter path (lane scheduling, hedging, failover, backend loss)
+//! the scatter path (lane scheduling, failover, backend loss)
 //! can influence the answer.
 
 use mds_bench::grid::{cells, route_key, GridRequest};

@@ -291,11 +291,6 @@ impl SyncUnit {
             e.ldid.is_some_and(&mut ldid_squashed) || e.stid.is_some_and(&mut stid_squashed)
         });
     }
-
-    /// Clears dynamic (MDST) state, keeping learned predictions.
-    pub fn reset_dynamic(&mut self) {
-        self.mdst.clear();
-    }
 }
 
 #[cfg(test)]
@@ -441,7 +436,8 @@ mod tests {
         let mut u = unit();
         u.record_misspeculation(edge(), 1, None);
         assert_eq!(u.on_load_ready(7, 3, 30, None), LoadDecision::Wait);
-        u.reset_dynamic();
+        // Squashing every task clears the dynamic (MDST) state...
+        u.invalidate_squashed(|_| true, |_| true);
         assert!(!u.is_waiting(30));
         // Prediction survives:
         assert_eq!(u.on_load_ready(7, 4, 31, None), LoadDecision::Wait);

@@ -159,14 +159,6 @@ impl<K: Eq + Hash + Clone, V> LruTable<K, V> {
         self.tail = NIL;
     }
 
-    /// The key that would be evicted next (least recently used).
-    pub fn lru_key(&self) -> Option<&K> {
-        if self.tail == NIL {
-            return None;
-        }
-        self.nodes[self.tail].entry.as_ref().map(|(k, _)| k)
-    }
-
     /// Iterates over entries from most to least recently used.
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter {
@@ -313,7 +305,6 @@ mod tests {
         t.get(&1);
         let keys: Vec<i32> = t.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 3, 2]);
-        assert_eq!(t.lru_key(), Some(&2));
     }
 
     #[test]

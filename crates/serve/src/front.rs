@@ -31,6 +31,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Keep-alive cap of both tiers: requests served per client connection
+/// before it is closed.
+pub const MAX_REQUESTS_PER_CONNECTION: usize = 1000;
+
 /// Paths the front routes for every tier.
 const SHARED_PATHS: [&str; 4] = ["/healthz", "/readyz", "/metrics", "/v1/shutdown"];
 

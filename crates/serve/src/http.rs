@@ -597,7 +597,10 @@ impl ResponseReader {
         ResponseReader::default()
     }
 
-    /// Reads and parses the next response on this connection.
+    /// Reads and parses the next response on this connection. The body
+    /// is framed by the same `Content-Length` rule as a request's, so a
+    /// malformed or conflicting length is an error, never a guess that
+    /// leaves stray bytes for the next response.
     ///
     /// # Errors
     ///
@@ -615,11 +618,7 @@ impl ResponseReader {
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or(ReadError::Malformed("bad status line"))?;
         let headers = parse_headers(header_lines)?;
-        let declared = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-            .unwrap_or(0);
+        let declared = declared_length(&headers)?;
         let body = take_body(&mut self.buf, stream, declared)?;
         Ok(ClientResponse {
             status,
@@ -772,6 +771,23 @@ mod tests {
         assert_eq!(parsed.header("retry-after"), Some("1"));
         assert_eq!(parsed.header("connection"), Some("keep-alive"));
         assert_eq!(parsed.body, br#"{"ok":true}"#);
+    }
+
+    #[test]
+    fn response_framing_rejects_bad_and_conflicting_lengths() {
+        let framed = |lengths: &str| {
+            let wire = format!("HTTP/1.1 200 OK\r\n{lengths}\r\nabcd");
+            read_response(&mut io::Cursor::new(wire.into_bytes()))
+        };
+        assert!(matches!(
+            framed("content-length: 4x\r\n"),
+            Err(ReadError::Malformed("bad content-length"))
+        ));
+        assert!(matches!(
+            framed("content-length: 4\r\ncontent-length: 2\r\n"),
+            Err(ReadError::Malformed("conflicting content-length headers"))
+        ));
+        assert_eq!(framed("content-length: 4\r\n").unwrap().body, b"abcd");
     }
 
     #[test]

@@ -24,9 +24,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The default byte budget of a result cache: a backend's
-/// `cache_budget_bytes` default and the budget of the gateway's
-/// merged-grid cache.
+/// The byte budget of both tiers' result caches: a backend's result
+/// cache and the gateway's merged-grid cache.
 pub const DEFAULT_BUDGET_BYTES: usize = 16 * 1024 * 1024;
 
 const NIL: usize = usize::MAX;

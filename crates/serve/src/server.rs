@@ -16,7 +16,7 @@
 //! metrics summary goes to the structured log.
 
 use crate::access_log::LogTarget;
-use crate::front::{Front, Running, Tier};
+use crate::front::{Front, Running, Tier, MAX_REQUESTS_PER_CONNECTION};
 use crate::http::{Limits, Request, Response};
 use crate::io::reactor::{self, Outcome};
 use crate::metrics::{self, Gauges, Metrics};
@@ -58,10 +58,6 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Request head/body size limits.
     pub limits: Limits,
-    /// Keep-alive cap: requests served per connection before closing.
-    pub max_requests_per_connection: usize,
-    /// Result-cache byte budget.
-    pub cache_budget_bytes: usize,
     /// Durable result store directory (`None`: in-memory cache only).
     /// When set, the result cache is prewarmed from the store at boot
     /// and every cache fill is appended, so warm state survives
@@ -85,8 +81,6 @@ impl Default for ServerConfig {
             header_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             limits: Limits::default(),
-            max_requests_per_connection: 1000,
-            cache_budget_bytes: DEFAULT_BUDGET_BYTES,
             store_dir: None,
             log: LogTarget::Stderr,
             max_connections: 10_000,
@@ -142,7 +136,7 @@ impl Server {
         // binary registers families before calling `start`), because
         // registered fingerprints are part of output identity.
         let epoch = persist::effective_epoch();
-        let results = ResultCache::new(config.cache_budget_bytes);
+        let results = ResultCache::new(DEFAULT_BUDGET_BYTES);
         let mut prewarmed = 0usize;
         let store = match &config.store_dir {
             None => None,
@@ -188,7 +182,7 @@ impl Server {
             listener,
             reactor::Config {
                 limits: config.limits,
-                max_requests: config.max_requests_per_connection,
+                max_requests: MAX_REQUESTS_PER_CONNECTION,
                 read_timeout: config.read_timeout,
                 header_timeout: config.header_timeout,
                 write_timeout: config.write_timeout,

@@ -109,11 +109,6 @@ impl Percent {
         Percent(ratio(num, denom) * 100.0)
     }
 
-    /// Wraps an already-computed percentage value.
-    pub fn from_value(v: f64) -> Self {
-        Percent(v)
-    }
-
     /// The percentage as a plain `f64` (e.g. `12.5` for 12.5 %).
     pub fn value(&self) -> f64 {
         self.0
